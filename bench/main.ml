@@ -1,7 +1,6 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (printed as ASCII tables), then runs one Bechamel
-   micro-benchmark per experiment measuring the cost of the machinery
-   that produces it.
+   paper's evaluation (printed as ASCII tables).  Per-layer host costs
+   (Bechamel ns/op) are recorded by [roload_bench --trace 1].
 
    Scale: set ROLOAD_SCALE (default 1 = quick; 3 = the "reference"
    setting used in EXPERIMENTS.md).  All simulations are deterministic,
@@ -101,68 +100,6 @@ let run_experiments () =
     (timed "ablation_retcall" (fun () -> Core.Experiments.ablation_retcall ()));
   Roload_util.Table.print (timed "ablation_tlb" (fun () -> Core.Experiments.ablation_tlb ()))
 
-(* ---------- Bechamel micro-benchmarks ---------- *)
-
-let quick_source = {|
-int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }
-int main() { print_int(fib(12)); return 0; }
-|}
-
-let victim_exe scheme =
-  Core.Toolchain.compile_exe
-    ~options:{ Core.Toolchain.default_options with scheme }
-    ~name:"victim" Roload_security.Victim.source
-
-let bechamel_tests () =
-  let open Bechamel in
-  let icall_victim = victim_exe Roload_passes.Pass.Icall in
-  let quick_exe = Core.Toolchain.compile_exe ~name:"fib" quick_source in
-  [
-    (* Table III: cost of one full synthesis run (elaborate + map + STA) *)
-    Test.make ~name:"table3: tlb synthesis"
-      (Staged.stage (fun () -> ignore (Roload_hw.Synth.run ())));
-    (* §V-B / Figs 3–5 building block: compile + harden a program *)
-    Test.make ~name:"figs: compile+harden (icall)"
-      (Staged.stage (fun () ->
-           ignore
-             (Core.Toolchain.compile_exe
-                ~options:{ Core.Toolchain.default_options with
-                           scheme = Roload_passes.Pass.Icall }
-                ~name:"fib" quick_source)));
-    (* §V-B building block: simulate a small program end to end *)
-    Test.make ~name:"figs: simulate fib(12)"
-      (Staged.stage (fun () ->
-           ignore (Core.System.run ~variant:Core.System.Processor_kernel_modified quick_exe)));
-    (* §V-C2 building block: one attack run *)
-    Test.make ~name:"security: one attack run"
-      (Staged.stage (fun () ->
-           ignore
-             (Roload_security.Eval.run ~exe:icall_victim
-                Roload_security.Attack.Fptr_type_confusion)));
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  section "Bechamel micro-benchmarks (machinery cost per experiment)";
-  let instances = [ Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 10) () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      Hashtbl.iter
-        (fun name result ->
-          let analysis =
-            Analyze.one
-              (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-              Instance.monotonic_clock result
-          in
-          match Analyze.OLS.estimates analysis with
-          | Some [ est ] -> Printf.printf "  %-36s %12.0f ns/run\n%!" name est
-          | Some _ | None -> Printf.printf "  %-36s (no estimate)\n%!" name)
-        results)
-    (bechamel_tests ())
-
 let () =
   Printf.printf "ROLoad reproduction bench harness (scale %d, engine %s)\n" scale
     engine_label;
@@ -173,5 +110,4 @@ let () =
       (List.rev !entries);
     Printf.printf "\nbench trajectory written to %s\n%!" path
   | None -> ());
-  run_bechamel ();
   print_endline "\ndone."

@@ -4,6 +4,7 @@
                        [--json PATH] [--checkpoint PATH] [--resume]
                        [--attempts N] [--fail-cell IDX] [--max-cells N]
                        [--checkpoint-batch N] [--replay PATH]
+                       [--elide] [--from-reset] [--diff-pages]  (classic only)
                        [--server [--requests N] [--workers N] [--shards N]
                                  [--max-restarts N] [--deadline CYCLES]]
 
@@ -14,7 +15,8 @@
         ROLoad schemes, no cell failures
      1  findings — silent corruption or undetected tampering under a
         ROLoad scheme (or a replayed reproducer's verdict changed)
-     2  usage error
+     2  usage error (including --elide, --from-reset or --diff-pages
+        combined with --server)
      3  cell failures — some cells kept crashing and were recorded as
         structured failure rows
 
@@ -36,49 +38,6 @@
 open Cmdliner
 module Campaign = Roload_inject.Campaign
 module Pass = Roload_passes.Pass
-
-let run_server_mode seed count schemes jobs json checkpoint resume fail_cell max_cells
-    checkpoint_batch requests workers shards max_restarts deadline =
-  let sabotage =
-    match fail_cell with
-    | None -> None
-    | Some idx ->
-      Some
-        (fun ~index ~scheme:_ ~attempt:_ ->
-          if index = idx then failwith "sabotaged cell (--fail-cell)")
-  in
-  let report =
-    Campaign.run_server
-      {
-        Campaign.default_server_config with
-        Campaign.sv_seed = seed;
-        sv_count = count;
-        sv_requests = requests;
-        sv_workers = workers;
-        sv_shards = shards;
-        sv_schemes = schemes;
-        sv_jobs = jobs;
-        sv_max_restarts = max_restarts;
-        sv_deadline_cycles = deadline;
-        sv_checkpoint = checkpoint;
-        sv_resume = resume;
-        sv_checkpoint_batch = checkpoint_batch;
-        sv_sabotage = sabotage;
-        sv_max_cells = max_cells;
-      }
-  in
-  print_string (Campaign.render_server report);
-  (match json with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (Campaign.server_to_json report);
-    close_out oc;
-    Printf.printf "report written to %s\n" path);
-  let g = Campaign.server_gate report in
-  if g.Campaign.sg_cell_failures > 0 then exit 3
-  else if g.Campaign.sg_low_availability > 0 || g.Campaign.sg_corrupted_under_roload > 0
-  then exit 1
 
 let run seed count schemes jobs json checkpoint resume attempts fail_cell max_cells
     replay elide from_reset diff_pages server requests workers shards max_restarts
@@ -112,18 +71,57 @@ let run seed count schemes jobs json checkpoint resume attempts fail_cell max_ce
               exit 2)
           names
     in
-    if server then
-      run_server_mode seed count schemes jobs json checkpoint resume fail_cell
-        max_cells checkpoint_batch requests workers shards max_restarts deadline
-    else begin
+    if server && (elide || from_reset || diff_pages) then begin
+      prerr_endline
+        "--elide, --from-reset and --diff-pages apply to the classic campaign only, \
+         not to --server";
+      exit 2
+    end;
     let sabotage =
-      match fail_cell with
-      | None -> None
-      | Some idx ->
-        Some
-          (fun ~index ~scheme:_ ~attempt:_ ->
-            if index = idx then failwith "sabotaged cell (--fail-cell)")
+      Option.map
+        (fun idx ~index ~scheme:_ ~attempt:_ ->
+          if index = idx then failwith "sabotaged cell (--fail-cell)")
+        fail_cell
     in
+    let write_json doc =
+      Option.iter
+        (fun path ->
+          let oc = open_out path in
+          output_string oc doc;
+          close_out oc;
+          Printf.printf "report written to %s\n" path)
+        json
+    in
+    if server then begin
+      let report =
+        Campaign.run_server
+          {
+            Campaign.default_server_config with
+            Campaign.sv_seed = seed;
+            sv_count = count;
+            sv_requests = requests;
+            sv_workers = workers;
+            sv_shards = shards;
+            sv_schemes = schemes;
+            sv_attempts = attempts;
+            sv_jobs = jobs;
+            sv_max_restarts = max_restarts;
+            sv_deadline_cycles = deadline;
+            sv_checkpoint = checkpoint;
+            sv_resume = resume;
+            sv_checkpoint_batch = checkpoint_batch;
+            sv_sabotage = sabotage;
+            sv_max_cells = max_cells;
+          }
+      in
+      print_string (Campaign.render_server report);
+      write_json (Campaign.server_to_json report);
+      let g = Campaign.server_gate report in
+      if g.Campaign.sg_cell_failures > 0 then exit 3
+      else if g.Campaign.sg_low_availability > 0 || g.Campaign.sg_corrupted_under_roload > 0
+      then exit 1
+    end
+    else begin
     let report =
       Campaign.run
         {
@@ -144,13 +142,7 @@ let run seed count schemes jobs json checkpoint resume attempts fail_cell max_ce
     in
     print_string (Campaign.render report);
     if diff_pages then print_string (Campaign.render_diffs report);
-    (match json with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Campaign.to_json report);
-      close_out oc;
-      Printf.printf "report written to %s\n" path);
+    write_json (Campaign.to_json report);
     let g = Campaign.gate report in
     if g.Campaign.cell_failures > 0 then exit 3
     else if g.Campaign.silent_under_roload > 0 || g.Campaign.undetected_tamper > 0 then

@@ -20,7 +20,8 @@
    page-level diff against the baseline's final memory (the
    differential-state localizer), identical in both modes.
 
-   Robustness (tentpole part 2): every cell runs behind
+   Robustness: both campaigns in this file (classic and live-server) are
+   instances of one cell runner, [run_cells].  Every cell runs behind
    [Experiments.run_cells_contained] — a crashing cell is retried a
    bounded, deterministic number of times and then becomes a structured
    failure row instead of aborting the campaign.  Rows are appended to a
@@ -214,8 +215,6 @@ let baseline_run_full ?template exe =
   in
   (outcome, Phys_mem.snapshot (Machine.mem machine))
 
-let baseline_run exe = fst (baseline_run_full exe)
-
 (* ---------- one cell ---------- *)
 
 let trigger_of ~(baseline : Kernel.run_outcome) (inj : Fault.injection) =
@@ -226,10 +225,9 @@ let trigger_of ~(baseline : Kernel.run_outcome) (inj : Fault.injection) =
   in
   if Int64.compare t 1L < 0 then 1L else t
 
-let budget_of ~budget_factor ~(baseline : Kernel.run_outcome) =
-  Int64.add
-    (Int64.mul baseline.Kernel.instructions (Int64.of_int budget_factor))
-    100_000L
+(* the watchdog of both campaigns' cells: factor x baseline instructions *)
+let budget_of ~budget_factor instructions =
+  Int64.add (Int64.mul instructions (Int64.of_int budget_factor)) 100_000L
 
 (* Verdict + row assembly shared by the from-reset and snapshot-seeded
    cell paths — both feed it the same (final outcome, final machine), so
@@ -262,7 +260,7 @@ let cell_row ~attempt ~baseline ~baseline_mem ~trigger ~applied (inj : Fault.inj
 let run_one ?(budget_factor = default_config.budget_factor) ?baseline_mem ~attempt
     ~(baseline : Kernel.run_outcome) (inj : Fault.injection) scheme exe =
   let trigger = trigger_of ~baseline inj in
-  let budget = budget_of ~budget_factor ~baseline in
+  let budget = budget_of ~budget_factor baseline.Kernel.instructions in
   let applied = ref None in
   let inject ~machine ~process =
     applied := Injector.apply ~machine ~process ~exe inj.Fault.kind
@@ -281,7 +279,7 @@ let run_one ?(budget_factor = default_config.budget_factor) ?baseline_mem ~attem
 let run_one_seeded ?(budget_factor = default_config.budget_factor) ?baseline_mem
     ~attempt ~(baseline : Kernel.run_outcome) ~snap (inj : Fault.injection) scheme exe =
   let trigger = trigger_of ~baseline inj in
-  let budget = budget_of ~budget_factor ~baseline in
+  let budget = budget_of ~budget_factor baseline.Kernel.instructions in
   let machine, kernel, process = Snapshot.fork snap in
   let applied = ref None in
   if Process.status process = Process.Running then
@@ -399,6 +397,116 @@ let with_appender ?(batch = 1) checkpoint f =
     in
     Fun.protect ~finally:(fun () -> locked flush_locked) (fun () -> f append)
 
+(* ---------- the cell runner ----------
+
+   A cell is (plan entry, scheme, victim exe).  Each campaign describes
+   its cells with a spec; the runner owns the rest: enumerating the
+   applicable cells, the checkpoint header, resume (prior rows, done
+   keys), the [max_cells] cut, batched appends, contained fan-out with
+   bounded retry, the sabotage hook and the final sort by (plan index,
+   scheme position).  A cell returns its row plus an optional extra
+   ['x] that never reaches the checkpoint (the classic campaign's
+   corruption diff). *)
+
+type ('inj, 'row, 'x) cell_spec = {
+  header : string;  (** first checkpoint line; pins the campaign parameters *)
+  applies : Pass.scheme -> 'inj -> bool;
+  index_of : 'inj -> int;
+  key_of_row : 'row -> int * string;  (** (plan index, scheme name) *)
+  to_line : 'row -> string;
+  of_line : string -> 'row option;
+  failed_row : 'inj -> Pass.scheme -> error:string -> attempts:int -> 'row;
+  revisit : 'row -> bool;
+      (** prior rows whose cell is re-run once (not re-recorded) to
+          recover its ['x], which the checkpoint does not persist *)
+  prepare :
+    todo:('inj * Pass.scheme * Exe.t) list ->
+    attempt:int ->
+    'inj * Pass.scheme * Exe.t ->
+    'row * 'x option;
+      (** per-run setup over every cell about to run (todo and
+          revisits); returns the cell function *)
+}
+
+let run_cells spec ~checkpoint ~resume ~batch ~attempts ~jobs ~sabotage ~max_cells ~plan
+    exes =
+  let cells =
+    List.concat_map
+      (fun inj ->
+        List.filter_map
+          (fun (s, exe) -> if spec.applies s inj then Some (inj, s, exe) else None)
+          exes)
+      plan
+  in
+  let key (inj, s, _) = (spec.index_of inj, Pass.scheme_name s) in
+  (* a checkpoint is the header plus one TSV row per settled cell; a
+     different header (another campaign, or corrupt) starts over *)
+  let prior =
+    match checkpoint with
+    | Some path when resume && Sys.file_exists path -> (
+      match read_lines path with
+      | h :: rest when String.equal h spec.header -> List.filter_map spec.of_line rest
+      | _ -> [])
+    | _ -> []
+  in
+  let done_rows = Hashtbl.create 64 in
+  List.iter (fun r -> Hashtbl.replace done_rows (spec.key_of_row r) r) prior;
+  let todo = List.filter (fun c -> not (Hashtbl.mem done_rows (key c))) cells in
+  let todo =
+    match max_cells with Some k -> List.filteri (fun i _ -> i < k) todo | None -> todo
+  in
+  let revisits =
+    List.filter
+      (fun c ->
+        match Hashtbl.find_opt done_rows (key c) with
+        | Some r -> spec.revisit r
+        | None -> false)
+      cells
+  in
+  (match (checkpoint, prior) with
+  | Some path, [] ->
+    let oc = open_out path in
+    output_string oc (spec.header ^ "\n");
+    close_out oc
+  | _ -> ());
+  let cell = spec.prepare ~todo:(todo @ revisits) in
+  let todo_arr = Array.of_list todo in
+  let settle idx = function
+    | Experiments.Cell_ok rx -> rx
+    | Experiments.Cell_failed { error; attempts } ->
+      let inj, scheme, _ = todo_arr.(idx) in
+      (spec.failed_row inj scheme ~error:(sanitize error) ~attempts, None)
+  in
+  let outcomes =
+    with_appender ~batch checkpoint @@ fun append_row ->
+    Experiments.run_cells_contained ~attempts ?jobs
+      ~on_cell:(fun idx o -> append_row (spec.to_line (fst (settle idx o))))
+      ~f:(fun ~attempt ((inj, scheme, _) as c) ->
+        Option.iter (fun f -> f ~index:(spec.index_of inj) ~scheme ~attempt) sabotage;
+        cell ~attempt c)
+      todo
+  in
+  let fresh = List.mapi settle outcomes in
+  let recovered = Hashtbl.create 16 in
+  List.iter (fun c -> Hashtbl.replace recovered (key c) (snd (cell ~attempt:1 c))) revisits;
+  let prior =
+    List.map
+      (fun r -> (r, Option.join (Hashtbl.find_opt recovered (spec.key_of_row r))))
+      prior
+  in
+  let scheme_pos =
+    let names = List.mapi (fun i (s, _) -> (Pass.scheme_name s, i)) exes in
+    fun n -> match List.assoc_opt n names with Some i -> i | None -> max_int
+  in
+  let pos (r, _) =
+    let index, name = spec.key_of_row r in
+    (index, scheme_pos name)
+  in
+  let sorted = List.sort (fun a b -> compare (pos a) (pos b)) (prior @ fresh) in
+  ( List.map fst sorted,
+    List.filter_map (fun (r, x) -> Option.map (fun x -> (spec.key_of_row r, x)) x) sorted
+  )
+
 (* ---------- the campaign ---------- *)
 
 exception Broken_victim of string
@@ -444,194 +552,99 @@ let run (cfg : config) =
       (true, ok)
     | exception _ -> (false, true)
   in
-  let plan = Plan.build ~seed:cfg.seed ~count:cfg.count in
-  let cells =
-    List.concat_map
-      (fun (inj : Fault.injection) ->
-        List.filter_map
-          (fun (s, exe) -> if applicable s inj.Fault.kind then Some (inj, s, exe) else None)
-          exes)
-      plan
-  in
-  (* checkpoint: a header pinning (seed, count, schemes) plus one TSV
-     row per settled cell *)
-  (* [elide=true] is appended only when on, so checkpoints of pre-elision
-     campaigns keep their exact header (and stay resumable) *)
-  let header =
-    Printf.sprintf "# roload-chaos v1 seed=%Ld count=%d schemes=%s%s" cfg.seed cfg.count
-      (String.concat "," (List.map Pass.scheme_name schemes))
-      (if cfg.elide then " elide=true" else "")
-  in
-  let prior =
-    match cfg.checkpoint with
-    | Some path when cfg.resume && Sys.file_exists path -> (
-      match read_lines path with
-      | h :: rest when String.equal h header -> List.filter_map row_of_line rest
-      | _ -> [] (* different campaign (or corrupt): start over *))
-    | _ -> []
-  in
-  let done_keys = Hashtbl.create 64 in
-  List.iter (fun (r : row) -> Hashtbl.replace done_keys (r.index, r.scheme) ()) prior;
-  let todo =
-    List.filter
-      (fun ((inj : Fault.injection), s, _) ->
-        not (Hashtbl.mem done_keys (inj.Fault.index, Pass.scheme_name s)))
-      cells
-  in
-  let todo =
-    match cfg.max_cells with
-    | Some k -> List.filteri (fun i _ -> i < k) todo
-    | None -> todo
-  in
-  (match cfg.checkpoint with
-  | Some path when prior = [] ->
-    let oc = open_out path in
-    output_string oc (header ^ "\n");
-    close_out oc
-  | _ -> ());
   let baseline_for s = fst (List.assoc s baselines) in
   let baseline_mem_for s = snd (List.assoc s baselines) in
-  (* Silent-corruption rows restored from a checkpoint carry no diff (the
-     checkpoint persists rows only), so a resumed report would lose their
-     localization.  Re-derive those cells deterministically — the re-run
-     reproduces the fresh run's diff bit-for-bit, keeping resumed and
-     uninterrupted reports byte-identical. *)
-  let recover =
-    let inj_by_index = Hashtbl.create 16 in
-    List.iter
-      (fun (inj : Fault.injection) -> Hashtbl.replace inj_by_index inj.Fault.index inj)
-      plan;
-    let scheme_by_name = List.map (fun s -> (Pass.scheme_name s, s)) schemes in
-    List.filter_map
-      (fun (r : row) ->
-        if r.outcome <> Verdict Fault.Silent_corruption then None
-        else
-          match
-            (Hashtbl.find_opt inj_by_index r.index, List.assoc_opt r.scheme scheme_by_name)
-          with
-          | Some inj, Some s -> Some (inj, s, List.assoc s exes)
-          | _ -> None)
-      prior
-  in
   (* snapshot seeding: one warm parent per scheme, advanced through the
-     sorted distinct trigger frontiers its todo (and diff-recovery)
-     cells need *)
-  let ladders =
-    if cfg.from_reset then []
-    else
-      Parallel.map ?jobs:cfg.jobs
-        (fun (s, exe) ->
-          let triggers =
-            List.filter_map
-              (fun ((inj : Fault.injection), s', _) ->
-                if s' = s then Some (trigger_of ~baseline:(baseline_for s) inj)
-                else None)
-              (todo @ recover)
-          in
-          (Pass.scheme_name s, build_ladder ~template ~triggers exe))
-        exes
+     sorted distinct trigger frontiers its cells (todo and diff
+     recovery) need *)
+  let prepare ~todo =
+    let ladders =
+      if cfg.from_reset then []
+      else
+        Parallel.map ?jobs:cfg.jobs
+          (fun (s, exe) ->
+            let triggers =
+              List.filter_map
+                (fun ((inj : Fault.injection), s', _) ->
+                  if s' = s then Some (trigger_of ~baseline:(baseline_for s) inj)
+                  else None)
+                todo
+            in
+            (Pass.scheme_name s, build_ladder ~template ~triggers exe))
+          exes
+    in
+    let snap_for scheme trigger =
+      List.assoc trigger (List.assoc (Pass.scheme_name scheme) ladders)
+    in
+    fun ~attempt ((inj : Fault.injection), scheme, exe) ->
+      let baseline = baseline_for scheme in
+      let baseline_mem = baseline_mem_for scheme in
+      if cfg.from_reset then
+        run_one ~budget_factor:cfg.budget_factor ~baseline_mem ~attempt ~baseline inj
+          scheme exe
+      else
+        run_one_seeded ~budget_factor:cfg.budget_factor ~baseline_mem ~attempt ~baseline
+          ~snap:(snap_for scheme (trigger_of ~baseline inj))
+          inj scheme exe
   in
-  let snap_for scheme trigger =
-    List.assoc trigger (List.assoc (Pass.scheme_name scheme) ladders)
+  let spec =
+    {
+      (* [elide=true] is appended only when on, so checkpoints of
+         pre-elision campaigns keep their exact header (and stay
+         resumable) *)
+      header =
+        Printf.sprintf "# roload-chaos v1 seed=%Ld count=%d schemes=%s%s" cfg.seed
+          cfg.count
+          (String.concat "," (List.map Pass.scheme_name schemes))
+          (if cfg.elide then " elide=true" else "");
+      applies = (fun s (inj : Fault.injection) -> applicable s inj.Fault.kind);
+      index_of = (fun (inj : Fault.injection) -> inj.Fault.index);
+      key_of_row = (fun (r : row) -> (r.index, r.scheme));
+      to_line = row_to_line;
+      of_line = row_of_line;
+      failed_row =
+        (fun (inj : Fault.injection) scheme ~error ~attempts ->
+          {
+            index = inj.Fault.index;
+            scheme = Pass.scheme_name scheme;
+            cls = Fault.class_name inj.Fault.kind;
+            label = Fault.kind_label inj.Fault.kind;
+            trigger = 0L;
+            applied = false;
+            attempts;
+            outcome = Failed;
+            detail = error;
+          });
+      (* Silent-corruption rows restored from a checkpoint carry no diff
+         (the checkpoint persists rows only), so a resumed report would
+         lose their localization.  Re-derive those cells
+         deterministically — the re-run reproduces the fresh run's diff
+         bit-for-bit, keeping resumed and uninterrupted reports
+         byte-identical. *)
+      revisit = (fun (r : row) -> r.outcome = Verdict Fault.Silent_corruption);
+      prepare;
+    }
   in
-  let todo_arr = Array.of_list todo in
-  let row_of idx outcome =
-    let (inj : Fault.injection), scheme, _ = todo_arr.(idx) in
-    match outcome with
-    | Experiments.Cell_ok (r, diffs) -> (r, diffs)
-    | Experiments.Cell_failed { error; attempts } ->
-      ( {
-          index = inj.Fault.index;
-          scheme = Pass.scheme_name scheme;
-          cls = Fault.class_name inj.Fault.kind;
-          label = Fault.kind_label inj.Fault.kind;
-          trigger = 0L;
-          applied = false;
-          attempts;
-          outcome = Failed;
-          detail = sanitize error;
-        },
-        None )
-  in
-  let outcomes =
-    with_appender ~batch:cfg.checkpoint_batch cfg.checkpoint @@ fun append_row ->
-    Experiments.run_cells_contained ~attempts:cfg.attempts ?jobs:cfg.jobs
-      ~on_cell:(fun idx o -> append_row (row_to_line (fst (row_of idx o))))
-      ~f:(fun ~attempt ((inj : Fault.injection), scheme, exe) ->
-        (match cfg.sabotage with
-        | Some f -> f ~index:inj.Fault.index ~scheme ~attempt
-        | None -> ());
-        let baseline = baseline_for scheme in
-        let baseline_mem = baseline_mem_for scheme in
-        if cfg.from_reset then
-          run_one ~budget_factor:cfg.budget_factor ~baseline_mem ~attempt ~baseline inj
-            scheme exe
-        else
-          run_one_seeded ~budget_factor:cfg.budget_factor ~baseline_mem ~attempt
-            ~baseline
-            ~snap:(snap_for scheme (trigger_of ~baseline inj))
-            inj scheme exe)
-      todo
-  in
-  let fresh = List.mapi row_of outcomes in
-  let scheme_pos =
-    let names = List.mapi (fun i s -> (Pass.scheme_name s, i)) schemes in
-    fun n -> match List.assoc_opt n names with Some i -> i | None -> max_int
-  in
-  let by_cell (ia, sa) (ib, sb) = compare (ia, scheme_pos sa) (ib, scheme_pos sb) in
-  let rows =
-    List.sort
-      (fun (a : row) (b : row) -> by_cell (a.index, a.scheme) (b.index, b.scheme))
-      (prior @ List.map fst fresh)
-  in
-  let recovered_diffs =
-    List.filter_map
-      (fun ((inj : Fault.injection), scheme, exe) ->
-        let baseline = baseline_for scheme in
-        let baseline_mem = baseline_mem_for scheme in
-        let _, diffs =
-          if cfg.from_reset then
-            run_one ~budget_factor:cfg.budget_factor ~baseline_mem ~attempt:1 ~baseline
-              inj scheme exe
-          else
-            run_one_seeded ~budget_factor:cfg.budget_factor ~baseline_mem ~attempt:1
-              ~baseline
-              ~snap:(snap_for scheme (trigger_of ~baseline inj))
-              inj scheme exe
-        in
-        match diffs with
-        | Some ds -> Some ((inj.Fault.index, Pass.scheme_name scheme), ds)
-        | None -> None)
-      recover
-  in
-  let corruption_diffs =
-    List.sort
-      (fun (ka, _) (kb, _) -> by_cell ka kb)
-      (recovered_diffs
-      @ List.filter_map
-          (fun ((r : row), diffs) ->
-            match diffs with Some ds -> Some ((r.index, r.scheme), ds) | None -> None)
-          fresh)
+  let rows, corruption_diffs =
+    run_cells spec ~checkpoint:cfg.checkpoint ~resume:cfg.resume
+      ~batch:cfg.checkpoint_batch ~attempts:cfg.attempts ~jobs:cfg.jobs
+      ~sabotage:cfg.sabotage ~max_cells:cfg.max_cells
+      ~plan:(Plan.build ~seed:cfg.seed ~count:cfg.count)
+      exes
   in
   { rows; schemes; oracle_checked; oracle_agreed; corruption_diffs }
 
 (* ---------- reporting ---------- *)
 
 let verdict_of_row (r : row) = match r.outcome with Verdict v -> Some v | Failed -> None
+let count p rows = List.length (List.filter p rows)
 
-let detected (r : row) =
-  match r.outcome with
-  | Verdict (Fault.Detected_roload | Fault.Detected_segv) -> true
-  | _ -> false
-
-let coverage_table (rp : report) =
+(* The class x scheme grid both campaigns render: one row per injection
+   class, one column per scheme; [cell] renders the rows of one (class,
+   scheme) pair. *)
+let class_grid ~title ~classes ~schemes ~key ~cell rows =
   let t =
-    Table.create
-      ~title:
-        "roload-chaos verdicts by class (R=ld.ro fault  S=other fault  C=silent \
-         corruption  M=masked  D=divergent  F=cell failure)"
-      ~header:("injection class" :: List.map Pass.scheme_name rp.schemes)
-      ()
+    Table.create ~title ~header:("injection class" :: List.map Pass.scheme_name schemes) ()
   in
   List.iter
     (fun cls ->
@@ -639,29 +652,46 @@ let coverage_table (rp : report) =
         List.map
           (fun s ->
             let name = Pass.scheme_name s in
-            let rs =
-              List.filter
-                (fun (r : row) -> String.equal r.cls cls && String.equal r.scheme name)
-                rp.rows
-            in
-            if rs = [] then "-"
-            else begin
-              let c v =
-                List.length (List.filter (fun (r : row) -> r.outcome = Verdict v) rs)
-              in
-              let f =
-                List.length (List.filter (fun (r : row) -> r.outcome = Failed) rs)
-              in
-              Printf.sprintf "%dR %dS %dC %dM %dD%s" (c Fault.Detected_roload)
-                (c Fault.Detected_segv) (c Fault.Silent_corruption) (c Fault.Masked)
-                (c Fault.Divergent_output)
-                (if f > 0 then Printf.sprintf " %dF" f else "")
-            end)
-          rp.schemes
+            cell
+              (List.filter
+                 (fun r ->
+                   let c, n = key r in
+                   String.equal c cls && String.equal n name)
+                 rows))
+          schemes
       in
       Table.add_row t (cls :: cells))
-    Fault.all_class_names;
+    classes;
   t
+
+let coverage_table (rp : report) =
+  class_grid
+    ~title:
+      "roload-chaos verdicts by class (R=ld.ro fault  S=other fault  C=silent \
+       corruption  M=masked  D=divergent  F=cell failure)"
+    ~classes:Fault.all_class_names ~schemes:rp.schemes
+    ~key:(fun (r : row) -> (r.cls, r.scheme))
+    ~cell:(fun rs ->
+      if rs = [] then "-"
+      else begin
+        let c v = count (fun (r : row) -> r.outcome = Verdict v) rs in
+        let f = count (fun (r : row) -> r.outcome = Failed) rs in
+        Printf.sprintf "%dR %dS %dC %dM %dD%s" (c Fault.Detected_roload)
+          (c Fault.Detected_segv) (c Fault.Silent_corruption) (c Fault.Masked)
+          (c Fault.Divergent_output)
+          (if f > 0 then Printf.sprintf " %dF" f else "")
+      end)
+    rp.rows
+
+(* Both campaigns' gates hold only the ROLoad schemes of a report to
+   the standard: [under_roload schemes scheme_of] selects their rows. *)
+let under_roload schemes scheme_of =
+  let roload_names =
+    List.filter_map
+      (fun s -> if List.mem s roload_schemes then Some (Pass.scheme_name s) else None)
+      schemes
+  in
+  fun r -> List.exists (String.equal (scheme_of r)) roload_names
 
 (* The release gates: what the CI chaos-smoke job asserts. *)
 type gate = { silent_under_roload : int; undetected_tamper : int; cell_failures : int }
@@ -669,29 +699,20 @@ type gate = { silent_under_roload : int; undetected_tamper : int; cell_failures 
 let tamper_classes = [ "pte-key-flip"; "pte-ro-tamper"; "tlb-key-flip" ]
 
 let gate (rp : report) =
-  let roload_names =
-    List.filter_map
-      (fun s -> if List.mem s roload_schemes then Some (Pass.scheme_name s) else None)
-      rp.schemes
-  in
-  let under_roload (r : row) = List.exists (String.equal r.scheme) roload_names in
+  let under_roload = under_roload rp.schemes (fun (r : row) -> r.scheme) in
   {
     silent_under_roload =
-      List.length
-        (List.filter
-           (fun (r : row) ->
-             under_roload r && r.outcome = Verdict Fault.Silent_corruption)
-           rp.rows);
+      count
+        (fun (r : row) -> under_roload r && r.outcome = Verdict Fault.Silent_corruption)
+        rp.rows;
     undetected_tamper =
-      List.length
-        (List.filter
-           (fun (r : row) ->
-             under_roload r
-             && List.mem r.cls tamper_classes
-             && r.outcome <> Verdict Fault.Detected_roload)
-           rp.rows);
-    cell_failures =
-      List.length (List.filter (fun (r : row) -> r.outcome = Failed) rp.rows);
+      count
+        (fun (r : row) ->
+          under_roload r
+          && List.mem r.cls tamper_classes
+          && r.outcome <> Verdict Fault.Detected_roload)
+        rp.rows;
+    cell_failures = count (fun (r : row) -> r.outcome = Failed) rp.rows;
   }
 
 let render (rp : report) =
@@ -800,7 +821,7 @@ let replay ~path =
         | None -> { rc_scheme = sname; rc_expected = expected; rc_actual = "unknown-scheme" }
         | Some scheme ->
           let exe = compile_victim scheme in
-          let baseline = baseline_run exe in
+          let baseline = fst (baseline_run_full exe) in
           let r, _ = run_one ~attempt:1 ~baseline inj scheme exe in
           { rc_scheme = sname; rc_expected = expected; rc_actual = outcome_tag r.outcome })
       expects
@@ -922,8 +943,6 @@ let run_server_once (cfg : server_config) ?configure ~max_instructions exe strea
       }
     ?configure ~variant:System.Processor_kernel_modified ~requests:stream exe
 
-let server_status_str (m : System.measurement) = System.status_string m
-
 (* one cell: arm the hook, run, classify every request against the
    baseline's committed results *)
 let run_server_cell (cfg : server_config) ~attempt ~(baseline_results : int64 option array)
@@ -975,8 +994,8 @@ let run_server_cell (cfg : server_config) ~attempt ~(baseline_results : int64 op
       (match !applied with
       | Some (a : Injector.applied) ->
         Printf.sprintf "%s; root %s; %d restart(s)" a.Injector.desc
-          (server_status_str m) stats.System.restarts
-      | None -> Printf.sprintf "not applied; root %s" (server_status_str m));
+          (System.status_string m) stats.System.restarts
+      | None -> Printf.sprintf "not applied; root %s" (System.status_string m));
   }
 
 (* ---------- server checkpoint rows ---------- *)
@@ -1035,7 +1054,7 @@ let server_row_of_line line =
     | _ -> None)
   | _ -> None
 
-(* ---------- the server campaign driver ---------- *)
+(* ---------- the server campaign ---------- *)
 
 let run_server (cfg : server_config) =
   let schemes = cfg.sv_schemes in
@@ -1062,7 +1081,7 @@ let run_server (cfg : server_config) =
         raise
           (Broken_victim
              (Printf.sprintf "server victim under %s: root %s" name
-                (server_status_str m)));
+                (System.status_string m)));
       if stats.System.served <> cfg.sv_requests then
         raise
           (Broken_victim
@@ -1092,122 +1111,61 @@ let run_server (cfg : server_config) =
                   (Pass.scheme_name s))))
       rest
   | [] -> ());
-  let baseline_results_for =
-    let tbl =
-      List.map
-        (fun (s, (_, (stats : System.server_stats))) ->
-          ( s,
-            Array.map
-              (fun (rr : Kernel.request_record) -> rr.Kernel.rr_result)
-              stats.System.records ))
-        baselines
-    in
-    fun s -> List.assoc s tbl
+  let baseline_results_for s =
+    Array.map
+      (fun (rr : Kernel.request_record) -> rr.Kernel.rr_result)
+      (snd (List.assoc s baselines)).System.records
   in
-  let budget_for =
-    let tbl =
-      List.map
-        (fun (s, ((m : System.measurement), _)) ->
-          ( s,
-            Int64.add
-              (Int64.mul m.System.instructions (Int64.of_int cfg.sv_budget_factor))
-              100_000L ))
-        baselines
-    in
-    fun s -> List.assoc s tbl
+  let budget_for s =
+    budget_of ~budget_factor:cfg.sv_budget_factor
+      (fst (List.assoc s baselines)).System.instructions
   in
-  let plan = Plan.build_server ~seed:cfg.sv_seed ~count:cfg.sv_count in
-  let cells =
-    List.concat_map
-      (fun (inj : Server_fault.injection) ->
-        List.filter_map
-          (fun (s, exe) ->
-            if server_applicable s inj.Server_fault.kind then Some (inj, s, exe)
-            else None)
-          exes)
-      plan
+  let spec =
+    {
+      header =
+        Printf.sprintf
+          "# roload-chaos-server v1 seed=%Ld count=%d requests=%d workers=%d shards=%d \
+           restarts=%d deadline=%Ld schemes=%s"
+          cfg.sv_seed cfg.sv_count cfg.sv_requests cfg.sv_workers cfg.sv_shards
+          cfg.sv_max_restarts cfg.sv_deadline_cycles
+          (String.concat "," (List.map Pass.scheme_name schemes));
+      applies =
+        (fun s (inj : Server_fault.injection) -> server_applicable s inj.Server_fault.kind);
+      index_of = (fun (inj : Server_fault.injection) -> inj.Server_fault.index);
+      key_of_row = (fun (r : server_row) -> (r.sv_index, r.sv_scheme));
+      to_line = server_row_to_line;
+      of_line = server_row_of_line;
+      failed_row =
+        (fun (inj : Server_fault.injection) scheme ~error ~attempts ->
+          {
+            sv_index = inj.Server_fault.index;
+            sv_scheme = Pass.scheme_name scheme;
+            sv_cls = Server_fault.class_name inj.Server_fault.kind;
+            sv_label = Server_fault.kind_label inj.Server_fault.kind;
+            sv_worker = inj.Server_fault.worker_slot;
+            sv_trigger = 0;
+            sv_applied = false;
+            sv_cell_attempts = attempts;
+            sv_failed = true;
+            sv_tally = Server_fault.empty_tally;
+            sv_restarts = 0;
+            sv_detail = error;
+          });
+      revisit = (fun _ -> false);
+      prepare =
+        (fun ~todo:_ ~attempt ((inj : Server_fault.injection), scheme, exe) ->
+          ( run_server_cell cfg ~attempt
+              ~baseline_results:(baseline_results_for scheme)
+              ~budget:(budget_for scheme) inj scheme exe stream,
+            None ));
+    }
   in
-  let header =
-    Printf.sprintf
-      "# roload-chaos-server v1 seed=%Ld count=%d requests=%d workers=%d shards=%d \
-       restarts=%d deadline=%Ld schemes=%s"
-      cfg.sv_seed cfg.sv_count cfg.sv_requests cfg.sv_workers cfg.sv_shards
-      cfg.sv_max_restarts cfg.sv_deadline_cycles
-      (String.concat "," (List.map Pass.scheme_name schemes))
-  in
-  let prior =
-    match cfg.sv_checkpoint with
-    | Some path when cfg.sv_resume && Sys.file_exists path -> (
-      match read_lines path with
-      | h :: rest when String.equal h header -> List.filter_map server_row_of_line rest
-      | _ -> [])
-    | _ -> []
-  in
-  let done_keys = Hashtbl.create 64 in
-  List.iter
-    (fun (r : server_row) -> Hashtbl.replace done_keys (r.sv_index, r.sv_scheme) ())
-    prior;
-  let todo =
-    List.filter
-      (fun ((inj : Server_fault.injection), s, _) ->
-        not (Hashtbl.mem done_keys (inj.Server_fault.index, Pass.scheme_name s)))
-      cells
-  in
-  let todo =
-    match cfg.sv_max_cells with
-    | Some k -> List.filteri (fun i _ -> i < k) todo
-    | None -> todo
-  in
-  (match cfg.sv_checkpoint with
-  | Some path when prior = [] ->
-    let oc = open_out path in
-    output_string oc (header ^ "\n");
-    close_out oc
-  | _ -> ());
-  let todo_arr = Array.of_list todo in
-  let row_of idx outcome =
-    let (inj : Server_fault.injection), scheme, _ = todo_arr.(idx) in
-    match outcome with
-    | Experiments.Cell_ok r -> r
-    | Experiments.Cell_failed { error; attempts } ->
-      {
-        sv_index = inj.Server_fault.index;
-        sv_scheme = Pass.scheme_name scheme;
-        sv_cls = Server_fault.class_name inj.Server_fault.kind;
-        sv_label = Server_fault.kind_label inj.Server_fault.kind;
-        sv_worker = inj.Server_fault.worker_slot;
-        sv_trigger = 0;
-        sv_applied = false;
-        sv_cell_attempts = attempts;
-        sv_failed = true;
-        sv_tally = Server_fault.empty_tally;
-        sv_restarts = 0;
-        sv_detail = sanitize error;
-      }
-  in
-  let outcomes =
-    with_appender ~batch:cfg.sv_checkpoint_batch cfg.sv_checkpoint @@ fun append_row ->
-    Experiments.run_cells_contained ~attempts:cfg.sv_attempts ?jobs:cfg.sv_jobs
-      ~on_cell:(fun idx o -> append_row (server_row_to_line (row_of idx o)))
-      ~f:(fun ~attempt ((inj : Server_fault.injection), scheme, exe) ->
-        (match cfg.sv_sabotage with
-        | Some f -> f ~index:inj.Server_fault.index ~scheme ~attempt
-        | None -> ());
-        run_server_cell cfg ~attempt
-          ~baseline_results:(baseline_results_for scheme)
-          ~budget:(budget_for scheme) inj scheme exe stream)
-      todo
-  in
-  let fresh = List.mapi row_of outcomes in
-  let scheme_pos =
-    let names = List.mapi (fun i s -> (Pass.scheme_name s, i)) schemes in
-    fun n -> match List.assoc_opt n names with Some i -> i | None -> max_int
-  in
-  let rows =
-    List.sort
-      (fun (a : server_row) (b : server_row) ->
-        compare (a.sv_index, scheme_pos a.sv_scheme) (b.sv_index, scheme_pos b.sv_scheme))
-      (prior @ fresh)
+  let rows, (_ : ((int * string) * unit) list) =
+    run_cells spec ~checkpoint:cfg.sv_checkpoint ~resume:cfg.sv_resume
+      ~batch:cfg.sv_checkpoint_batch ~attempts:cfg.sv_attempts ~jobs:cfg.sv_jobs
+      ~sabotage:cfg.sv_sabotage ~max_cells:cfg.sv_max_cells
+      ~plan:(Plan.build_server ~seed:cfg.sv_seed ~count:cfg.sv_count)
+      exes
   in
   { sv_rows = rows; sv_report_schemes = schemes; sv_report_requests = cfg.sv_requests }
 
@@ -1225,54 +1183,29 @@ let server_tally_of rows =
       })
     Server_fault.empty_tally rows
 
+(* The serving-availability table: correct-service percentage over the
+   ok/retried/duplicated/corrupted/lost tallies of the cells that ran,
+   their restarts, and crashed cells counted apart. *)
 let availability_table (rp : server_report) =
-  let t =
-    Table.create
-      ~title:
-        "roload-chaos --server: serving availability by class (correct% over ok / \
-         retried / duplicated / corrupted / lost)"
-      ~header:("injection class" :: List.map Pass.scheme_name rp.sv_report_schemes)
-      ()
-  in
-  List.iter
-    (fun cls ->
-      let cells =
-        List.map
-          (fun s ->
-            let name = Pass.scheme_name s in
-            let rs =
-              List.filter
-                (fun (r : server_row) ->
-                  String.equal r.sv_cls cls
-                  && String.equal r.sv_scheme name
-                  && not r.sv_failed)
-                rp.sv_rows
-            in
-            let failures =
-              List.length
-                (List.filter
-                   (fun (r : server_row) ->
-                     String.equal r.sv_cls cls
-                     && String.equal r.sv_scheme name
-                     && r.sv_failed)
-                   rp.sv_rows)
-            in
-            if rs = [] && failures = 0 then "-"
-            else begin
-              let tl = server_tally_of rs in
-              let restarts =
-                List.fold_left (fun a (r : server_row) -> a + r.sv_restarts) 0 rs
-              in
-              Printf.sprintf "%.2f%% (%s) %dre%s"
-                (100.0 *. Server_fault.availability tl)
-                (Server_fault.tally_str tl) restarts
-                (if failures > 0 then Printf.sprintf " %dF" failures else "")
-            end)
-          rp.sv_report_schemes
-      in
-      Table.add_row t (cls :: cells))
-    Server_fault.all_class_names;
-  t
+  class_grid
+    ~title:
+      "roload-chaos --server: serving availability by class (correct% over ok / \
+       retried / duplicated / corrupted / lost)"
+    ~classes:Server_fault.all_class_names ~schemes:rp.sv_report_schemes
+    ~key:(fun (r : server_row) -> (r.sv_cls, r.sv_scheme))
+    ~cell:(fun rs ->
+      let failures = count (fun (r : server_row) -> r.sv_failed) rs in
+      let rs = List.filter (fun (r : server_row) -> not r.sv_failed) rs in
+      if rs = [] && failures = 0 then "-"
+      else begin
+        let tl = server_tally_of rs in
+        let restarts = List.fold_left (fun a (r : server_row) -> a + r.sv_restarts) 0 rs in
+        Printf.sprintf "%.2f%% (%s) %dre%s"
+          (100.0 *. Server_fault.availability tl)
+          (Server_fault.tally_str tl) restarts
+          (if failures > 0 then Printf.sprintf " %dF" failures else "")
+      end)
+    rp.sv_rows
 
 (* The server release gates: under every ROLoad scheme every cell must
    keep availability at or above the floor with zero corrupted payloads;
@@ -1286,28 +1219,21 @@ type server_gate = {
 let availability_floor = 0.99
 
 let server_gate (rp : server_report) =
-  let roload_names =
-    List.filter_map
-      (fun s -> if List.mem s roload_schemes then Some (Pass.scheme_name s) else None)
-      rp.sv_report_schemes
+  let under_roload =
+    under_roload rp.sv_report_schemes (fun (r : server_row) -> r.sv_scheme)
   in
-  let under_roload (r : server_row) = List.exists (String.equal r.sv_scheme) roload_names in
   {
     sg_low_availability =
-      List.length
-        (List.filter
-           (fun (r : server_row) ->
-             under_roload r && (not r.sv_failed)
-             && Server_fault.availability r.sv_tally < availability_floor)
-           rp.sv_rows);
+      count
+        (fun (r : server_row) ->
+          under_roload r && (not r.sv_failed)
+          && Server_fault.availability r.sv_tally < availability_floor)
+        rp.sv_rows;
     sg_corrupted_under_roload =
-      List.length
-        (List.filter
-           (fun (r : server_row) ->
-             under_roload r && r.sv_tally.Server_fault.corrupted > 0)
-           rp.sv_rows);
-    sg_cell_failures =
-      List.length (List.filter (fun (r : server_row) -> r.sv_failed) rp.sv_rows);
+      count
+        (fun (r : server_row) -> under_roload r && r.sv_tally.Server_fault.corrupted > 0)
+        rp.sv_rows;
+    sg_cell_failures = count (fun (r : server_row) -> r.sv_failed) rp.sv_rows;
   }
 
 let render_server (rp : server_report) =

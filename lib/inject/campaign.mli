@@ -10,11 +10,6 @@ val roload_schemes : Pass.scheme list
 val default_schemes : Pass.scheme list
 (** The campaign matrix: stock, label-CFI baseline, VCall, ICall. *)
 
-val applicable : Pass.scheme -> Fault.kind -> bool
-(** Whether a (scheme, kind) cell is meaningful — e.g. the icall
-    redirect is skipped under VCall, which never claims to police
-    indirect calls. *)
-
 type config = {
   seed : int64;
   count : int;  (** plan length; cells = count x applicable schemes *)
@@ -78,29 +73,6 @@ exception Broken_victim of string
 
 val run : config -> report
 
-val run_with_pause :
-  ?engine:Roload_machine.Machine.engine ->
-  ?variant:Core.System.variant ->
-  ?template:Roload_machine.Machine.image ->
-  max_instructions:int64 ->
-  ?pause_at:int64 ->
-  ?inject:
-    (machine:Roload_machine.Machine.t -> process:Roload_kernel.Process.t -> unit) ->
-  Roload_obj.Exe.t ->
-  Roload_kernel.Kernel.run_outcome
-  * Roload_machine.Machine.t
-  * Roload_kernel.Kernel.t
-  * Roload_kernel.Process.t
-(** The pause-inject-resume primitive: run to [pause_at] retired
-    instructions (cumulative), call [inject] on the live machine, resume
-    to [max_instructions].  Without [pause_at]/[inject] this is a plain
-    run — and a paused-and-resumed run without injection is
-    bit-identical (cycles, metrics, output) to an uninterrupted one.
-    [template] forks a pristine boot image instead of creating a fresh
-    machine: identical state, but zeroed pages are shared CoW with every
-    other lineage forked from the same image, keeping cross-lineage
-    memory diffs O(touched pages). *)
-
 val measure :
   ?engine:Roload_machine.Machine.engine ->
   ?variant:Core.System.variant ->
@@ -108,8 +80,11 @@ val measure :
   max_instructions:int64 ->
   Roload_obj.Exe.t ->
   Roload_kernel.Kernel.run_outcome * Roload_obs.Metrics.t
-(** [run_with_pause] plus the exact counter snapshot — what the
-    empty-plan bit-identity property compares. *)
+(** Run to [pause_at] retired instructions (cumulative), resume to
+    [max_instructions], and return the outcome plus the exact counter
+    snapshot.  A paused-and-resumed run without injection is
+    bit-identical (cycles, metrics, output) to an uninterrupted one —
+    the empty-plan property every campaign cell relies on. *)
 
 val classify :
   baseline:Roload_kernel.Kernel.run_outcome ->
@@ -117,54 +92,7 @@ val classify :
   Fault.verdict * string
 
 val compile_victim : ?elide:bool -> Pass.scheme -> Roload_obj.Exe.t
-val baseline_run : Roload_obj.Exe.t -> Roload_kernel.Kernel.run_outcome
-
-val baseline_run_full :
-  ?template:Roload_machine.Machine.image ->
-  Roload_obj.Exe.t ->
-  Roload_kernel.Kernel.run_outcome * Roload_mem.Phys_mem.image
-(** The baseline outcome plus its final memory image — the reference the
-    silent-corruption localizer diffs against. *)
-
-val run_one :
-  ?budget_factor:int ->
-  ?baseline_mem:Roload_mem.Phys_mem.image ->
-  attempt:int ->
-  baseline:Roload_kernel.Kernel.run_outcome ->
-  Fault.injection ->
-  Pass.scheme ->
-  Roload_obj.Exe.t ->
-  row * Roload_mem.Phys_mem.page_diff list option
-(** One from-reset cell: boot, pause at the entry's trigger, inject,
-    resume, classify.  With [baseline_mem], a silent-corruption verdict
-    also returns the page-level localization diff. *)
-
-val run_one_seeded :
-  ?budget_factor:int ->
-  ?baseline_mem:Roload_mem.Phys_mem.image ->
-  attempt:int ->
-  baseline:Roload_kernel.Kernel.run_outcome ->
-  snap:Roload_kernel.Snapshot.t ->
-  Fault.injection ->
-  Pass.scheme ->
-  Roload_obj.Exe.t ->
-  row * Roload_mem.Phys_mem.page_diff list option
-(** One snapshot-seeded cell: fork the warm image captured at this
-    cell's trigger frontier, inject, resume.  Byte-identical verdict to
-    {!run_one} — the boot and warm-up prefix are simply not
-    re-executed. *)
-
-val build_ladder :
-  ?template:Roload_machine.Machine.image ->
-  triggers:int64 list ->
-  Roload_obj.Exe.t ->
-  (int64 * Roload_kernel.Snapshot.t) list
-(** Boot one parent system and advance it through the sorted distinct
-    [triggers] (cumulative retire counts), capturing a copy-on-write
-    snapshot at each frontier. *)
-
 val verdict_of_row : row -> Fault.verdict option
-val detected : row -> bool
 
 val coverage_table : report -> Roload_util.Table.t
 (** The §V-style detection-coverage table: one row per injection class,
@@ -228,9 +156,6 @@ type server_config = {
 
 val default_server_config : server_config
 
-val server_applicable : Pass.scheme -> Server_fault.kind -> bool
-(** Worker-kill is meaningful everywhere; tampers follow {!applicable}. *)
-
 type server_row = {
   sv_index : int;
   sv_scheme : string;
@@ -257,23 +182,21 @@ val run_server : server_config -> server_report
     to serve every request cleanly with zero restarts, or when baseline
     checksums diverge across schemes. *)
 
-val availability_table : server_report -> Roload_util.Table.t
-(** The serving-availability table: one row per server injection class,
-    one column per scheme — correct-service percentage over the
-    ok/retried/duplicated/corrupted/lost tallies, plus restart counts. *)
-
 type server_gate = {
   sg_low_availability : int;
-      (** ROLoad-scheme cells below the {!availability_floor} *)
+      (** ROLoad-scheme cells below the 0.99 per-cell availability floor *)
   sg_corrupted_under_roload : int;
   sg_cell_failures : int;
 }
 
-val availability_floor : float
-(** The per-cell availability floor ROLoad schemes are held to (0.99). *)
-
 val server_gate : server_report -> server_gate
+
 val render_server : server_report -> string
+(** The serving-availability table — one row per server injection
+    class, one column per scheme: correct-service percentage over the
+    ok/retried/duplicated/corrupted/lost tallies, plus restart counts —
+    followed by the gate summary. *)
+
 val server_to_json : server_report -> string
 
 val served_ratios : server_report -> (string * float) list

@@ -92,62 +92,6 @@ let test_silent_corruption_split () =
   Alcotest.(check bool) "oracle cross-check agreed" true
     ((not rp.Campaign.oracle_checked) || rp.Campaign.oracle_agreed)
 
-(* Containment: a cell that keeps crashing becomes a structured failure
-   row (with the attempt count) and the rest of the campaign completes. *)
-let test_cell_failure_contained () =
-  let cfg =
-    {
-      small_config with
-      Campaign.count = 6;
-      attempts = 2;
-      sabotage =
-        Some
-          (fun ~index ~scheme:_ ~attempt:_ ->
-            if index = 2 then failwith "sabotaged cell");
-    }
-  in
-  let rp = Campaign.run cfg in
-  let failed, ok =
-    List.partition (fun (r : Campaign.row) -> r.Campaign.outcome = Campaign.Failed)
-      rp.Campaign.rows
-  in
-  Alcotest.(check bool) "sabotaged cells failed" true (failed <> []);
-  List.iter
-    (fun (r : Campaign.row) ->
-      Alcotest.(check int) "failure row names the sabotaged index" 2 r.Campaign.index;
-      Alcotest.(check int) "retried the configured number of times" 2
-        r.Campaign.attempts;
-      Alcotest.(check bool) "error text preserved" true
-        (String.length r.Campaign.detail > 0))
-    failed;
-  Alcotest.(check bool) "other cells completed" true (List.length ok > List.length failed)
-
-(* Bounded retry: a cell that crashes only on its first attempt succeeds
-   on the re-seeded second attempt and records attempts = 2. *)
-let test_cell_retry_recovers () =
-  let cfg =
-    {
-      small_config with
-      Campaign.count = 4;
-      attempts = 3;
-      sabotage =
-        Some
-          (fun ~index ~scheme:_ ~attempt ->
-            if index = 1 && attempt = 1 then failwith "flaky cell");
-    }
-  in
-  let rp = Campaign.run cfg in
-  let g = Campaign.gate rp in
-  Alcotest.(check int) "no failure rows" 0 g.Campaign.cell_failures;
-  let flaky =
-    List.filter (fun (r : Campaign.row) -> r.Campaign.index = 1) rp.Campaign.rows
-  in
-  Alcotest.(check bool) "flaky cells exist" true (flaky <> []);
-  List.iter
-    (fun (r : Campaign.row) ->
-      Alcotest.(check int) "second attempt succeeded" 2 r.Campaign.attempts)
-    flaky
-
 (* Checkpoint/resume: kill the campaign mid-run (max_cells), resume from
    the checkpoint, and require the rendered report byte-identical to an
    uninterrupted run. *)
@@ -473,6 +417,188 @@ let test_server_plan_determinism () =
       | _ -> ())
     (Plan.build_server ~seed:42L ~count:200)
 
+(* ---------- the cell runner, through both campaigns ---------- *)
+
+(* A campaign as the runner tests see it: run with a retry budget, a
+   sabotage hook and checkpoint settings; observe every row as (plan
+   index, attempts, failed, detail) plus the JSON report. *)
+type instance = {
+  run :
+    ?attempts:int ->
+    ?sabotage:(index:int -> scheme:Pass.scheme -> attempt:int -> unit) ->
+    ?checkpoint:string ->
+    ?resume:bool ->
+    ?max_cells:int ->
+    ?seed:int64 ->
+    unit ->
+    (int * int * bool * string) list * string;
+}
+
+let classic =
+  {
+    run =
+      (fun ?(attempts = 2) ?sabotage ?checkpoint ?(resume = false) ?max_cells
+           ?(seed = 3L) () ->
+        let rp =
+          Campaign.run
+            {
+              small_config with
+              Campaign.count = 6;
+              seed;
+              attempts;
+              sabotage;
+              checkpoint;
+              resume;
+              max_cells;
+            }
+        in
+        ( List.map
+            (fun (r : Campaign.row) ->
+              ( r.Campaign.index,
+                r.Campaign.attempts,
+                r.Campaign.outcome = Campaign.Failed,
+                r.Campaign.detail ))
+            rp.Campaign.rows,
+          Campaign.to_json rp ));
+  }
+
+let server =
+  {
+    run =
+      (fun ?(attempts = 2) ?sabotage ?checkpoint ?(resume = false) ?max_cells
+           ?(seed = 3L) () ->
+        let rp =
+          Campaign.run_server
+            {
+              server_config with
+              Campaign.sv_count = 4;
+              sv_requests = 60;
+              sv_seed = seed;
+              sv_attempts = attempts;
+              sv_sabotage = sabotage;
+              sv_checkpoint = checkpoint;
+              sv_resume = resume;
+              sv_max_cells = max_cells;
+            }
+        in
+        ( List.map
+            (fun (r : Campaign.server_row) ->
+              ( r.Campaign.sv_index,
+                r.Campaign.sv_cell_attempts,
+                r.Campaign.sv_failed,
+                r.Campaign.sv_detail ))
+            rp.Campaign.sv_rows,
+          Campaign.server_to_json rp ));
+  }
+
+(* Containment: a cell that keeps crashing becomes a structured failure
+   row carrying the configured attempt count, and the rest of the
+   campaign completes. *)
+let test_cell_failure_contained inst () =
+  let rows, _ =
+    inst.run ~attempts:3
+      ~sabotage:(fun ~index ~scheme:_ ~attempt:_ ->
+        if index = 2 then failwith "sabotaged cell")
+      ()
+  in
+  let failed, ok = List.partition (fun (_, _, failed, _) -> failed) rows in
+  Alcotest.(check bool) "sabotaged cells failed" true (failed <> []);
+  List.iter
+    (fun (index, attempts, _, detail) ->
+      Alcotest.(check int) "failure row names the sabotaged index" 2 index;
+      Alcotest.(check int) "retried the configured number of times" 3 attempts;
+      Alcotest.(check bool) "error text preserved" true (String.length detail > 0))
+    failed;
+  Alcotest.(check bool) "other cells completed" true (List.length ok > List.length failed)
+
+(* Bounded retry: a cell that crashes only on its first attempt succeeds
+   on the re-seeded second attempt and records attempts = 2. *)
+let test_cell_retry_recovers inst () =
+  let rows, _ =
+    inst.run ~attempts:3
+      ~sabotage:(fun ~index ~scheme:_ ~attempt ->
+        if index = 1 && attempt = 1 then failwith "flaky cell")
+      ()
+  in
+  Alcotest.(check bool) "no failure rows" true
+    (List.for_all (fun (_, _, failed, _) -> not failed) rows);
+  let flaky = List.filter (fun (index, _, _, _) -> index = 1) rows in
+  Alcotest.(check bool) "flaky cells exist" true (flaky <> []);
+  List.iter
+    (fun (_, attempts, _, _) ->
+      Alcotest.(check int) "second attempt succeeded" 2 attempts)
+    flaky
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Resuming a checkpoint written by a different campaign (another seed)
+   must not mix its rows in: the run restarts the file and matches a
+   fresh run byte for byte, checkpoint included. *)
+let test_header_mismatch inst () =
+  let ck = Filename.temp_file "roload-chaos-other" ".tsv" in
+  let fresh_ck = Filename.temp_file "roload-chaos-fresh" ".tsv" in
+  ignore (inst.run ~seed:5L ~checkpoint:ck ~max_cells:3 ());
+  let _, resumed = inst.run ~checkpoint:ck ~resume:true () in
+  let _, fresh = inst.run ~checkpoint:fresh_ck () in
+  let restarted = String.split_on_char '\n' (read_file ck) in
+  let expected = String.split_on_char '\n' (read_file fresh_ck) in
+  Sys.remove ck;
+  Sys.remove fresh_ck;
+  Alcotest.(check string) "report byte-identical to a fresh run" fresh resumed;
+  Alcotest.(check string) "checkpoint restarted under the new header"
+    (List.hd expected) (List.hd restarted);
+  (* rows land in settle order, which varies with -j *)
+  Alcotest.(check (list string)) "checkpoint rows equal a fresh run's"
+    (List.sort compare expected) (List.sort compare restarted)
+
+(* Checkpoints written before the two campaigns shared one runner
+   (test/golden/, each cut short with --max-cells) still resume: only
+   the missing cells run, and the report is byte-identical to an
+   uninterrupted run. *)
+let resume_golden name ~prior_rows run =
+  let ck = Filename.temp_file "roload-chaos-golden" ".tsv" in
+  Out_channel.with_open_bin ck (fun oc ->
+      output_string oc (read_file (Filename.concat "golden" name)));
+  let ran = Atomic.make 0 in
+  let sabotage ~index:_ ~scheme:_ ~attempt:_ = Atomic.incr ran in
+  let report, cells = Fun.protect ~finally:(fun () -> Sys.remove ck) (fun () -> run ck sabotage) in
+  Alcotest.(check int) "only the cells missing from the golden checkpoint ran"
+    (cells report - prior_rows) (Atomic.get ran);
+  report
+
+let test_golden_classic () =
+  let cfg = { small_config with Campaign.count = 8; seed = 7L } in
+  let resumed =
+    resume_golden "chaos-classic.tsv" ~prior_rows:11 (fun ck sabotage ->
+        ( Campaign.run
+            { cfg with Campaign.checkpoint = Some ck; resume = true; sabotage = Some sabotage },
+          fun rp -> List.length rp.Campaign.rows ))
+  in
+  let fresh = Campaign.run cfg in
+  Alcotest.(check string) "resumed table byte-identical" (Campaign.render fresh)
+    (Campaign.render resumed);
+  Alcotest.(check string) "resumed JSON byte-identical" (Campaign.to_json fresh)
+    (Campaign.to_json resumed)
+
+let test_golden_server () =
+  let resumed =
+    resume_golden "chaos-server.tsv" ~prior_rows:5 (fun ck sabotage ->
+        ( Campaign.run_server
+            {
+              server_config with
+              Campaign.sv_checkpoint = Some ck;
+              sv_resume = true;
+              sv_checkpoint_batch = 4;
+              sv_sabotage = Some sabotage;
+            },
+          fun rp -> List.length rp.Campaign.sv_rows ))
+  in
+  let fresh = Lazy.force server_report in
+  Alcotest.(check string) "resumed table byte-identical" (Campaign.render_server fresh)
+    (Campaign.render_server resumed);
+  Alcotest.(check string) "resumed JSON byte-identical" (Campaign.server_to_json fresh)
+    (Campaign.server_to_json resumed)
+
 let suite =
   [
     Alcotest.test_case "tampering detected 100% under roload" `Slow
@@ -481,9 +607,14 @@ let suite =
       test_tamper_masked_under_baselines;
     Alcotest.test_case "silent corruption only under baselines" `Slow
       test_silent_corruption_split;
-    Alcotest.test_case "cell failure contained" `Quick test_cell_failure_contained;
+    Alcotest.test_case "cell failure contained" `Quick
+      (test_cell_failure_contained classic);
     Alcotest.test_case "bounded retry recovers flaky cell" `Quick
-      test_cell_retry_recovers;
+      (test_cell_retry_recovers classic);
+    Alcotest.test_case "classic campaign: header mismatch restarts" `Slow
+      (test_header_mismatch classic);
+    Alcotest.test_case "classic campaign: golden checkpoint resumes" `Slow
+      test_golden_classic;
     Alcotest.test_case "resume is byte-identical" `Slow test_resume_byte_identical;
     Alcotest.test_case "snapshot-seeded equals from-reset" `Slow
       test_snapshot_seeding_equivalence;
@@ -504,6 +635,14 @@ let suite =
       test_server_engine_invariant;
     Alcotest.test_case "server campaign: batched resume is byte-identical" `Slow
       test_server_resume_batched;
+    Alcotest.test_case "server campaign: cell failure contained" `Slow
+      (test_cell_failure_contained server);
+    Alcotest.test_case "server campaign: bounded retry recovers" `Slow
+      (test_cell_retry_recovers server);
+    Alcotest.test_case "server campaign: header mismatch restarts" `Slow
+      (test_header_mismatch server);
+    Alcotest.test_case "server campaign: golden checkpoint resumes" `Slow
+      test_golden_server;
     Alcotest.test_case "classic campaign: batched resume is byte-identical" `Slow
       test_classic_resume_batched;
     Alcotest.test_case "server plans are seeded and prefix-stable" `Quick
