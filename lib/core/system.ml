@@ -122,26 +122,10 @@ let snapshot_metrics ~machine ~kernel ~mmu =
     traces_compiled = Machine.traces_compiled machine;
   }
 
-let run ?(max_instructions = 500_000_000L) ?trace ?tracer ?(profile = false) ?engine
-    ?template ~variant exe =
-  (* [template] is a pristine boot image: forking it is bit-identical to
-     [Machine.create] (the campaign-equivalence suite pins this) but
-     O(touched pages) instead of zeroing 64 MiB of physical memory, so
-     fan-out callers boot once per engine and fork per run.  The image
-     carries its own engine and hot-threshold; [engine] is ignored when a
-     template is supplied. *)
-  let machine =
-    match template with
-    | Some img -> Machine.fork img
-    | None -> Machine.create ?engine (machine_config variant)
-  in
-  Machine.set_trace machine trace;
-  Machine.set_tracer machine tracer;
-  Machine.set_profiling machine profile;
-  let kernel = Kernel.create ~machine ~config:(kernel_config variant) in
-  let process, outcome =
-    Kernel.exec ~limit:{ Kernel.max_instructions } kernel exe
-  in
+(* The measurement of a finished run: the root process's status, output
+   and memory, the machine-global counters, and the root's TLBs.  Also
+   adds the run's instructions to [instructions_simulated]. *)
+let measure ~machine ~kernel ~process exe (outcome : Kernel.run_outcome) =
   let h = Machine.hierarchy machine in
   let mmu = Process.mmu process in
   let image_bytes =
@@ -172,6 +156,28 @@ let run ?(max_instructions = 500_000_000L) ?trace ?tracer ?(profile = false) ?en
     profile = Machine.profile_blocks machine;
   }
 
+let run ?(max_instructions = 500_000_000L) ?trace ?tracer ?(profile = false) ?engine
+    ?template ~variant exe =
+  (* [template] is a pristine boot image: forking it is bit-identical to
+     [Machine.create] (the campaign-equivalence suite pins this) but
+     O(touched pages) instead of zeroing 64 MiB of physical memory, so
+     fan-out callers boot once per engine and fork per run.  The image
+     carries its own engine and hot-threshold; [engine] is ignored when a
+     template is supplied. *)
+  let machine =
+    match template with
+    | Some img -> Machine.fork img
+    | None -> Machine.create ?engine (machine_config variant)
+  in
+  Machine.set_trace machine trace;
+  Machine.set_tracer machine tracer;
+  Machine.set_profiling machine profile;
+  let kernel = Kernel.create ~machine ~config:(kernel_config variant) in
+  let process, outcome =
+    Kernel.exec ~limit:{ Kernel.max_instructions } kernel exe
+  in
+  measure ~machine ~kernel ~process exe outcome
+
 (* ---- the request-serving macro-benchmark ---- *)
 
 type server_stats = {
@@ -184,8 +190,8 @@ type server_stats = {
   checksum : int64; (* kernel-side committed-result fold *)
 }
 
-(* Like [run], but through the multi-process kernel: load the request
-   device with [requests], run the scheduler until every task exits.
+(* Like [run], but time-sliced: load the request device with
+   [requests], run the scheduler until every task exits.
    The measurement's instructions/cycles are machine-global (all tasks);
    status/peak are the root's.  [shards]/[supervision] configure the
    sharded device and the worker supervisor; [configure] runs against
@@ -202,37 +208,7 @@ let run_server ?(max_instructions = 2_000_000_000L) ?time_slice ?tracer ?engine 
   let process, outcome =
     Kernel.exec_all ~limit:{ Kernel.max_instructions } ?time_slice kernel exe
   in
-  let h = Machine.hierarchy machine in
-  let mmu = Process.mmu process in
-  let image_bytes =
-    List.fold_left
-      (fun acc (s : Roload_obj.Exe.segment) -> acc + s.Roload_obj.Exe.mem_size)
-      0 exe.Roload_obj.Exe.segments
-  in
-  let footprint_bytes =
-    image_bytes + Process.heap_bytes process
-    + (Process.stack_pages * Roload_mem.Page_table.page_size)
-  in
-  ignore
-    (Atomic.fetch_and_add instructions_simulated
-       (Int64.to_int outcome.Kernel.instructions));
-  let measurement =
-    {
-      status = outcome.Kernel.status;
-      cycles = outcome.Kernel.cycles;
-      instructions = outcome.Kernel.instructions;
-      peak_kib = outcome.Kernel.peak_kib;
-      footprint_bytes;
-      output = outcome.Kernel.output;
-      icache = stats_of_cache (Roload_cache.Hierarchy.icache h);
-      dcache = stats_of_cache (Roload_cache.Hierarchy.dcache h);
-      itlb = stats_of_tlb (Mmu.itlb mmu);
-      dtlb = stats_of_tlb (Mmu.dtlb mmu);
-      roloads_executed = (Machine.counts machine).Machine.roloads;
-      metrics = snapshot_metrics ~machine ~kernel ~mmu;
-      profile = [];
-    }
-  in
+  let measurement = measure ~machine ~kernel ~process exe outcome in
   let stats =
     {
       served = Kernel.requests_served kernel;
@@ -250,7 +226,7 @@ let run_server ?(max_instructions = 2_000_000_000L) ?time_slice ?tracer ?engine 
 
    A [snapshot] composes the per-layer images taken at one instant:
    machine (cpu, CoW memory pages, caches, TLBs, decode/block/trace
-   caches, all counters), kernel (frame allocator, syscall counter) and
+   caches, all counters), kernel (counters and the root task) and
    process (break, accounting, status, console output).  One snapshot
    can seed any number of restores and forks; campaigns boot a workload
    once, pause at the trigger frontier, snapshot, and fork thousands of

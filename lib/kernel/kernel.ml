@@ -103,10 +103,8 @@ type t = {
   machine : Machine.t;
   config : config;
   mutable next_frame : int;
-  mutable current : Process.t option;
   mutable syscall_count : int;
-  (* multi-process state (empty/unused in single-process runs) *)
-  mutable tasks : task list; (* pid-ascending; the round-robin order *)
+  mutable tasks : task list; (* pid-ascending; the round-robin order; root first *)
   mutable next_pid : int;
   mutable scheduled : task option; (* whose registers live in the CPU *)
   console : Buffer.t; (* interleaved write() output of every task *)
@@ -146,7 +144,6 @@ let create ~machine ~config =
     machine;
     config;
     next_frame = 1;
-    current = None;
     syscall_count = 0;
     tasks = [];
     next_pid = 1;
@@ -174,59 +171,6 @@ let create ~machine ~config =
 let machine t = t.machine
 let config t = t.config
 let syscall_count t = t.syscall_count
-
-(* ---- snapshots ----
-
-   The kernel itself only owns two counters; the scheduled process and
-   the machine snapshot at their own layers.  [fork] builds a sibling
-   kernel over a forked machine; [adopt] installs a forked process
-   without the pc/sp reset (and cache flush) [schedule] performs — the
-   forked CPU and caches already hold the captured state. *)
-
-type image = {
-  ik_next_frame : int;
-  ik_syscall_count : int;
-}
-
-let snapshot t = { ik_next_frame = t.next_frame; ik_syscall_count = t.syscall_count }
-
-let restore t img =
-  t.next_frame <- img.ik_next_frame;
-  t.syscall_count <- img.ik_syscall_count
-
-let fork img ~machine ~config =
-  {
-    machine;
-    config;
-    next_frame = img.ik_next_frame;
-    current = None;
-    syscall_count = img.ik_syscall_count;
-    tasks = [];
-    next_pid = 1;
-    scheduled = None;
-    console = Buffer.create 256;
-    req_stream = [||];
-    req_queues = [||];
-    req_done = 0;
-    req_latencies = [||];
-    req_handouts = [||];
-    req_redeliveries = [||];
-    req_completions = [||];
-    req_has_result = [||];
-    req_result = [||];
-    req_diverged = [||];
-    inflight_count = 0;
-    handouts_total = 0;
-    committed_sum = 0L;
-    supervision = None;
-    restart_count = 0;
-    req_hook = None;
-    frame_refs = Hashtbl.create 64;
-  }
-
-let adopt t process =
-  t.current <- Some process;
-  Machine.attach_mmu t.machine (Process.mmu process)
 
 (* Events ride the machine's tracer; the kernel and CPU share one
    timeline (kernel work is charged to the machine cycle counter). *)
@@ -259,15 +203,16 @@ let map_fresh_page t process ~va ~perms ~key =
   if t.config.roload_kernel && key <> 0 then charge t t.config.page_key_cycles;
   ppn
 
+(* An MMU over [page_table], sized and checked as the machine is. *)
+let new_mmu t page_table =
+  let c = Machine.config t.machine in
+  Mmu.create ~page_table ~itlb_entries:c.Config.itlb_entries
+    ~dtlb_entries:c.Config.dtlb_entries ~roload_check_enabled:c.Config.roload_processor
+
 let load t exe =
   let mem = Machine.mem t.machine in
   let page_table = Page_table.create ~mem ~alloc_frame:(fun () -> alloc_frame t) in
-  let machine_config = Machine.config t.machine in
-  let mmu =
-    Mmu.create ~page_table ~itlb_entries:machine_config.Config.itlb_entries
-      ~dtlb_entries:machine_config.Config.dtlb_entries
-      ~roload_check_enabled:machine_config.Config.roload_processor
-  in
+  let mmu = new_mmu t page_table in
   let brk_start = ref 0 in
   let process = Process.create ~exe ~page_table ~mmu ~phys:mem ~brk:0 in
   (* map segments page by page, copying data *)
@@ -297,13 +242,126 @@ let load t exe =
   done;
   process
 
-(* Install the process on the machine and initialize its CPU state. *)
+(* ---------- the task table ---------- *)
+
+let new_task t ~pid ~parent proc ~regs ~pc =
+  let tk =
+    {
+      pid;
+      parent;
+      proc;
+      t_regs = Array.copy regs;
+      t_pc = pc;
+      t_state = Task_ready;
+      t_inflight = -1;
+      t_req_start = 0L;
+      t_asid = pid;
+      t_restarts = 0;
+      t_birth = None;
+    }
+  in
+  t.tasks <- t.tasks @ [ tk ];
+  tk
+
+(* Every run is a task-table run; a single-process run is the one-task
+   case.  The root task is already on the CPU: its registers are the
+   live CPU's, no context-switch cycles are charged, and it keeps the
+   machine's current ASID, so a system forked from a snapshot reuses the
+   compiled traces of the address space it captured. *)
+let register_root t process =
+  if t.tasks <> [] then invalid_arg "Kernel: a root task is already registered";
+  let cpu = Machine.cpu t.machine in
+  let pid = t.next_pid in
+  t.next_pid <- pid + 1;
+  let tk = new_task t ~pid ~parent:0 process ~regs:(Cpu.regs cpu) ~pc:(Cpu.pc cpu) in
+  tk.t_asid <- Machine.asid t.machine;
+  t.scheduled <- Some tk
+
+(* Install the process on the machine, initialize its CPU state and
+   register it as the root task. *)
 let schedule t process =
-  t.current <- Some process;
   Machine.set_mmu t.machine (Some (Process.mmu process));
   let cpu = Machine.cpu t.machine in
   Cpu.set_pc cpu (Process.exe process).Exe.entry;
-  Cpu.set cpu Reg.sp (Int64.of_int (Process.stack_top - 64))
+  Cpu.set cpu Reg.sp (Int64.of_int (Process.stack_top - 64));
+  register_root t process
+
+let spawn_root = schedule
+
+(* ---- snapshots ----
+
+   The image holds the kernel's counters and the root task; the root's
+   registers live in the CPU, which the machine snapshots, and its
+   process snapshots at its own layer.  Only one live task can be
+   captured: any other task's address space is not part of a snapshot.
+   [fork] builds a sibling kernel over a forked machine; [adopt] hands
+   the forked root its forked process without the pc/sp reset (and
+   cache flush) [schedule] performs — the forked CPU and caches already
+   hold the captured state.  The request device, supervision and hooks
+   are not captured. *)
+
+type image = {
+  ik_next_frame : int;
+  ik_syscall_count : int;
+  ik_next_pid : int;
+  ik_root : task option; (* frozen copy *)
+  ik_frame_refs : (int, int) Hashtbl.t;
+  ik_console : string;
+}
+
+let copy_task tk = { tk with t_regs = Array.copy tk.t_regs }
+
+let snapshot t =
+  let root =
+    match t.tasks with
+    | [] -> None
+    | root :: others ->
+      if List.exists (fun tk -> tk.t_state <> Task_reaped) others then
+        invalid_arg "Kernel.snapshot: more than one live task";
+      Some (copy_task root)
+  in
+  {
+    ik_next_frame = t.next_frame;
+    ik_syscall_count = t.syscall_count;
+    ik_next_pid = t.next_pid;
+    ik_root = root;
+    ik_frame_refs = Hashtbl.copy t.frame_refs;
+    ik_console = Buffer.contents t.console;
+  }
+
+let install t img =
+  t.next_frame <- img.ik_next_frame;
+  t.syscall_count <- img.ik_syscall_count;
+  t.next_pid <- img.ik_next_pid;
+  t.tasks <- Option.to_list (Option.map copy_task img.ik_root);
+  t.scheduled <- List.nth_opt t.tasks 0;
+  Hashtbl.reset t.frame_refs;
+  Hashtbl.iter (Hashtbl.replace t.frame_refs) img.ik_frame_refs;
+  Buffer.clear t.console;
+  Buffer.add_string t.console img.ik_console
+
+(* Also puts the root's address space and trace table back on the
+   machine, which must happen before the machine restores the MMU it
+   runs: a child may hold the CPU at restore time. *)
+let restore t img =
+  install t img;
+  Option.iter
+    (fun root ->
+      Machine.switch_context t.machine ~asid:root.t_asid ~mmu:(Process.mmu root.proc))
+    t.scheduled
+
+let fork img ~machine ~config =
+  let t = create ~machine ~config in
+  install t img;
+  t
+
+let adopt t process =
+  Machine.attach_mmu t.machine (Process.mmu process);
+  match t.tasks with
+  | root :: _ ->
+    root.proc <- process;
+    root.t_asid <- Machine.asid t.machine
+  | [] -> register_root t process
 
 (* ---------- syscalls ---------- *)
 
@@ -374,15 +432,19 @@ let handle_mmap t process ~len ~prot ~key =
    (fork) must be split before any process gains write access to it, or
    the writes would leak into the sibling address spaces.  Returns true
    when it installed a private copy (with the final perms/key). *)
+(* A fresh frame holding a copy of frame [ppn]. *)
+let copy_frame t ppn =
+  let mem = Machine.mem t.machine and ps = Page_table.page_size in
+  let fresh = alloc_frame t in
+  Phys_mem.write_string mem ~addr:(fresh * ps)
+    (Phys_mem.read_string mem ~addr:(ppn * ps) ~len:ps);
+  fresh
+
 let split_shared_frame t process ~va ~pte ~perms ~key =
   let ppn = Roload_mem.Pte.ppn pte in
   match Hashtbl.find_opt t.frame_refs ppn with
   | Some refs when refs >= 2 ->
-    let mem = Machine.mem t.machine in
-    let ps = Page_table.page_size in
-    let fresh = alloc_frame t in
-    Phys_mem.write_string mem ~addr:(fresh * ps)
-      (Phys_mem.read_string mem ~addr:(ppn * ps) ~len:ps);
+    let fresh = copy_frame t ppn in
     Page_table.map_page (Process.page_table process) ~va ~ppn:fresh ~perms ~user:true ~key;
     if refs = 2 then Hashtbl.remove t.frame_refs ppn
     else Hashtbl.replace t.frame_refs ppn (refs - 1);
@@ -433,8 +495,11 @@ let handle_mprotect t process ~addr ~len ~prot ~key =
     end
   end
 
-let handle_write t process ~buf ~len =
-  if len < 0 then Syscall.einval
+(* Only the console descriptors exist; a bad fd is rejected before the
+   buffer is looked at, so nothing is copied and nothing is charged. *)
+let handle_write t process ~fd ~buf ~len =
+  if fd <> 1 && fd <> 2 then Syscall.ebadf
+  else if len < 0 then Syscall.einval
   else begin
     (* copy out through the page table; an unmapped byte anywhere in the
        buffer fails the whole write with EFAULT — nothing is copied and
@@ -447,31 +512,6 @@ let handle_write t process ~buf ~len =
       len
     | exception Not_found -> Syscall.efault
   end
-
-let handle_syscall t process =
-  let cpu = Machine.cpu t.machine in
-  let arg r = Int64.to_int (Cpu.get cpu r) in
-  charge t t.config.syscall_cycles;
-  t.syscall_count <- t.syscall_count + 1;
-  let num = arg Reg.a7 in
-  let ret =
-    if num = Syscall.sys_exit then begin
-      Process.set_status process (Process.Exited (arg Reg.a0));
-      0
-    end
-    else if num = Syscall.sys_write then handle_write t process ~buf:(arg Reg.a1) ~len:(arg Reg.a2)
-    else if num = Syscall.sys_brk then handle_brk t process (arg Reg.a0)
-    else if num = Syscall.sys_mmap then
-      handle_mmap t process ~len:(arg Reg.a1) ~prot:(arg Reg.a2) ~key:(arg Reg.a4)
-    else if num = Syscall.sys_mprotect then
-      handle_mprotect t process ~addr:(arg Reg.a0) ~len:(arg Reg.a1) ~prot:(arg Reg.a2)
-        ~key:(arg Reg.a3)
-    else Syscall.enosys
-  in
-  emit t (Roload_obs.Event.Syscall { number = num; name = Syscall.name num; ret });
-  Cpu.set cpu Reg.a0 (Int64.of_int ret);
-  (* resume after the ecall (ecall is never compressed) *)
-  Cpu.set_pc cpu (Cpu.pc cpu + 4)
 
 (* ---------- trap triage ---------- *)
 
@@ -544,56 +584,7 @@ let outcome_of t process =
     output = Process.output process;
   }
 
-(* Run the scheduled process until it exits, is killed, or hits a
-   caller-supplied stop condition (used by the attack tooling to pause at
-   a chosen pc). *)
-let run ?(limit = no_limit) ?stop_at_pc t process =
-  let cpu = Machine.cpu t.machine in
-  let rec loop () =
-    if Process.status process <> Process.Running then outcome_of t process
-    else
-      let remaining = Int64.sub limit.max_instructions (Cpu.instret cpu) in
-      if Int64.compare remaining 0L <= 0 then outcome_of t process
-      else
-        (* hand the machine a fuel budget so it can run whole blocks
-           between kernel checks *)
-        let fuel =
-          if Int64.compare remaining (Int64.of_int max_int) >= 0 then max_int
-          else Int64.to_int remaining
-        in
-        match Machine.run_steps ?stop_at_pc ~fuel t.machine with
-        | Machine.Exhausted -> loop () (* limit re-checked above *)
-        | Machine.Stop_pc -> outcome_of t process
-        | Machine.Trap Trap.Ecall ->
-          handle_syscall t process;
-          loop ()
-        | Machine.Trap Trap.Breakpoint ->
-          (* treat ebreak as an abort: kill the process *)
-          emit t (Roload_obs.Event.Fault_triage { kind = "sigill"; pc = Cpu.pc cpu });
-          Process.set_status process
-            (Process.Killed (Signal.Sigill { pc = Cpu.pc cpu; info = "ebreak" }));
-          outcome_of t process
-        | Machine.Trap trap -> (
-          charge t t.config.fault_cycles;
-          match signal_of_trap t trap with
-          | Some signal ->
-            emit t
-              (Roload_obs.Event.Fault_triage
-                 { kind = triage_kind signal; pc = trap_pc trap });
-            Process.set_status process (Process.Killed signal);
-            outcome_of t process
-          | None -> loop ())
-  in
-  loop ()
-
-(* Convenience: load, schedule, run. *)
-let exec ?(limit = no_limit) t exe =
-  let process = load t exe in
-  schedule t process;
-  let outcome = run ~limit t process in
-  (process, outcome)
-
-(* ---------- multi-process scheduling ---------- *)
+(* ---------- the request device and the scheduler ---------- *)
 
 let console t = Buffer.contents t.console
 
@@ -678,18 +669,12 @@ let kill_task t ~pid ~info =
    mprotect-to-writable knows to split the frame first. *)
 let clone_address_space t parent =
   let mem = Machine.mem t.machine in
-  let ps = Page_table.page_size in
   let parent_pt = Process.page_table parent in
   let page_table = Page_table.create ~mem ~alloc_frame:(fun () -> alloc_frame t) in
   Page_table.iter_mappings parent_pt ~f:(fun ~va ~pte ->
       let ppn = Roload_mem.Pte.ppn pte in
       let child_ppn =
-        if Roload_mem.Pte.writable pte then begin
-          let fresh = alloc_frame t in
-          Phys_mem.write_string mem ~addr:(fresh * ps)
-            (Phys_mem.read_string mem ~addr:(ppn * ps) ~len:ps);
-          fresh
-        end
+        if Roload_mem.Pte.writable pte then copy_frame t ppn
         else begin
           (match Hashtbl.find_opt t.frame_refs ppn with
           | Some n -> Hashtbl.replace t.frame_refs ppn (n + 1)
@@ -706,49 +691,13 @@ let clone_address_space t parent =
 
 let clone_process t parent =
   let page_table = clone_address_space t parent in
-  let machine_config = Machine.config t.machine in
-  let mmu =
-    Mmu.create ~page_table ~itlb_entries:machine_config.Config.itlb_entries
-      ~dtlb_entries:machine_config.Config.dtlb_entries
-      ~roload_check_enabled:machine_config.Config.roload_processor
-  in
+  let mmu = new_mmu t page_table in
   let child =
     Process.fork (Process.snapshot parent) ~exe:(Process.exe parent) ~page_table ~mmu
       ~phys:(Machine.mem t.machine)
   in
   Process.clear_output child;
   child
-
-let new_task t ~pid ~parent proc ~regs ~pc =
-  let tk =
-    {
-      pid;
-      parent;
-      proc;
-      t_regs = Array.copy regs;
-      t_pc = pc;
-      t_state = Task_ready;
-      t_inflight = -1;
-      t_req_start = 0L;
-      t_asid = pid;
-      t_restarts = 0;
-      t_birth = None;
-    }
-  in
-  t.tasks <- t.tasks @ [ tk ];
-  tk
-
-(* Register an already-loaded process as the root task of a scheduler
-   run, reusing [schedule]'s pc/sp setup. *)
-let spawn_root t process =
-  schedule t process;
-  let cpu = Machine.cpu t.machine in
-  let pid = t.next_pid in
-  t.next_pid <- pid + 1;
-  let tk = new_task t ~pid ~parent:0 process ~regs:(Cpu.regs cpu) ~pc:(Cpu.pc cpu) in
-  (* bind the machine's live compiled-trace table to this address space *)
-  Machine.switch_context t.machine ~asid:pid ~mmu:(Process.mmu process);
-  t.scheduled <- Some tk
 
 let context_switch t tk =
   match t.scheduled with
@@ -764,7 +713,6 @@ let context_switch t tk =
     Cpu.set_pc cpu tk.t_pc;
     Machine.switch_context t.machine ~asid:tk.t_asid ~mmu:(Process.mmu tk.proc);
     t.scheduled <- Some tk;
-    t.current <- Some tk.proc;
     charge t t.config.context_switch_cycles
 
 (* How many requests are still queued across every shard. *)
@@ -871,6 +819,16 @@ let task_dead t tk status_code =
   | Some b, Some sup when tk.t_restarts < sup.max_restarts -> reincarnate t tk b
   | _ -> make_zombie t tk status_code
 
+(* Retire a task whose process stopped running: a death by signal is
+   triaged at [pc], a clean exit acks its request and zombifies. *)
+let retire t tk ~pc =
+  match Process.status tk.proc with
+  | Process.Running -> ()
+  | Process.Killed sg ->
+    emit t (Roload_obs.Event.Fault_triage { kind = triage_kind sg; pc });
+    task_dead t tk (-1)
+  | Process.Exited code -> finish_task t tk code
+
 (* Sweep for tasks killed outside their own execution (the deadline
    watchdog, an external chaos kill) and for a clean-exit status set by
    a hook; runs at every scheduler entry, before picking. *)
@@ -878,13 +836,7 @@ let reap_external t =
   List.iter
     (fun tk ->
       match tk.t_state with
-      | Task_ready | Task_waiting | Task_waiting_req -> (
-        match Process.status tk.proc with
-        | Process.Running -> ()
-        | Process.Killed sg ->
-          emit t (Roload_obs.Event.Fault_triage { kind = triage_kind sg; pc = tk.t_pc });
-          task_dead t tk (-1)
-        | Process.Exited code -> finish_task t tk code)
+      | Task_ready | Task_waiting | Task_waiting_req -> retire t tk ~pc:tk.t_pc
       | Task_zombie _ | Task_reaped -> ())
     t.tasks
 
@@ -926,11 +878,11 @@ type sched_decision =
   | Keep (* the task keeps the CPU inside its quantum *)
   | Switch (* the task blocked or exited: schedule someone else *)
 
-(* Syscall servicing under the scheduler.  exit/fork/wait/read_request
-   are scheduler-aware; everything else behaves exactly as in a
-   single-process run.  A blocking wait() deliberately does not advance
-   the pc: the task re-executes the ecall when it is woken. *)
-let handle_syscall_mp t tk =
+(* The syscall dispatcher: the whole ABI (DESIGN.md §15), for the
+   scheduled task [tk].  A blocking wait() or read_request deliberately
+   does not advance the pc: the task re-executes the ecall when it is
+   woken. *)
+let handle_syscall t tk =
   let cpu = Machine.cpu t.machine in
   let arg r = Int64.to_int (Cpu.get cpu r) in
   charge t t.config.syscall_cycles;
@@ -941,10 +893,14 @@ let handle_syscall_mp t tk =
     Cpu.set cpu Reg.a0 (Int64.of_int ret);
     Cpu.set_pc cpu (Cpu.pc cpu + 4)
   in
+  let keep ret =
+    finish ret;
+    Keep
+  in
   if num = Syscall.sys_exit then begin
     let code = arg Reg.a0 in
     Process.set_status tk.proc (Process.Exited code);
-    emit t (Roload_obs.Event.Syscall { number = num; name = Syscall.name num; ret = 0 });
+    finish 0;
     finish_task t tk code;
     Switch
   end
@@ -967,8 +923,7 @@ let handle_syscall_mp t tk =
         Some { b_proc = clone_process t tk.proc; b_regs = Array.copy child.t_regs;
                b_pc = child.t_pc }
     | None -> ());
-    finish pid;
-    Keep
+    keep pid
   end
   else if num = Syscall.sys_wait then begin
     let status_va = arg Reg.a0 in
@@ -981,14 +936,11 @@ let handle_syscall_mp t tk =
     match zombie with
     | Some child ->
       let status = match child.t_state with Task_zombie s -> s | _ -> assert false in
-      if status_va <> 0 && not (write_wait_status tk ~va:status_va status) then begin
-        finish Syscall.efault;
-        Keep
-      end
+      if status_va <> 0 && not (write_wait_status tk ~va:status_va status) then
+        keep Syscall.efault
       else begin
         child.t_state <- Task_reaped;
-        finish child.pid;
-        Keep
+        keep child.pid
       end
     | None ->
       let alive =
@@ -1005,10 +957,7 @@ let handle_syscall_mp t tk =
         tk.t_state <- Task_waiting;
         Switch
       end
-      else begin
-        finish Syscall.echild;
-        Keep
-      end
+      else keep Syscall.echild
   end
   else if num = Syscall.sys_read_request then begin
     (* asking for the next request implicitly acks the previous one *)
@@ -1022,20 +971,12 @@ let handle_syscall_mp t tk =
     | _ -> ());
     if Process.status tk.proc <> Process.Running then begin
       (* the hook killed the calling task mid-syscall *)
-      (match Process.status tk.proc with
-      | Process.Killed sg ->
-        emit t (Roload_obs.Event.Fault_triage { kind = triage_kind sg; pc = Cpu.pc cpu });
-        task_dead t tk (-1)
-      | Process.Exited code -> finish_task t tk code
-      | Process.Running -> ());
+      retire t tk ~pc:(Cpu.pc cpu);
       Switch
     end
     else begin
       let shards = Array.length t.req_queues in
-      if shards = 0 then begin
-        finish (-1);
-        Keep
-      end
+      if shards = 0 then keep (-1)
       else begin
         let own = tk.pid mod shards in
         (* own shard first, then steal in deterministic scan order *)
@@ -1070,8 +1011,7 @@ let handle_syscall_mp t tk =
               0 t.tasks
           in
           charge t (t.config.queue_cycles_per_waiter * waiters);
-          finish t.req_stream.(id);
-          Keep
+          keep t.req_stream.(id)
         | None ->
           if t.inflight_count > 0 then begin
             (* a dead worker may still return its request: block without
@@ -1079,55 +1019,40 @@ let handle_syscall_mp t tk =
             tk.t_state <- Task_waiting_req;
             Switch
           end
-          else begin
-            finish (-1);
-            Keep
-          end
+          else keep (-1)
       end
     end
   end
   else if num = Syscall.sys_complete_request then begin
-    if tk.t_inflight < 0 then finish Syscall.einval
+    if tk.t_inflight < 0 then keep Syscall.einval
     else begin
       ack_request t tk ~result:(Some (Cpu.get cpu Reg.a0));
-      finish 0
-    end;
-    Keep
+      keep 0
+    end
   end
-  else if num = Syscall.sys_server_checksum then begin
-    finish (Int64.to_int t.committed_sum);
-    Keep
-  end
-  else begin
-    let ret =
-      if num = Syscall.sys_write then
-        handle_write t tk.proc ~buf:(arg Reg.a1) ~len:(arg Reg.a2)
-      else if num = Syscall.sys_brk then handle_brk t tk.proc (arg Reg.a0)
-      else if num = Syscall.sys_mmap then
-        handle_mmap t tk.proc ~len:(arg Reg.a1) ~prot:(arg Reg.a2) ~key:(arg Reg.a4)
-      else if num = Syscall.sys_mprotect then
-        handle_mprotect t tk.proc ~addr:(arg Reg.a0) ~len:(arg Reg.a1) ~prot:(arg Reg.a2)
-          ~key:(arg Reg.a3)
-      else Syscall.enosys
-    in
-    finish ret;
-    Keep
-  end
+  else if num = Syscall.sys_server_checksum then keep (Int64.to_int t.committed_sum)
+  else if num = Syscall.sys_write then
+    keep (handle_write t tk.proc ~fd:(arg Reg.a0) ~buf:(arg Reg.a1) ~len:(arg Reg.a2))
+  else if num = Syscall.sys_brk then keep (handle_brk t tk.proc (arg Reg.a0))
+  else if num = Syscall.sys_mmap then
+    keep (handle_mmap t tk.proc ~len:(arg Reg.a1) ~prot:(arg Reg.a2) ~key:(arg Reg.a4))
+  else if num = Syscall.sys_mprotect then
+    keep
+      (handle_mprotect t tk.proc ~addr:(arg Reg.a0) ~len:(arg Reg.a1) ~prot:(arg Reg.a2)
+         ~key:(arg Reg.a3))
+  else keep Syscall.enosys
 
-(* Round-robin over the ready tasks, preempting on a fuel quantum
-   ([time_slice] retired instructions).  Deterministic by construction:
-   the machine is instret-exact across engines, so the preemption points
-   — and therefore the whole interleaving — are identical under
-   single/block/traced execution. *)
-let run_all ?(limit = no_limit) ?(time_slice = 20_000) t =
+(* The one run loop.  Round-robin over the ready tasks, preempting on a
+   fuel quantum ([Some n] retired instructions; [None] never preempts,
+   so the scheduled task runs until it blocks, exits or dies).
+   Deterministic by construction: the machine is instret-exact across
+   engines, so the preemption points — and therefore the whole
+   interleaving — are identical under single/block/traced execution.
+   A run resumes with the task that was scheduled when the last one
+   paused; [stop_at_pc] pauses it when that pc is reached. *)
+let run_tasks ~limit ?stop_at_pc ~quantum t =
   let cpu = Machine.cpu t.machine in
-  let time_slice = max 1 time_slice in
-  let root =
-    match t.tasks with
-    | tk :: _ -> tk
-    | [] -> invalid_arg "Kernel.run_all: no tasks (spawn_root/exec_all first)"
-  in
-  let cursor = ref 0 in
+  let cursor = ref (match t.scheduled with Some tk -> tk.pid - 1 | None -> 0) in
   (* next ready task after the cursor pid, wrapping: t.tasks is
      pid-ascending, so the first match is the round-robin choice *)
   let pick_next () =
@@ -1151,28 +1076,26 @@ let run_all ?(limit = no_limit) ?(time_slice = 20_000) t =
           if Int64.compare fuel64 (Int64.of_int max_int) >= 0 then max_int
           else Int64.to_int fuel64
         in
-        match Machine.run_steps ~fuel t.machine with
+        match Machine.run_steps ?stop_at_pc ~fuel t.machine with
         | Machine.Exhausted -> loop tk quantum_end (* budgets re-checked above *)
-        | Machine.Stop_pc -> assert false (* run_all never passes stop_at_pc *)
+        | Machine.Stop_pc -> ()
         | Machine.Trap Trap.Ecall -> (
-          match handle_syscall_mp t tk with
+          match handle_syscall t tk with
           | Keep -> loop tk quantum_end
           | Switch -> next ())
         | Machine.Trap Trap.Breakpoint ->
-          emit t (Roload_obs.Event.Fault_triage { kind = "sigill"; pc = Cpu.pc cpu });
+          (* ebreak is an abort: kill the task *)
+          let pc = Cpu.pc cpu in
           Process.set_status tk.proc
-            (Process.Killed (Signal.Sigill { pc = Cpu.pc cpu; info = "ebreak" }));
-          task_dead t tk (-1);
+            (Process.Killed (Signal.Sigill { pc; info = "ebreak" }));
+          retire t tk ~pc;
           next ()
         | Machine.Trap trap -> (
           charge t t.config.fault_cycles;
           match signal_of_trap t trap with
           | Some signal ->
-            emit t
-              (Roload_obs.Event.Fault_triage
-                 { kind = triage_kind signal; pc = trap_pc trap });
             Process.set_status tk.proc (Process.Killed signal);
-            task_dead t tk (-1);
+            retire t tk ~pc:(trap_pc trap);
             next ()
           | None -> loop tk quantum_end)
       end
@@ -1185,14 +1108,36 @@ let run_all ?(limit = no_limit) ?(time_slice = 20_000) t =
     | Some tk ->
       cursor := tk.pid;
       context_switch t tk;
-      loop tk (Int64.add (Cpu.instret cpu) (Int64.of_int time_slice))
+      loop tk
+        (match quantum with
+        | None -> Int64.max_int
+        | Some n -> Int64.add (Cpu.instret cpu) (Int64.of_int n))
   in
-  next ();
-  outcome_of t root.proc
+  next ()
 
-(* Convenience: load, register as root, schedule everything. *)
-let exec_all ?(limit = no_limit) ?time_slice t exe =
+(* Run until the scheduled process (and anything it forked) exits, is
+   killed, or hits the instruction limit or [stop_at_pc] (used by the
+   attack tooling to pause at a chosen pc). *)
+let run ?(limit = no_limit) ?stop_at_pc t process =
+  if not (List.exists (fun tk -> tk.proc == process) t.tasks) then
+    invalid_arg "Kernel.run: process is not scheduled on this kernel";
+  run_tasks ~limit ?stop_at_pc ~quantum:None t;
+  outcome_of t process
+
+let run_all ?(limit = no_limit) ?(time_slice = 20_000) t =
+  match t.tasks with
+  | [] -> invalid_arg "Kernel.run_all: no tasks (spawn_root/exec_all first)"
+  | root :: _ ->
+    run_tasks ~limit ~quantum:(Some (max 1 time_slice)) t;
+    outcome_of t root.proc
+
+(* Convenience: load, schedule, run. *)
+let exec ?limit t exe =
   let process = load t exe in
-  spawn_root t process;
-  let outcome = run_all ~limit ?time_slice t in
-  (process, outcome)
+  schedule t process;
+  (process, run ?limit t process)
+
+let exec_all ?limit ?time_slice t exe =
+  let process = load t exe in
+  schedule t process;
+  (process, run_all ?limit ?time_slice t)

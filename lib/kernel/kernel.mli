@@ -41,27 +41,35 @@ type image
 
 val snapshot : t -> image
 (** Capture the kernel's own mutable state (frame allocator cursor,
-    syscall counter).  The scheduled process and the machine snapshot at
-    their own layers; {!Roload_core.System.snapshot} composes all
-    three. *)
+    syscall counter, shared-frame refcounts, console) and its root task.
+    The root's process and the machine (which holds its registers)
+    snapshot at their own layers; {!Roload_core.System.snapshot} composes
+    all three.  The request device is not captured.
+    @raise Invalid_argument when a task other than the root is still
+    alive (not yet reaped): its address space cannot be captured. *)
 
 val restore : t -> image -> unit
+(** Also reinstalls the root's address space on the machine, so it must
+    precede [Machine.restore], which rewinds the MMU the machine runs. *)
 
 val fork : image -> machine:Roload_machine.Machine.t -> config:config -> t
-(** A sibling kernel over a forked machine, in the captured state (no
-    process scheduled yet — see {!adopt}). *)
+(** A sibling kernel over a forked machine, in the captured state; its
+    root task gets its process from {!adopt}. *)
 
 val adopt : t -> Process.t -> unit
-(** Install a forked process {e without} the pc/sp reset and cache flush
-    {!schedule} performs: the forked CPU and caches already hold the
-    captured state. *)
+(** Install a forked process as the root task {e without} the pc/sp
+    reset and cache flush {!schedule} performs: the forked CPU and caches
+    already hold the captured state. *)
 
 val load : t -> Roload_obj.Exe.t -> Process.t
 (** Map all segments (with keys when the kernel supports them), map the
     stack, set the initial brk. *)
 
 val schedule : t -> Process.t -> unit
-(** Install the process's MMU and initialize pc/sp. *)
+(** Install the process's MMU, initialize pc/sp and register the process
+    as the root task (first pid).  Every run is a task-table run; a
+    single-process run is the one-task case.
+    @raise Invalid_argument if the kernel already has a root task. *)
 
 type run_limit = { max_instructions : int64 }
 
@@ -76,15 +84,19 @@ type run_outcome = {
 }
 
 val run : ?limit:run_limit -> ?stop_at_pc:int -> t -> Process.t -> run_outcome
-(** Run the scheduled process until exit, a fatal signal, the instruction
-    limit, or [stop_at_pc] (used by attack tooling to pause and corrupt
-    memory). *)
+(** Run the scheduler with an unbounded quantum — the scheduled task
+    keeps the CPU until it blocks, exits or dies — until every task is
+    done, the instruction limit, or [stop_at_pc] (used by attack tooling
+    to pause and corrupt memory).  A later call resumes the task that was
+    scheduled.  The outcome carries [process]'s status and output.
+    @raise Invalid_argument if [process] is not a task of this kernel. *)
 
 val exec : ?limit:run_limit -> t -> Roload_obj.Exe.t -> Process.t * run_outcome
 
 (** {2 Multi-process scheduling}
 
-    A small process table and a round-robin scheduler over it.  Time
+    The process table and the round-robin scheduler over it, which
+    {!run} and {!run_all} share.  Time
     slices are fuel quanta (retired instructions), so the interleaving —
     and therefore every byte of output — is identical across the three
     execution engines and independent of host parallelism.  [fork]
@@ -181,8 +193,7 @@ val task_statuses : t -> (int * Process.status) list
 (** [(pid, status)] for every task ever created, pid-ascending. *)
 
 val spawn_root : t -> Process.t -> unit
-(** Register an already-{!load}ed process as the root task (it gets the
-    first pid) and make it current. *)
+(** Same as {!schedule}. *)
 
 val run_all : ?limit:run_limit -> ?time_slice:int -> t -> run_outcome
 (** Schedule every ready task round-robin until all tasks have exited or

@@ -36,10 +36,12 @@ let capture ~machine ~kernel ~process =
 
 (* Put the {e same} objects back into the captured state.  Identities
    are preserved (including compiled traces), so resumed execution is
-   byte-identical to the original run. *)
+   byte-identical to the original run.  The kernel goes first: it puts
+   the root's address space back on the machine, whose MMU state the
+   machine restore then rewinds. *)
 let restore t ~machine ~kernel ~process =
-  Machine.restore machine t.sn_machine;
   Kernel.restore kernel t.sn_kernel;
+  Machine.restore machine t.sn_machine;
   Process.restore process t.sn_process
 
 (* A fresh, fully independent system in the captured state.  The page

@@ -233,6 +233,7 @@ let page_holds_code t pa =
 let cached_blocks t = Hashtbl.length t.blocks
 let cached_decodes t = Hashtbl.length t.decode_cache
 let cached_traces t = Hashtbl.length t.traces
+let asid t = t.asid
 
 (* (Re)point the generic cache/TLB observer closures at the current
    tracer.  The mem/cache libraries stay obs-free: they call a closure,

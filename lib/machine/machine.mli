@@ -201,6 +201,10 @@ val attach_mmu : t -> Roload_mem.Mmu.t -> unit
     {!set_mmu} performs: the fork's decode/block caches were copied from
     the image and remain exact for the forked memory contents. *)
 
+val asid : t -> int
+(** The ASID owning the active compiled-trace table (0 until the first
+    {!switch_context}); forks start under ASID 0. *)
+
 val switch_context : t -> asid:int -> mmu:Roload_mem.Mmu.t -> unit
 (** Context switch between coresident address spaces (the multi-process
     kernel's scheduler).  Keeps the PA-keyed decode/block caches — exact

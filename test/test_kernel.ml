@@ -173,6 +173,93 @@ let test_instruction_limit () =
   | Process.Running -> ()
   | _ -> Alcotest.fail "expected the limit to stop the loop"
 
+(* ---- one dispatcher: exec is the one-task case of exec_all ----
+
+   One program walks the whole syscall ABI — write, brk, mmap,
+   mprotect, fork, wait, read_request with no device, complete_request
+   with nothing in flight, and an unknown number.  Run under the
+   unbounded-quantum [exec] and the time-sliced [exec_all], it must see
+   the same return values, console bytes, instret and cycles. *)
+let abi_prog = {|
+.text
+_start:
+  li a0, 1
+  la a1, msg
+  li a2, 3
+  li a7, 64
+  ecall
+  li a0, 0
+  li a7, 214
+  ecall
+  li a0, 0
+  li a1, 4096
+  li a2, 3
+  li a3, 0
+  li a4, 0
+  li a7, 222
+  ecall
+  mv s0, a0
+  mv a0, s0
+  li a1, 4096
+  li a2, 1
+  li a3, 0
+  li a7, 226
+  ecall
+  li a7, 220
+  ecall
+  bnez a0, parent
+  li a0, 5
+  li a7, 93
+  ecall
+parent:
+  li a0, 0
+  li a7, 260
+  ecall
+  li a7, 1024
+  ecall
+  li a0, 7
+  li a7, 1025
+  ecall
+  li a7, 999
+  ecall
+  li a0, 0
+  li a7, 93
+  ecall
+.section .rodata
+msg:
+  .asciz "ok"
+|}
+
+let test_one_task_conformance () =
+  let trace exec =
+    let machine, kernel = fresh_kernel () in
+    let tracer = Roload_obs.Tracer.create () in
+    Machine.set_tracer machine (Some tracer);
+    let _p, o = exec kernel (build abi_prog) in
+    let rets = ref [] in
+    Roload_obs.Tracer.iter tracer (fun ~ts:_ ev ->
+        match ev with
+        | Roload_obs.Event.Syscall { name; ret; _ } -> rets := (name, ret) :: !rets
+        | _ -> ());
+    (List.rev !rets, Kernel.console kernel, o)
+  in
+  let rets, console, o = trace (fun k exe -> Kernel.exec k exe) in
+  let rets', console', o' = trace (fun k exe -> Kernel.exec_all k exe) in
+  let show l = String.concat "; " (List.map (fun (n, r) -> Printf.sprintf "%s=%d" n r) l) in
+  Alcotest.(check string) "same a0 sequence" (show rets) (show rets');
+  Alcotest.(check string) "same console" console console';
+  Alcotest.(check int64) "same instret" o.Kernel.instructions o'.Kernel.instructions;
+  Alcotest.(check int64) "same cycles" o.Kernel.cycles o'.Kernel.cycles;
+  Alcotest.(check bool) "root exits 0" true (status_is_exit 0 o);
+  let ret_of n = List.assoc n rets in
+  Alcotest.(check int) "write" 3 (ret_of "write");
+  Alcotest.(check int) "fork returns the child pid" 2 (ret_of "fork");
+  Alcotest.(check int) "wait reaps the child" 2 (ret_of "wait");
+  Alcotest.(check int) "read_request without a device" (-1) (ret_of "read_request");
+  Alcotest.(check int) "complete_request with nothing in flight" Syscall.einval
+    (ret_of "complete_request");
+  Alcotest.(check int) "unknown syscall" Syscall.enosys (ret_of "unknown(999)")
+
 let test_loader_applies_keys () =
   let src = {|
 .text
@@ -238,6 +325,8 @@ let suite =
     Alcotest.test_case "stock kernel ENOSYS on keys" `Quick test_stock_kernel_enosys;
     Alcotest.test_case "unknown syscall" `Quick test_unknown_syscall;
     Alcotest.test_case "instruction limit" `Quick test_instruction_limit;
+    Alcotest.test_case "exec is the one-task case of exec_all" `Quick
+      test_one_task_conformance;
     Alcotest.test_case "loader applies section keys" `Quick test_loader_applies_keys;
     Alcotest.test_case "attacker primitive bounds" `Quick test_attacker_primitive_bounds;
     Alcotest.test_case "memory accounting" `Quick test_memory_accounting;

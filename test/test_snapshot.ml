@@ -4,9 +4,13 @@
    The contract under test, on every scheme and every engine:
 
    - restore-exactness: run N instructions, snapshot, run to completion,
-     restore, run to completion again — the second run is byte-identical
-     (status, output, instret, cycles, and the {e full} metrics
-     snapshot, caches/TLBs/trace counters included);
+     restore, run to completion again — both runs match an uninterrupted
+     one, and the second is byte-identical to the first (status, output,
+     instret, cycles, and the {e full} metrics snapshot, caches/TLBs/
+     trace counters included), also when the program forks after the
+     snapshot;
+
+   - a kernel with a live task besides the root cannot be captured;
 
    - fork-isolation: forks of one snapshot are fully independent —
      running the parent or a sibling to completion never perturbs a
@@ -75,11 +79,19 @@ let arb_case =
 
 let check_restore_exact ~ctx (src, scheme, engine, pause) =
   let exe = compile ~scheme src in
+  let uninterrupted, console =
+    let _, kernel, process = boot ~engine exe in
+    let o = run_to budget kernel process in
+    (o, Kernel.console kernel)
+  in
   let machine, kernel, process = boot ~engine exe in
   ignore (run_to pause kernel process);
   let snap = Snapshot.capture ~machine ~kernel ~process in
   let final1 = run_to budget kernel process in
   let met1 = metrics ~machine ~kernel ~process in
+  Alcotest.(check string)
+    (ctx ^ ": paused run matches an uninterrupted one")
+    (outcome_str uninterrupted) (outcome_str final1);
   Snapshot.restore snap ~machine ~kernel ~process;
   let final2 = run_to budget kernel process in
   let met2 = metrics ~machine ~kernel ~process in
@@ -89,6 +101,8 @@ let check_restore_exact ~ctx (src, scheme, engine, pause) =
   Alcotest.(check string)
     (ctx ^ ": full metrics identical after restore")
     (Metrics.to_json met1) (Metrics.to_json met2);
+  Alcotest.(check string) (ctx ^ ": console replays after restore") console
+    (Kernel.console kernel);
   (final1, met1, snap)
 
 let check_fork_exact ~ctx snap (final1 : Kernel.run_outcome) (met1 : Metrics.t) =
@@ -119,19 +133,100 @@ let check_fork_isolation ~ctx snap =
     0
     (List.length (Phys_mem.diff_images (Snapshot.mem_image snap) untouched))
 
+let check_roundtrip ((_, scheme, engine, _) as case) =
+  let ctx = Printf.sprintf "%s/%s" (Pass.scheme_name scheme) (Machine.engine_name engine) in
+  Test_engine.with_hot_threshold 1 (fun () ->
+      let final1, met1, snap = check_restore_exact ~ctx case in
+      check_fork_exact ~ctx snap final1 met1;
+      check_fork_isolation ~ctx snap)
+
 let prop_snapshot_roundtrip =
   QCheck.Test.make ~count:12
     ~name:"snapshot/restore/fork: byte-identical replay on all schemes x engines"
     arb_case
-    (fun ((_, scheme, engine, _) as case) ->
-      let ctx =
-        Printf.sprintf "%s/%s" (Pass.scheme_name scheme) (Machine.engine_name engine)
-      in
-      Test_engine.with_hot_threshold 1 (fun () ->
-          let final1, met1, snap = check_restore_exact ~ctx case in
-          check_fork_exact ~ctx snap final1 met1;
-          check_fork_isolation ~ctx snap);
+    (fun case ->
+      check_roundtrip case;
       true)
+
+(* A one-task snapshot taken before the program forks: restore and fork
+   must drop the child created after the capture and replay the
+   fork/wait exactly.  After the fork the parent first touches pages it
+   never used before, so it must take TLB misses through its own page
+   table. *)
+let fork_src =
+  {|
+int fresh[4096];
+int main() {
+  int pid = fork();
+  if (pid == 0) { print_int(41); exit(3); }
+  int i = 0;
+  while (i < 4096) { fresh[i] = i; i = i + 512; }
+  int st = wait();
+  print_int(st + fresh[512]);
+  print_char('\n');
+  return 0;
+}
+|}
+
+let fork_exe () = compile ~scheme:Pass.Icall fork_src
+
+(* Step one instruction at a time from [from] until [cond] holds;
+   returns the instret reached. *)
+let step_until ~from kernel process cond =
+  let rec step n =
+    ignore (run_to n kernel process);
+    if cond () then n
+    else if Int64.compare n budget < 0 then step (Int64.succ n)
+    else Alcotest.fail "condition never reached"
+  in
+  step from
+
+let child_forked kernel () =
+  match Kernel.task_statuses kernel with [ _; (_, Process.Running) ] -> true | _ -> false
+
+(* The child has printed but not exited, so it holds the CPU. *)
+let child_on_cpu kernel () =
+  match Kernel.task_process kernel 2 with
+  | Some p -> Process.output p <> "" && Process.status p = Process.Running
+  | None -> false
+
+let boot_to_fork () =
+  let machine, kernel, process = boot (fork_exe ()) in
+  let forked_at = step_until ~from:1L kernel process (child_forked kernel) in
+  (machine, kernel, process, forked_at)
+
+let test_forking_roundtrip () =
+  let _, _, _, forked_at = boot_to_fork () in
+  (* the last pause at which the root is still the only task *)
+  let pause = Int64.pred forked_at in
+  List.iter (fun engine -> check_roundtrip (fork_src, Pass.Icall, engine, pause)) all_engines;
+  (* restoring while the child holds the CPU must reinstall the root's
+     address space and trace table *)
+  List.iter
+    (fun engine ->
+      Test_engine.with_hot_threshold 1 (fun () ->
+          let exe = fork_exe () in
+          let m0, k0, p0 = boot ~engine exe in
+          let uninterrupted = outcome_str (run_to budget k0 p0) in
+          let met0 = metrics ~machine:m0 ~kernel:k0 ~process:p0 in
+          let machine, kernel, process = boot ~engine exe in
+          ignore (run_to pause kernel process);
+          let snap = Snapshot.capture ~machine ~kernel ~process in
+          ignore (step_until ~from:pause kernel process (child_on_cpu kernel));
+          Snapshot.restore snap ~machine ~kernel ~process;
+          let ctx = Machine.engine_name engine ^ ": restored mid-child" in
+          Alcotest.(check string) (ctx ^ " replay") uninterrupted
+            (outcome_str (run_to budget kernel process));
+          Alcotest.(check bool) (ctx ^ " metrics architecturally identical") true
+            (Metrics.core_equal met0 (metrics ~machine ~kernel ~process))))
+    all_engines
+
+(* With the child alive the table holds two live tasks: refused. *)
+let test_two_live_tasks_rejected () =
+  let machine, kernel, process, _ = boot_to_fork () in
+  match Snapshot.capture ~machine ~kernel ~process with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "snapshot of a kernel with two live tasks must be refused"
 
 (* ---------- diff localization ---------- *)
 
@@ -200,4 +295,8 @@ let suite =
     Alcotest.test_case "diff localizes a planted bit flip" `Quick test_diff_localization;
     Alcotest.test_case "snapshot ladder: hop between frontiers" `Quick
       test_snapshot_ladder;
+    Alcotest.test_case "one-task snapshot replays a later fork" `Quick
+      test_forking_roundtrip;
+    Alcotest.test_case "two live tasks cannot be snapshot" `Quick
+      test_two_live_tasks_rejected;
   ]

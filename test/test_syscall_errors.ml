@@ -111,6 +111,54 @@ let test_write_efault_no_copy_charge () =
      the old kernel added len/16 = 65536 copy cycles on this path *)
   Alcotest.(check bool) "no copy cycles charged" true (o.Kernel.cycles < 50_000L)
 
+(* ---- write(): only fds 1 and 2 exist => EBADF before the buffer ----
+
+   mmap one page, then issue syscall [nr] as write(fd, page, 4096) and
+   exit with its return value.  The old kernel ignored the fd: fd 3
+   copied the page to the console and charged 4096/16 copy cycles.  The
+   fixed kernel checks the fd first, so a bad-fd write costs exactly
+   what an unknown syscall with the same arguments costs. *)
+let write_fd_prog ~nr ~fd =
+  Printf.sprintf
+    {|
+.text
+_start:
+  li a0, 0
+  li a1, 4096
+  li a2, 3
+  li a3, 0
+  li a4, 0
+  li a7, 222
+  ecall
+  mv a1, a0
+  li a0, %d
+  li a2, 4096
+  li a7, %d
+  ecall
+  li a7, 93
+  ecall
+|}
+    fd nr
+
+let test_write_ebadf () =
+  let bad fd =
+    let p, o = exec (write_fd_prog ~nr:Syscall.sys_write ~fd) in
+    Alcotest.(check bool)
+      (Printf.sprintf "write(%d) returns EBADF" fd)
+      true
+      (status_is_exit Syscall.ebadf o);
+    Alcotest.(check string) (Printf.sprintf "fd %d: nothing reached the console" fd) ""
+      (Process.output p);
+    o
+  in
+  ignore (bad 0);
+  let o = bad 3 in
+  let _, unknown = exec (write_fd_prog ~nr:999 ~fd:3) in
+  Alcotest.(check int64) "no copy cycles charged" unknown.Kernel.cycles o.Kernel.cycles;
+  let p, o = exec (write_fd_prog ~nr:Syscall.sys_write ~fd:2) in
+  Alcotest.(check bool) "write(2) still writes" true (status_is_exit 4096 o);
+  Alcotest.(check int) "fd 2 reaches the console" 4096 (String.length (Process.output p))
+
 (* ---- mprotect(): range ending in an unmapped page is all-or-nothing ----
 
    mmap one writable key-0 page, then mprotect() a two-page range (the
@@ -305,6 +353,8 @@ let suite =
       test_write_efault;
     Alcotest.test_case "write: EFAULT path charges no copy cycles" `Quick
       test_write_efault_no_copy_charge;
+    Alcotest.test_case "write: fd other than 1/2 => EBADF, nothing copied" `Quick
+      test_write_ebadf;
     Alcotest.test_case "mprotect: invalid range leaves PTEs untouched" `Quick
       test_mprotect_all_or_nothing;
     Alcotest.test_case "mmap: region capped below the stack guard" `Quick
