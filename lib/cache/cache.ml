@@ -27,6 +27,7 @@ type t = {
   index_bits : int;
   offset_bits : int;
   mutable clock : int;
+  mutable last_way : int; (* way of the line the last access left holding its address *)
   stats : stats;
   name : string;
   (* Optional tracing tap, fired once per access with the outcome.  A
@@ -60,6 +61,7 @@ let create ~name config =
     index_bits = Roload_util.Bits.log2_exact num_sets;
     offset_bits = Roload_util.Bits.log2_exact line_bytes;
     clock = 0;
+    last_way = 0;
     stats = { hits = 0; misses = 0; writebacks = 0; dropped_writebacks = 0 };
     name;
     observer = None;
@@ -79,35 +81,50 @@ let notify t ~addr ~write ~hit ~writeback =
 
 type outcome = Hit | Miss of { writeback : bool }
 
+(* The outcomes are shared constants, so an access never allocates. *)
+let miss_clean = Miss { writeback = false }
+let miss_dirty = Miss { writeback = true }
+
+(* Victim: the first invalid way, else the least recently used one (the
+   first on a tie). *)
+let rec victim_way set i best =
+  if i >= Array.length set then best
+  else
+    let l = Array.unsafe_get set i in
+    if not l.valid then i
+    else
+      victim_way set (i + 1)
+        (if l.last_use < (Array.unsafe_get set best).last_use then i else best)
+
+(* One access; [t.last_way] is left naming the way of the line that now
+   holds [addr], for [access_into]. *)
 let access t ~addr ~write =
   t.clock <- t.clock + 1;
   let line_addr = addr lsr t.offset_bits in
   let index = line_addr land (t.num_sets - 1) in
   let tag = line_addr lsr t.index_bits in
   let set = t.sets.(index) in
-  let ways = Array.length set in
-  let rec find i = if i >= ways then None else if set.(i).valid && set.(i).tag = tag then Some set.(i) else find (i + 1) in
-  match find 0 with
-  | Some line ->
+  let way = ref (-1) and i = ref 0 in
+  while !way < 0 && !i < Array.length set do
+    let l = Array.unsafe_get set !i in
+    if l.valid && l.tag = tag then way := !i;
+    incr i
+  done;
+  let way = !way in
+  if way >= 0 then begin
+    let line = Array.unsafe_get set way in
+    t.last_way <- way;
     line.last_use <- t.clock;
     if write then line.dirty <- true;
     t.stats.hits <- t.stats.hits + 1;
     notify t ~addr ~write ~hit:true ~writeback:false;
     Hit
-  | None ->
+  end
+  else begin
     t.stats.misses <- t.stats.misses + 1;
-    (* choose victim: first invalid way, else LRU *)
-    let victim = ref set.(0) in
-    (try
-       for i = 0 to ways - 1 do
-         if not set.(i).valid then begin
-           victim := set.(i);
-           raise Exit
-         end;
-         if set.(i).last_use < !victim.last_use then victim := set.(i)
-       done
-     with Exit -> ());
-    let v = !victim in
+    let way = victim_way set 0 0 in
+    let v = Array.unsafe_get set way in
+    t.last_way <- way;
     let writeback =
       v.valid && v.dirty
       &&
@@ -128,37 +145,38 @@ let access t ~addr ~write =
     v.dirty <- write;
     v.last_use <- t.clock;
     notify t ~addr ~write ~hit:false ~writeback;
-    Miss { writeback }
+    if writeback then miss_dirty else miss_clean
+  end
 
-(* Handle-based variants for the fetch fast path.  A handle names the line
-   that serviced an access; [rehit] replays a read hit on it with the exact
+(* Handles for the fetch fast paths.  A handle names the line that
+   serviced an access; [rehit] replays a read hit on it with the exact
    accounting [access] would have performed (clock tick, recency, hit
-   counter) provided the line still holds the same tag.  Otherwise it does
-   no accounting and the caller falls back to [access], so observable cache
-   state is identical to always calling [access]. *)
+   counter) provided the line still holds the same tag.  Otherwise it
+   does no accounting and the caller falls back to [access], so
+   observable cache state is identical to always calling [access].  A
+   handle is a reusable mutable cell that [access_into] re-points, so the
+   fetch path allocates nothing; a fresh one names no line. *)
 
-type handle = { h_line : line; h_tag : int; h_addr : int }
+type handle = { mutable h_line : line; mutable h_tag : int; mutable h_addr : int }
 
-let access_handle t ~addr ~write =
-  let line_addr = addr lsr t.offset_bits in
-  let index = line_addr land (t.num_sets - 1) in
-  let tag = line_addr lsr t.index_bits in
+let no_line = { tag = -1; valid = false; dirty = false; last_use = 0 }
+let handle () = { h_line = no_line; h_tag = -1; h_addr = 0 }
+
+let access_into t ~addr ~write h =
   let outcome = access t ~addr ~write in
-  let set = t.sets.(index) in
-  let ways = Array.length set in
-  let rec find i =
-    if i >= ways then assert false
-    else if set.(i).valid && set.(i).tag = tag then set.(i)
-    else find (i + 1)
-  in
-  (outcome, { h_line = find 0; h_tag = tag; h_addr = addr })
+  let line_addr = addr lsr t.offset_bits in
+  h.h_line <- Array.unsafe_get t.sets.(line_addr land (t.num_sets - 1)) t.last_way;
+  h.h_tag <- line_addr lsr t.index_bits;
+  h.h_addr <- addr;
+  outcome
 
-let rehit t { h_line; h_tag; h_addr } =
-  if h_line.valid && h_line.tag = h_tag then begin
+let rehit t h =
+  let line = h.h_line in
+  if line.valid && line.tag = h.h_tag then begin
     t.clock <- t.clock + 1;
-    h_line.last_use <- t.clock;
+    line.last_use <- t.clock;
     t.stats.hits <- t.stats.hits + 1;
-    notify t ~addr:h_addr ~write:false ~hit:true ~writeback:false;
+    notify t ~addr:h.h_addr ~write:false ~hit:true ~writeback:false;
     true
   end
   else false
@@ -168,17 +186,18 @@ let rehit t { h_line; h_tag; h_addr } =
    final clock value, and [n] hits are counted — exactly the state [n]
    sequential [rehit]s leave behind.  The observer still fires once per
    accounted access. *)
-let rehit_many t { h_line; h_tag; h_addr } ~n =
+let rehit_many t h ~n =
+  let line = h.h_line in
   if n <= 0 then true
-  else if h_line.valid && h_line.tag = h_tag then begin
+  else if line.valid && line.tag = h.h_tag then begin
     t.clock <- t.clock + n;
-    h_line.last_use <- t.clock;
+    line.last_use <- t.clock;
     t.stats.hits <- t.stats.hits + n;
     (match t.observer with
     | None -> ()
     | Some f ->
       for _ = 1 to n do
-        f ~addr:h_addr ~write:false ~hit:true ~writeback:false
+        f ~addr:h.h_addr ~write:false ~hit:true ~writeback:false
       done);
     true
   end

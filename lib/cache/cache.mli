@@ -38,13 +38,18 @@ val set_writeback_interceptor : t -> (addr:int -> bool) option -> unit
 type outcome = Hit | Miss of { writeback : bool }
 
 val access : t -> addr:int -> write:bool -> outcome
+(** One access.  Never allocates (the outcomes are shared constants). *)
 
 type handle
-(** Names the line that serviced an access, for the fetch fast path. *)
+(** A reusable cell naming the line that serviced an access, for the
+    fetch fast paths. *)
 
-val access_handle : t -> addr:int -> write:bool -> outcome * handle
-(** Exactly [access], additionally returning the handle of the line that now
-    holds the address. *)
+val handle : unit -> handle
+(** A fresh handle naming no line ({!rehit} refuses it). *)
+
+val access_into : t -> addr:int -> write:bool -> handle -> outcome
+(** Exactly [access], additionally pointing the handle at the line that
+    now holds the address. *)
 
 val rehit : t -> handle -> bool
 (** Replay a read hit on the handled line with the exact accounting [access]

@@ -38,12 +38,11 @@ let cost_of t outcome ~hit_cost =
 (* Instruction fetch: hits are pipelined (no extra cost). *)
 let access_ifetch t ~pa = cost_of t (Cache.access t.icache ~addr:pa ~write:false) ~hit_cost:0
 
-(* Fetch fast path: [access_ifetch_handle] additionally returns the handle of
-   the I-cache line now holding [pa]; [rehit_ifetch] replays a same-line hit
-   (0 cycles, exact hit accounting) or reports [false] with no accounting. *)
-let access_ifetch_handle t ~pa =
-  let outcome, h = Cache.access_handle t.icache ~addr:pa ~write:false in
-  (cost_of t outcome ~hit_cost:0, h)
+(* Fetch fast path: [ifetch_into] additionally points [h] at the I-cache
+   line now holding [pa]; [rehit_ifetch] replays a same-line hit (0
+   cycles, exact hit accounting) or reports [false] with no accounting. *)
+let ifetch_into t ~pa h =
+  cost_of t (Cache.access_into t.icache ~addr:pa ~write:false h) ~hit_cost:0
 
 let rehit_ifetch t h = Cache.rehit t.icache h
 let rehit_ifetch_many t h ~n = Cache.rehit_many t.icache h ~n

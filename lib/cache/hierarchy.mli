@@ -22,8 +22,8 @@ val dcache : t -> Cache.t
 val access_ifetch : t -> pa:int -> int
 (** Cycle cost of fetching at physical address [pa] (0 on a hit). *)
 
-val access_ifetch_handle : t -> pa:int -> int * Cache.handle
-(** [access_ifetch] additionally returning the handle of the I-cache line
+val ifetch_into : t -> pa:int -> Cache.handle -> int
+(** [access_ifetch] additionally pointing the handle at the I-cache line
     now holding [pa], for the same-line fetch fast path. *)
 
 val rehit_ifetch : t -> Cache.handle -> bool

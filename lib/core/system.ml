@@ -86,8 +86,8 @@ let snapshot_metrics ~machine ~kernel ~mmu =
   let cpu = Machine.cpu machine in
   {
     Roload_obs.Metrics.engine = Machine.engine_name (Machine.engine machine);
-    instructions = Roload_machine.Cpu.instret cpu;
-    cycles = Roload_machine.Cpu.cycles cpu;
+    instructions = Int64.of_int (Roload_machine.Cpu.instret cpu);
+    cycles = Int64.of_int (Roload_machine.Cpu.cycles cpu);
     loads = counts.Machine.loads;
     stores = counts.Machine.stores;
     roloads = counts.Machine.roloads;

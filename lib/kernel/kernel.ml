@@ -68,7 +68,7 @@ type task_state =
    applied to a dead incarnation's PTEs/TLB/globals dies with it. *)
 type birth = {
   b_proc : Process.t;
-  b_regs : int64 array;
+  b_regs : Bytes.t; (* saved register file (Cpu layout) *)
   b_pc : int;
 }
 
@@ -76,7 +76,7 @@ type task = {
   pid : int;
   parent : int; (* 0 for the root task, which has no parent *)
   mutable proc : Process.t; (* replaced wholesale on reincarnation *)
-  t_regs : int64 array; (* saved register file (32 slots) *)
+  t_regs : Bytes.t; (* saved register file (Cpu layout) *)
   mutable t_pc : int;
   mutable t_state : task_state;
   mutable t_inflight : int; (* request id being served; -1 when none *)
@@ -180,6 +180,7 @@ let emit t ev =
   | Some tr -> Roload_obs.Tracer.emit tr ev
 
 let charge t cycles = Cpu.add_cycles (Machine.cpu t.machine) cycles
+let cycles_now t = Int64.of_int (Cpu.cycles (Machine.cpu t.machine))
 
 let alloc_frame t =
   let mem = Machine.mem t.machine in
@@ -250,7 +251,7 @@ let new_task t ~pid ~parent proc ~regs ~pc =
       pid;
       parent;
       proc;
-      t_regs = Array.copy regs;
+      t_regs = Bytes.copy regs;
       t_pc = pc;
       t_state = Task_ready;
       t_inflight = -1;
@@ -309,7 +310,7 @@ type image = {
   ik_console : string;
 }
 
-let copy_task tk = { tk with t_regs = Array.copy tk.t_regs }
+let copy_task tk = { tk with t_regs = Bytes.copy tk.t_regs }
 
 let snapshot t =
   let root =
@@ -578,8 +579,8 @@ let outcome_of t process =
   let cpu = Machine.cpu t.machine in
   {
     status = Process.status process;
-    instructions = Cpu.instret cpu;
-    cycles = Cpu.cycles cpu;
+    instructions = Int64.of_int (Cpu.instret cpu);
+    cycles = Int64.of_int (Cpu.cycles cpu);
     peak_kib = Process.peak_kib process;
     output = Process.output process;
   }
@@ -706,10 +707,10 @@ let context_switch t tk =
     let cpu = Machine.cpu t.machine in
     (match prev with
     | Some cur ->
-      Array.blit (Cpu.regs cpu) 0 cur.t_regs 0 32;
+      Cpu.save_regs cpu cur.t_regs;
       cur.t_pc <- Cpu.pc cpu
     | None -> ());
-    Array.blit tk.t_regs 0 (Cpu.regs cpu) 0 32;
+    Cpu.load_regs cpu tk.t_regs;
     Cpu.set_pc cpu tk.t_pc;
     Machine.switch_context t.machine ~asid:tk.t_asid ~mmu:(Process.mmu tk.proc);
     t.scheduled <- Some tk;
@@ -739,7 +740,7 @@ let ack_request t tk ~result =
     let first = t.req_completions.(id) = 0 in
     t.req_completions.(id) <- t.req_completions.(id) + 1;
     if first then begin
-      let latency = Int64.sub (Cpu.cycles (Machine.cpu t.machine)) tk.t_req_start in
+      let latency = Int64.sub (cycles_now t) tk.t_req_start in
       t.req_latencies.(id) <- latency;
       t.req_done <- t.req_done + 1;
       emit t
@@ -798,7 +799,7 @@ let reincarnate t tk b =
   tk.t_restarts <- tk.t_restarts + 1;
   t.restart_count <- t.restart_count + 1;
   tk.proc <- clone_process t b.b_proc;
-  Array.blit b.b_regs 0 tk.t_regs 0 32;
+  Bytes.blit b.b_regs 0 tk.t_regs 0 Cpu.regs_bytes;
   tk.t_pc <- b.b_pc;
   tk.t_state <- Task_ready;
   tk.t_inflight <- -1;
@@ -846,7 +847,7 @@ let reap_external t =
 let check_deadlines t =
   match t.supervision with
   | Some { deadline_cycles; _ } when deadline_cycles > 0L ->
-    let now = Cpu.cycles (Machine.cpu t.machine) in
+    let now = cycles_now t in
     List.iter
       (fun tk ->
         match tk.t_state with
@@ -912,7 +913,7 @@ let handle_syscall t tk =
     let child =
       new_task t ~pid ~parent:tk.pid child_proc ~regs:(Cpu.regs cpu) ~pc:(Cpu.pc cpu + 4)
     in
-    child.t_regs.(Reg.to_int Reg.a0) <- 0L;
+    Cpu.set_saved child.t_regs Reg.a0 0L;
     (* under supervision, capture the child's birth certificate: a second
        pristine clone of the parent's address space plus the birth
        registers, so a crashed incarnation can be restarted from exactly
@@ -920,7 +921,7 @@ let handle_syscall t tk =
     (match t.supervision with
     | Some _ ->
       child.t_birth <-
-        Some { b_proc = clone_process t tk.proc; b_regs = Array.copy child.t_regs;
+        Some { b_proc = clone_process t tk.proc; b_regs = Bytes.copy child.t_regs;
                b_pc = child.t_pc }
     | None -> ());
     keep pid
@@ -993,7 +994,7 @@ let handle_syscall t tk =
           t.handouts_total <- t.handouts_total + 1;
           tk.t_inflight <- id;
           t.inflight_count <- t.inflight_count + 1;
-          tk.t_req_start <- Cpu.cycles cpu;
+          tk.t_req_start <- cycles_now t;
           (* modeled shard contention: hand-out serializes against every
              other live worker assigned to the same shard *)
           let waiters =
@@ -1052,6 +1053,7 @@ let handle_syscall t tk =
    paused; [stop_at_pc] pauses it when that pc is reached. *)
 let run_tasks ~limit ?stop_at_pc ~quantum t =
   let cpu = Machine.cpu t.machine in
+  let instret () = Int64.of_int (Cpu.instret cpu) in
   let cursor = ref (match t.scheduled with Some tk -> tk.pid - 1 | None -> 0) in
   (* next ready task after the cursor pid, wrapping: t.tasks is
      pid-ascending, so the first match is the round-robin choice *)
@@ -1062,10 +1064,10 @@ let run_tasks ~limit ?stop_at_pc ~quantum t =
     | None -> ( match ready with tk :: _ -> Some tk | [] -> None)
   in
   let rec loop tk quantum_end =
-    let remaining = Int64.sub limit.max_instructions (Cpu.instret cpu) in
+    let remaining = Int64.sub limit.max_instructions (instret ()) in
     if Int64.compare remaining 0L <= 0 then () (* out of global budget *)
     else begin
-      let slice = Int64.sub quantum_end (Cpu.instret cpu) in
+      let slice = Int64.sub quantum_end (instret ()) in
       if Int64.compare slice 0L <= 0 then begin
         cursor := tk.pid;
         next ()
@@ -1111,7 +1113,7 @@ let run_tasks ~limit ?stop_at_pc ~quantum t =
       loop tk
         (match quantum with
         | None -> Int64.max_int
-        | Some n -> Int64.add (Cpu.instret cpu) (Int64.of_int n))
+        | Some n -> Int64.add (instret ()) (Int64.of_int n))
   in
   next ()
 

@@ -77,55 +77,6 @@ let mulop (o : Roload_isa.Inst.mul_op) a b =
   | Rem -> rem_signed a b
   | Remu -> rem_unsigned a b
 
-(* Per-op function selectors for the trace-compiled engine: resolve the
-   operator variant once at trace-compile time so the lowered closure
-   applies a direct [int64 -> int64 -> int64] with no dispatch.  Each
-   returned function computes exactly what the matching [op]/[op_w]/
-   [mulop]/[mulop_w] case computes. *)
-
-let sll a b = Int64.shift_left a (shamt6 b)
-let slt a b = bool64 (Int64.compare a b < 0)
-let sltu a b = bool64 (Roload_util.Bits.ult a b)
-let srl a b = Int64.shift_right_logical a (shamt6 b)
-let sra a b = Int64.shift_right a (shamt6 b)
-
-let op_fn (o : Roload_isa.Inst.alu_op) : int64 -> int64 -> int64 =
-  match o with
-  | Add -> Int64.add
-  | Sub -> Int64.sub
-  | Sll -> sll
-  | Slt -> slt
-  | Sltu -> sltu
-  | Xor -> Int64.logxor
-  | Srl -> srl
-  | Sra -> sra
-  | Or -> Int64.logor
-  | And -> Int64.logand
-
-let addw a b = sext32 (Int64.add a b)
-let subw a b = sext32 (Int64.sub a b)
-let sllw a b = sext32 (Int64.shift_left a (shamt5 b))
-
-let srlw a b =
-  let a32 = Int64.logand a 0xFFFFFFFFL in
-  sext32 (Int64.shift_right_logical a32 (shamt5 b))
-
-let sraw a b = sext32 (Int64.shift_right (sext32 a) (shamt5 b))
-
-let op_w_fn (o : Roload_isa.Inst.alu_w_op) : int64 -> int64 -> int64 =
-  match o with Addw -> addw | Subw -> subw | Sllw -> sllw | Srlw -> srlw | Sraw -> sraw
-
-let mulop_fn (o : Roload_isa.Inst.mul_op) : int64 -> int64 -> int64 =
-  match o with
-  | Mul -> Int64.mul
-  | Mulh -> mulh
-  | Mulhsu -> mulhsu
-  | Mulhu -> mulhu
-  | Div -> div_signed
-  | Divu -> div_unsigned
-  | Rem -> rem_signed
-  | Remu -> rem_unsigned
-
 let mulop_w (o : Roload_isa.Inst.mul_w_op) a b =
   let a32 = sext32 a and b32 = sext32 b in
   match o with
@@ -144,26 +95,3 @@ let mulop_w (o : Roload_isa.Inst.mul_w_op) a b =
   | Remuw ->
     let au = Int64.logand a 0xFFFFFFFFL and bu = Int64.logand b 0xFFFFFFFFL in
     if bu = 0L then sext32 au else sext32 (Int64.rem au bu)
-
-let mulop_w_fn (o : Roload_isa.Inst.mul_w_op) : int64 -> int64 -> int64 =
-  match o with
-  | Mulw -> fun a b -> mulop_w Roload_isa.Inst.Mulw a b
-  | Divw -> fun a b -> mulop_w Roload_isa.Inst.Divw a b
-  | Divuw -> fun a b -> mulop_w Roload_isa.Inst.Divuw a b
-  | Remw -> fun a b -> mulop_w Roload_isa.Inst.Remw a b
-  | Remuw -> fun a b -> mulop_w Roload_isa.Inst.Remuw a b
-
-(* Branch comparison selector, same idea: the condition resolved once. *)
-let beq a b = Int64.equal a b
-let bne a b = not (Int64.equal a b)
-let blt a b = Int64.compare a b < 0
-let bge a b = Int64.compare a b >= 0
-
-let branch_fn (c : Roload_isa.Inst.branch_cond) : int64 -> int64 -> bool =
-  match c with
-  | Beq -> beq
-  | Bne -> bne
-  | Blt -> blt
-  | Bge -> bge
-  | Bltu -> Roload_util.Bits.ult
-  | Bgeu -> Roload_util.Bits.uge

@@ -9,16 +9,3 @@ val mulop_w : Roload_isa.Inst.mul_w_op -> int64 -> int64 -> int64
 val mulhu : int64 -> int64 -> int64
 val mulh : int64 -> int64 -> int64
 val mulhsu : int64 -> int64 -> int64
-
-(** Per-op function selectors for the trace-compiled engine: resolve the
-    operator variant once at trace-compile time so lowered closures apply
-    a direct function with no dispatch.  [op_fn o a b = op o a b], and
-    likewise for the other families. *)
-
-val op_fn : Roload_isa.Inst.alu_op -> int64 -> int64 -> int64
-val op_w_fn : Roload_isa.Inst.alu_w_op -> int64 -> int64 -> int64
-val mulop_fn : Roload_isa.Inst.mul_op -> int64 -> int64 -> int64
-val mulop_w_fn : Roload_isa.Inst.mul_w_op -> int64 -> int64 -> int64
-
-val branch_fn : Roload_isa.Inst.branch_cond -> int64 -> int64 -> bool
-(** The branch condition as a direct comparison function. *)

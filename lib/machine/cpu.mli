@@ -8,15 +8,30 @@ val create : unit -> t
 val get : t -> Roload_isa.Reg.t -> int64
 val set : t -> Roload_isa.Reg.t -> int64 -> unit
 
-val regs : t -> int64 array
-(** Direct access to the 32-slot register file, for the trace-compiled
-    engine's specialized closures.  Index 0 is x0 and must stay [0L]:
-    readers may load it freely, writers must skip index 0. *)
+val regs : t -> Bytes.t
+(** The live register file, [regs_bytes] long: register [i] is stored
+    little-endian at byte [8 * i].  The trace-compiled engine reads and
+    writes it with the stdlib [Bytes] int64 primitives, which never box.
+    Bytes 0..7 are x0 and must stay zero: readers may load them freely,
+    writers must skip register 0.  The identity never changes. *)
+
+val regs_bytes : int
+(** Size of a register file in bytes (32 registers × 8). *)
+
+val save_regs : t -> Bytes.t -> unit
+(** Copy the live register file into a saved one (a task's context). *)
+
+val load_regs : t -> Bytes.t -> unit
+(** Copy a saved register file into the live one, in place. *)
+
+val set_saved : Bytes.t -> Roload_isa.Reg.t -> int64 -> unit
+(** Write one register of a saved register file; x0 writes are
+    ignored. *)
 
 val pc : t -> int
 val set_pc : t -> int -> unit
-val instret : t -> int64
-val cycles : t -> int64
+val instret : t -> int
+val cycles : t -> int
 val add_cycles : t -> int -> unit
 val retire : t -> unit
 
@@ -32,5 +47,5 @@ type image
 val snapshot : t -> image
 
 val restore : t -> image -> unit
-(** Blits into the existing register array (identity preserved — trace
+(** Blits into the existing register file (identity preserved — trace
     closures capture it) and resets pc/instret/cycles to the image. *)

@@ -40,7 +40,18 @@
 
    Traces only run when no instruction-trace hook and no obs tracer are
    attached (the dispatch loop guarantees this), so the lowered slots
-   omit the per-retire tracer checks the reference engine performs. *)
+   omit the per-retire tracer checks the reference engine performs.
+
+   The lowered code allocates nothing on its hot path.  Registers live in
+   the CPU's [Bytes] register file and are moved with the stdlib [Bytes]
+   int64 primitives; the ALU, branch and load/store value code below is
+   [@inline] so every [int64] stays unboxed inside one closure.  Library
+   modules are compiled [-opaque] (nothing inlines across them), so the
+   only values that cross a module boundary on the hot path are [int]s:
+   [Mmu.translate_pa] returns the physical address, loads and stores read
+   the page [Bytes] that [Phys_mem.page] hands back, and the cache and TLB
+   entry points return [int]/[bool].  The [Alu] module stays the
+   reference semantics for the interpreting engines. *)
 
 module Perm = Roload_mem.Perm
 module Mmu = Roload_mem.Mmu
@@ -74,12 +85,13 @@ type texit =
 
 (* Per-trace scratch: cycle/retire accumulators, the remaining fuel as
    of the last flush (the loop-back and chain guards compare against
-   it), and the I-cache line handle threaded between fetch batches. *)
+   it), and the I-cache line handle threaded between fetch batches (a
+   segment's first fetch always re-points it, so it needs no reset). *)
 type scratch = {
   mutable k_cycles : int;
   mutable k_retired : int;
   mutable k_fuel : int;
-  mutable k_line : Cache.handle option;
+  k_line : Cache.handle;
 }
 
 type compiled = {
@@ -97,7 +109,7 @@ type compiled = {
    immediate fields, not a nested record. *)
 type env = {
   cpu : Cpu.t;
-  regs : int64 array; (* Cpu.regs cpu; index 0 is x0 and stays 0 *)
+  regs : Bytes.t; (* Cpu.regs cpu; bytes 0..7 are x0 and stay 0 *)
   mem : Phys_mem.t;
   hier : Hierarchy.t;
   mmu : Mmu.t;
@@ -115,10 +127,6 @@ type env = {
   flush_code : unit -> unit;
   find_trace : int -> compiled option;
       (* live view of the machine's trace table, keyed by entry PA *)
-  code_gen : unit -> int;
-      (* the machine's code-cache generation; chain-site memos carry the
-         generation they were filled under and refuse to hit after any
-         code flush (self-modifying code) *)
 }
 
 let flush env st =
@@ -147,67 +155,21 @@ let side_exit env st ~pc =
    there without translating again.  Every chained hop retires at least
    one instruction (the first chunk's statics are charged before any
    exit can chain), so fuel strictly decreases and chains terminate. *)
-(* Per-chain-site translation memo: the last exit target this lowering
-   site resolved, its I-TLB handle, and the code-cache generation the
-   memo was filled under.  The MMU's own same-page memo flips between
-   two pages on call/return alternation (the caller's and the callee's),
-   so chained hops were paying the associative TLB scan on every hop;
-   a per-site memo holds each site's page across that alternation.
-
-   Purely an accounting-neutral shortcut: a hit replays the TLB hit via
-   [Mmu.rehit_fetch] (exact [lookup] accounting, permission check re-run,
-   pa recomputed from the PTE the entry holds now), a generation change
-   or stale handle falls back to the full [Mmu.translate] with nothing
-   accounted.  What is simulated never depends on the memo. *)
-type chain_memo = {
-  mutable m_va : int;
-  mutable m_handle : Tlb.handle option;
-  mutable m_gen : int;
-}
-
-let fresh_memo () = { m_va = -1; m_handle = None; m_gen = -1 }
-
-let chain_exit env st memo ~pc =
+let chain_exit env st ~pc =
   flush env st;
   Cpu.set_pc env.cpu pc;
   if st.k_fuel <= 0 || pc land 1 <> 0 then T_redispatch
   else begin
-    let vpn = pc lsr Page_table.page_shift in
-    let gen = env.code_gen () in
-    let fast =
-      if memo.m_va = pc && memo.m_gen = gen then
-        match memo.m_handle with
-        | Some h -> Mmu.rehit_fetch env.mmu ~vpn ~handle:h pc
-        | None -> None
-      else None
-    in
-    let trans =
-      match fast with
-      | Some r -> r
-      | None -> (
-        match Mmu.translate env.mmu ~access:Perm.Fetch pc with
-        | Error f -> Error f
-        | Ok t -> Ok t)
-    in
-    match trans with
-    | Error f -> T_trap (Trap.of_mmu_fault ~pc f)
-    | Ok { pa; walk_steps; _ } -> (
-      Cpu.add_cycles env.cpu (walk_steps * env.c_ptw);
-      let h_opt =
-        match fast with Some _ -> memo.m_handle | None -> Tlb.peek env.itlb ~vpn
-      in
-      memo.m_va <- pc;
-      memo.m_handle <- h_opt;
-      memo.m_gen <- gen;
+    let pa = Mmu.translate_pa env.mmu ~access:Perm.Fetch pc in
+    if pa < 0 then T_trap (Trap.of_mmu_fault ~pc (Mmu.last_fault env.mmu))
+    else begin
+      Cpu.add_cycles env.cpu (Mmu.walk_steps env.mmu * env.c_ptw);
       match env.find_trace pa with
-      | Some c when c.c_entry_va = pc && c.c_max_retire <= st.k_fuel -> (
-        match h_opt with
-        | Some h -> c.c_run ~fuel:st.k_fuel h
-        | None -> T_enter_block { eb_pc = pc; eb_pa = pa })
-      | _ -> T_enter_block { eb_pc = pc; eb_pa = pa })
+      | Some c when c.c_entry_va = pc && c.c_max_retire <= st.k_fuel ->
+        c.c_run ~fuel:st.k_fuel (Mmu.fetch_handle env.mmu pc)
+      | _ -> T_enter_block { eb_pc = pc; eb_pa = pa }
+    end
   end
-
-let to_addr = Int64.to_int
 
 (* A block is compilable when every slot can be lowered: no ecall/ebreak
    (the kernel decides the resumption pc), and no ld.ro on a baseline
@@ -224,28 +186,87 @@ let compilable ~roload_enabled b =
   done;
   !ok
 
-(* Width/signedness-specialized physical accessors, resolved at compile
-   time — the lowered memory ops apply a direct function. *)
-let read_fn mem (width : Inst.width) ~unsigned =
-  match (width, unsigned) with
-  | Inst.Byte, true -> fun pa -> Int64.of_int (Phys_mem.read_u8 mem pa)
-  | Inst.Byte, false ->
-    fun pa -> Roload_util.Bits.sign_extend (Int64.of_int (Phys_mem.read_u8 mem pa)) ~width:8
-  | Inst.Half, true -> fun pa -> Int64.of_int (Phys_mem.read_u16 mem pa)
-  | Inst.Half, false ->
-    fun pa -> Roload_util.Bits.sign_extend (Int64.of_int (Phys_mem.read_u16 mem pa)) ~width:16
-  | Inst.Word, true -> fun pa -> Int64.of_int (Phys_mem.read_u32 mem pa)
-  | Inst.Word, false ->
-    fun pa -> Roload_util.Bits.sign_extend (Int64.of_int (Phys_mem.read_u32 mem pa)) ~width:32
-  | Inst.Double, _ -> fun pa -> Phys_mem.read_u64 mem pa
+(* ---- unboxed value code ----
+   The [@inline] helpers below are expanded inside each lowered closure,
+   so the [int64]s they compute go straight from one [Bytes] primitive to
+   the next and are never boxed.  Register [r] lives at byte [8 * r]. *)
 
-let write_fn mem (width : Inst.width) =
+let page_mask = Phys_mem.page_bytes - 1
+let[@inline] get regs o = Bytes.get_int64_le regs o
+let[@inline] set regs o v = Bytes.set_int64_le regs o v
+let[@inline] sext32 v = Int64.of_int32 (Int64.to_int32 v)
+let[@inline] ult (a : int64) b = Int64.add a Int64.min_int < Int64.add b Int64.min_int
+let[@inline] bool64 b = if b then 1L else 0L
+
+let[@inline] alu (op : Inst.alu_op) (a : int64) b =
+  match op with
+  | Inst.Add -> Int64.add a b
+  | Inst.Sub -> Int64.sub a b
+  | Inst.Sll -> Int64.shift_left a (Int64.to_int b land 63)
+  | Inst.Slt -> bool64 (a < b)
+  | Inst.Sltu -> bool64 (ult a b)
+  | Inst.Xor -> Int64.logxor a b
+  | Inst.Srl -> Int64.shift_right_logical a (Int64.to_int b land 63)
+  | Inst.Sra -> Int64.shift_right a (Int64.to_int b land 63)
+  | Inst.Or -> Int64.logor a b
+  | Inst.And -> Int64.logand a b
+
+let[@inline] alu_w (op : Inst.alu_w_op) a b =
+  match op with
+  | Inst.Addw -> sext32 (Int64.add a b)
+  | Inst.Subw -> sext32 (Int64.sub a b)
+  | Inst.Sllw -> sext32 (Int64.shift_left a (Int64.to_int b land 31))
+  | Inst.Srlw ->
+    sext32 (Int64.shift_right_logical (Int64.logand a 0xFFFFFFFFL) (Int64.to_int b land 31))
+  | Inst.Sraw -> sext32 (Int64.shift_right (sext32 a) (Int64.to_int b land 31))
+
+let[@inline] holds (c : Inst.branch_cond) (a : int64) b =
+  match c with
+  | Inst.Beq -> a = b
+  | Inst.Bne -> a <> b
+  | Inst.Blt -> a < b
+  | Inst.Bge -> a >= b
+  | Inst.Bltu -> ult a b
+  | Inst.Bgeu -> not (ult a b)
+
+(* [pg]/[off] as handed out by [Phys_mem.page]; aligned, so in bounds. *)
+let[@inline] load_value (width : Inst.width) ~unsigned pg off =
   match width with
-  | Inst.Byte -> fun pa v -> Phys_mem.write_u8 mem pa (Int64.to_int (Int64.logand v 0xFFL))
-  | Inst.Half -> fun pa v -> Phys_mem.write_u16 mem pa (Int64.to_int (Int64.logand v 0xFFFFL))
+  | Inst.Byte ->
+    Int64.of_int (if unsigned then Bytes.get_uint8 pg off else Bytes.get_int8 pg off)
+  | Inst.Half ->
+    Int64.of_int (if unsigned then Bytes.get_uint16_le pg off else Bytes.get_int16_le pg off)
   | Inst.Word ->
-    fun pa v -> Phys_mem.write_u32 mem pa (Int64.to_int (Int64.logand v 0xFFFFFFFFL))
-  | Inst.Double -> fun pa v -> Phys_mem.write_u64 mem pa v
+    let v = Int64.of_int32 (Bytes.get_int32_le pg off) in
+    if unsigned then Int64.logand v 0xFFFFFFFFL else v
+  | Inst.Double -> Bytes.get_int64_le pg off
+
+let[@inline] store_value (width : Inst.width) pg off v =
+  match width with
+  | Inst.Byte -> Bytes.set_int8 pg off (Int64.to_int v)
+  | Inst.Half -> Bytes.set_int16_le pg off (Int64.to_int v)
+  | Inst.Word -> Bytes.set_int32_le pg off (Int64.to_int32 v)
+  | Inst.Double -> Bytes.set_int64_le pg off v
+
+(* The shared front of every memory op: alignment check, translation,
+   and the walk + D-cache cycle charge.  Returns the physical address,
+   or -1 when the access traps — [mem_trap] then builds the trap. *)
+let data_pa env st ~access ~amask ~write va_d =
+  if va_d land amask <> 0 then -1
+  else begin
+    let pa = Mmu.translate_pa env.mmu ~access va_d in
+    if pa >= 0 then
+      st.k_cycles <-
+        st.k_cycles + (Mmu.walk_steps env.mmu * env.c_ptw)
+        + Hierarchy.access_data env.hier ~pa ~write;
+    pa
+  end
+
+let mem_trap env st ~va ~access ~amask va_d =
+  flush env st;
+  Cpu.set_pc env.cpu va;
+  if va_d land amask <> 0 then T_trap (Trap.Misaligned_access { pc = va; va = va_d; access })
+  else T_trap (Trap.of_mmu_fault ~pc:va (Mmu.last_fault env.mmu))
 
 (* Static extra cycles an instruction always pays on top of base. *)
 let static_extra env (i : Inst.t) =
@@ -272,28 +293,17 @@ type fop =
 let exec_fops env st fops =
   for i = 0 to Array.length fops - 1 do
     match Array.unsafe_get fops i with
-    | F_acc pa ->
-      let cost, h = Hierarchy.access_ifetch_handle env.hier ~pa in
-      st.k_cycles <- st.k_cycles + cost;
-      st.k_line <- Some h
-    | F_rehit { n; pas } -> (
-      match st.k_line with
-      | Some h when Hierarchy.rehit_ifetch_many env.hier h ~n -> ()
-      | _ ->
+    | F_acc pa -> st.k_cycles <- st.k_cycles + Hierarchy.ifetch_into env.hier ~pa st.k_line
+    | F_rehit { n; pas } ->
+      if not (Hierarchy.rehit_ifetch_many env.hier st.k_line ~n) then
         (* the line was evicted across a seam (cannot happen within a
            segment: a page's lines map to distinct sets) — replay each
            fetch individually, exactly like the reference engine *)
-        let cur = ref st.k_line in
         Array.iter
           (fun pa ->
-            match !cur with
-            | Some h when Hierarchy.rehit_ifetch env.hier h -> ()
-            | _ ->
-              let cost, h = Hierarchy.access_ifetch_handle env.hier ~pa in
-              st.k_cycles <- st.k_cycles + cost;
-              cur := Some h)
-          pas;
-        st.k_line <- !cur)
+            if not (Hierarchy.rehit_ifetch env.hier st.k_line) then
+              st.k_cycles <- st.k_cycles + Hierarchy.ifetch_into env.hier ~pa st.k_line)
+          pas
   done
 
 (* ---- slot lowering ---- *)
@@ -305,171 +315,138 @@ let exec_fops env st fops =
 let lower_slot env st ~va ~next_va (s : Block.slot) (next : Tlb.handle -> texit) :
     Tlb.handle -> texit =
   let regs = env.regs in
+  let const rd v =
+    let d = 8 * Reg.to_int rd in
+    if d = 0 then next
+    else fun h ->
+      set regs d v;
+      next h
+  in
   match s.Block.s_inst with
   | Inst.Lui (rd, imm) ->
-    let rd = Reg.to_int rd in
-    if rd = 0 then next
-    else
-      let v = Roload_util.Bits.sign_extend (Int64.shift_left imm 12) ~width:32 in
-      fun h ->
-        Array.unsafe_set regs rd v;
-        next h
+    const rd (Roload_util.Bits.sign_extend (Int64.shift_left imm 12) ~width:32)
   | Inst.Auipc (rd, imm) ->
-    let rd = Reg.to_int rd in
-    if rd = 0 then next
-    else
-      (* pc is a compile-time constant along the trace *)
-      let v =
-        Int64.add (Int64.of_int va)
-          (Roload_util.Bits.sign_extend (Int64.shift_left imm 12) ~width:32)
-      in
-      fun h ->
-        Array.unsafe_set regs rd v;
-        next h
+    (* pc is a compile-time constant along the trace *)
+    const rd
+      (Int64.add (Int64.of_int va)
+         (Roload_util.Bits.sign_extend (Int64.shift_left imm 12) ~width:32))
   | Inst.Op_imm (op, rd, rs1, imm) ->
-    let rd = Reg.to_int rd and rs1 = Reg.to_int rs1 in
-    if rd = 0 then next
-    else
-      let f = Alu.op_fn op in
-      fun h ->
-        Array.unsafe_set regs rd (f (Array.unsafe_get regs rs1) imm);
-        next h
+    let d = 8 * Reg.to_int rd and a = 8 * Reg.to_int rs1 in
+    if d = 0 then next
+    else fun h ->
+      set regs d (alu op (get regs a) imm);
+      next h
   | Inst.Op_imm_w (op, rd, rs1, imm) ->
-    let rd = Reg.to_int rd and rs1 = Reg.to_int rs1 in
-    if rd = 0 then next
-    else
-      let f = Alu.op_w_fn op in
-      fun h ->
-        Array.unsafe_set regs rd (f (Array.unsafe_get regs rs1) imm);
-        next h
+    let d = 8 * Reg.to_int rd and a = 8 * Reg.to_int rs1 in
+    if d = 0 then next
+    else fun h ->
+      set regs d (alu_w op (get regs a) imm);
+      next h
   | Inst.Op (op, rd, rs1, rs2) ->
-    let rd = Reg.to_int rd and rs1 = Reg.to_int rs1 and rs2 = Reg.to_int rs2 in
-    if rd = 0 then next
-    else
-      let f = Alu.op_fn op in
-      fun h ->
-        Array.unsafe_set regs rd (f (Array.unsafe_get regs rs1) (Array.unsafe_get regs rs2));
-        next h
+    let d = 8 * Reg.to_int rd and a = 8 * Reg.to_int rs1 and b = 8 * Reg.to_int rs2 in
+    if d = 0 then next
+    else fun h ->
+      set regs d (alu op (get regs a) (get regs b));
+      next h
   | Inst.Op_w (op, rd, rs1, rs2) ->
-    let rd = Reg.to_int rd and rs1 = Reg.to_int rs1 and rs2 = Reg.to_int rs2 in
-    if rd = 0 then next
+    let d = 8 * Reg.to_int rd and a = 8 * Reg.to_int rs1 and b = 8 * Reg.to_int rs2 in
+    if d = 0 then next
+    else fun h ->
+      set regs d (alu_w op (get regs a) (get regs b));
+      next h
+  | Inst.Mulop (op, rd, rs1, rs2) -> (
+    (* mul/div latency is static, charged in the chunk; only [mul] is
+       common enough to earn an unboxed closure *)
+    let d = 8 * Reg.to_int rd and a = 8 * Reg.to_int rs1 and b = 8 * Reg.to_int rs2 in
+    if d = 0 then next
     else
-      let f = Alu.op_w_fn op in
-      fun h ->
-        Array.unsafe_set regs rd (f (Array.unsafe_get regs rs1) (Array.unsafe_get regs rs2));
-        next h
-  | Inst.Mulop (op, rd, rs1, rs2) ->
-    (* mul/div latency is static, charged in the chunk *)
-    let rd = Reg.to_int rd and rs1 = Reg.to_int rs1 and rs2 = Reg.to_int rs2 in
-    if rd = 0 then next
+      match op with
+      | Inst.Mul ->
+        fun h ->
+          set regs d (Int64.mul (get regs a) (get regs b));
+          next h
+      | Inst.Mulh | Inst.Mulhsu | Inst.Mulhu | Inst.Div | Inst.Divu | Inst.Rem | Inst.Remu ->
+        fun h ->
+          set regs d (Alu.mulop op (get regs a) (get regs b));
+          next h)
+  | Inst.Mulop_w (op, rd, rs1, rs2) -> (
+    let d = 8 * Reg.to_int rd and a = 8 * Reg.to_int rs1 and b = 8 * Reg.to_int rs2 in
+    if d = 0 then next
     else
-      let f = Alu.mulop_fn op in
-      fun h ->
-        Array.unsafe_set regs rd (f (Array.unsafe_get regs rs1) (Array.unsafe_get regs rs2));
-        next h
-  | Inst.Mulop_w (op, rd, rs1, rs2) ->
-    let rd = Reg.to_int rd and rs1 = Reg.to_int rs1 and rs2 = Reg.to_int rs2 in
-    if rd = 0 then next
-    else
-      let f = Alu.mulop_w_fn op in
-      fun h ->
-        Array.unsafe_set regs rd (f (Array.unsafe_get regs rs1) (Array.unsafe_get regs rs2));
-        next h
+      match op with
+      | Inst.Mulw ->
+        fun h ->
+          set regs d (sext32 (Int64.mul (sext32 (get regs a)) (sext32 (get regs b))));
+          next h
+      | Inst.Divw | Inst.Divuw | Inst.Remw | Inst.Remuw ->
+        fun h ->
+          set regs d (Alu.mulop_w op (get regs a) (get regs b));
+          next h)
   | Inst.Fence -> next
   | Inst.Load { width; unsigned; rd; rs1; imm } ->
-    let rd = Reg.to_int rd and rs1 = Reg.to_int rs1 in
-    let read = read_fn env.mem width ~unsigned in
-    let amask = Inst.width_bytes width - 1 in
-    let counts = env.counts in
+    let d = 8 * Reg.to_int rd and a = 8 * Reg.to_int rs1 in
+    let len = Inst.width_bytes width in
+    let amask = len - 1 and mem = env.mem and counts = env.counts in
     fun h ->
       counts.loads <- counts.loads + 1;
-      let va_d = to_addr (Int64.add (Array.unsafe_get regs rs1) imm) in
-      if va_d land amask <> 0 then begin
-        flush env st;
-        Cpu.set_pc env.cpu va;
-        T_trap (Trap.Misaligned_access { pc = va; va = va_d; access = Perm.Load })
-      end
+      let va_d = Int64.to_int (Int64.add (get regs a) imm) in
+      let pa = data_pa env st ~access:Perm.Load ~amask ~write:false va_d in
+      if pa < 0 then mem_trap env st ~va ~access:Perm.Load ~amask va_d
       else begin
-        match Mmu.translate env.mmu ~access:Perm.Load va_d with
-        | Error f ->
-          flush env st;
-          Cpu.set_pc env.cpu va;
-          T_trap (Trap.of_mmu_fault ~pc:va f)
-        | Ok { pa; walk_steps; _ } ->
-          st.k_cycles <-
-            st.k_cycles + (walk_steps * env.c_ptw)
-            + Hierarchy.access_data env.hier ~pa ~write:false;
-          if rd <> 0 then Array.unsafe_set regs rd (read pa);
-          st.k_retired <- st.k_retired + 1;
-          next h
+        if d <> 0 then
+          set regs d
+            (load_value width ~unsigned (Phys_mem.page mem pa ~len ~write:false)
+               (pa land page_mask));
+        st.k_retired <- st.k_retired + 1;
+        next h
       end
   | Inst.Load_ro { width; unsigned; rd; rs1; key } ->
     (* only compiled on a ROLoad-enabled machine ([compilable]); the
        tracer's Roload_issue/Roload_fault events are omitted because
        traces never run with a tracer attached *)
-    let rd = Reg.to_int rd and rs1 = Reg.to_int rs1 in
-    let read = read_fn env.mem width ~unsigned in
-    let amask = Inst.width_bytes width - 1 in
+    let d = 8 * Reg.to_int rd and a = 8 * Reg.to_int rs1 in
+    let len = Inst.width_bytes width in
+    let amask = len - 1 and mem = env.mem in
     let k = key land Roload_isa.Roload_ext.max_key in
     let access = Perm.Roload key in
     let counts = env.counts and key_counts = env.key_counts in
     fun h ->
       counts.roloads <- counts.roloads + 1;
       key_counts.(k) <- key_counts.(k) + 1;
-      let va_d = to_addr (Array.unsafe_get regs rs1) in
-      if va_d land amask <> 0 then begin
-        flush env st;
-        Cpu.set_pc env.cpu va;
-        T_trap (Trap.Misaligned_access { pc = va; va = va_d; access })
-      end
+      let va_d = Int64.to_int (get regs a) in
+      let pa = data_pa env st ~access ~amask ~write:false va_d in
+      if pa < 0 then mem_trap env st ~va ~access ~amask va_d
       else begin
-        match Mmu.translate env.mmu ~access va_d with
-        | Error f ->
-          flush env st;
-          Cpu.set_pc env.cpu va;
-          T_trap (Trap.of_mmu_fault ~pc:va f)
-        | Ok { pa; walk_steps; _ } ->
-          st.k_cycles <-
-            st.k_cycles + (walk_steps * env.c_ptw)
-            + Hierarchy.access_data env.hier ~pa ~write:false;
-          if rd <> 0 then Array.unsafe_set regs rd (read pa);
-          st.k_retired <- st.k_retired + 1;
-          next h
+        if d <> 0 then
+          set regs d
+            (load_value width ~unsigned (Phys_mem.page mem pa ~len ~write:false)
+               (pa land page_mask));
+        st.k_retired <- st.k_retired + 1;
+        next h
       end
   | Inst.Store { width; rs2; rs1; imm } ->
-    let rs1 = Reg.to_int rs1 and rs2 = Reg.to_int rs2 in
-    let write = write_fn env.mem width in
-    let amask = Inst.width_bytes width - 1 in
-    let counts = env.counts in
+    let a = 8 * Reg.to_int rs1 and b = 8 * Reg.to_int rs2 in
+    let len = Inst.width_bytes width in
+    let amask = len - 1 and mem = env.mem and counts = env.counts in
     fun h ->
       counts.stores <- counts.stores + 1;
-      let va_d = to_addr (Int64.add (Array.unsafe_get regs rs1) imm) in
-      if va_d land amask <> 0 then begin
-        flush env st;
-        Cpu.set_pc env.cpu va;
-        T_trap (Trap.Misaligned_access { pc = va; va = va_d; access = Perm.Store })
-      end
+      let va_d = Int64.to_int (Int64.add (get regs a) imm) in
+      let pa = data_pa env st ~access:Perm.Store ~amask ~write:true va_d in
+      if pa < 0 then mem_trap env st ~va ~access:Perm.Store ~amask va_d
       else begin
-        match Mmu.translate env.mmu ~access:Perm.Store va_d with
-        | Error f ->
+        store_value width
+          (Phys_mem.page mem pa ~len ~write:true)
+          (pa land page_mask) (get regs b);
+        st.k_retired <- st.k_retired + 1;
+        if env.page_holds_code pa then begin
+          (* self-modifying code: the flush just destroyed this very
+             trace; leave immediately with the pc already advanced *)
+          env.flush_code ();
           flush env st;
-          Cpu.set_pc env.cpu va;
-          T_trap (Trap.of_mmu_fault ~pc:va f)
-        | Ok { pa; walk_steps; _ } ->
-          st.k_cycles <-
-            st.k_cycles + (walk_steps * env.c_ptw)
-            + Hierarchy.access_data env.hier ~pa ~write:true;
-          write pa (Array.unsafe_get regs rs2);
-          st.k_retired <- st.k_retired + 1;
-          if env.page_holds_code pa then begin
-            (* self-modifying code: the flush just destroyed this very
-               trace; leave immediately with the pc already advanced *)
-            env.flush_code ();
-            flush env st;
-            Cpu.set_pc env.cpu next_va;
-            T_redispatch
-          end
-          else next h
+          Cpu.set_pc env.cpu next_va;
+          T_redispatch
+        end
+        else next h
       end
   | Inst.Jal _ | Inst.Jalr _ | Inst.Branch _ | Inst.Ecall | Inst.Ebreak ->
     (* terminators are lowered by [lower_term]; ecall/ebreak never pass
@@ -491,61 +468,54 @@ let lower_term env st ~end_va (term : Trace.term) (kind : cont_kind) :
     (* no instruction: the block closed at the page boundary *)
     match kind with
     | Stitch { cont; _ } -> fun _h -> cont ()
-    | Leave ->
-      let memo = fresh_memo () in
-      fun _h -> chain_exit env st memo ~pc:next_va)
+    | Leave -> fun _h -> chain_exit env st ~pc:next_va)
   | Trace.K_jal { rd; target_va } -> (
-    let rd = Reg.to_int rd in
+    let d = 8 * Reg.to_int rd in
     let link = Int64.of_int end_va in
     match kind with
     | Stitch { cont; _ } ->
       (* a jal's target is static: the stitched edge always holds *)
       fun _h ->
         counts.jumps <- counts.jumps + 1;
-        if rd <> 0 then Array.unsafe_set regs rd link;
+        if d <> 0 then set regs d link;
         cont ()
     | Leave ->
-      let memo = fresh_memo () in
       fun _h ->
         counts.jumps <- counts.jumps + 1;
-        if rd <> 0 then Array.unsafe_set regs rd link;
-        chain_exit env st memo ~pc:target_va)
+        if d <> 0 then set regs d link;
+        chain_exit env st ~pc:target_va)
   | Trace.K_jalr { rd; rs1; imm; is_return } ->
     (* the indirect penalty for non-returns is static, charged in the
        chunk *)
-    let rd = Reg.to_int rd and rs1 = Reg.to_int rs1 in
+    let d = 8 * Reg.to_int rd and a = 8 * Reg.to_int rs1 in
     let link = Int64.of_int end_va in
-    let memo = fresh_memo () in
     fun _h ->
       counts.jumps <- counts.jumps + 1;
       if not is_return then counts.indirect_jumps <- counts.indirect_jumps + 1;
       (* target before link write: rs1 may equal rd *)
-      let tgt = to_addr (Int64.logand (Int64.add (Array.unsafe_get regs rs1) imm) (-2L)) in
-      if rd <> 0 then Array.unsafe_set regs rd link;
+      let tgt = Int64.to_int (Int64.logand (Int64.add (get regs a) imm) (-2L)) in
+      if d <> 0 then set regs d link;
       (match kind with
       | Stitch { expect_va; cont } ->
-        if tgt = expect_va then cont () else chain_exit env st memo ~pc:tgt
-      | Leave -> chain_exit env st memo ~pc:tgt)
+        if tgt = expect_va then cont () else chain_exit env st ~pc:tgt
+      | Leave -> chain_exit env st ~pc:tgt)
   | Trace.K_branch { cond; rs1; rs2; taken_va; fall_va; predicted_taken } -> (
-    let rs1 = Reg.to_int rs1 and rs2 = Reg.to_int rs2 in
-    let f = Alu.branch_fn cond in
+    let a = 8 * Reg.to_int rs1 and b = 8 * Reg.to_int rs2 in
     match kind with
     | Stitch { expect_va; cont } ->
       let stitch_taken = expect_va = taken_va in
-      let memo = fresh_memo () in
       fun _h ->
         counts.branches <- counts.branches + 1;
-        let taken = f (Array.unsafe_get regs rs1) (Array.unsafe_get regs rs2) in
+        let taken = holds cond (get regs a) (get regs b) in
         if taken <> predicted_taken then st.k_cycles <- st.k_cycles + env.c_mispredict;
         if taken = stitch_taken then cont ()
-        else chain_exit env st memo ~pc:(if taken then taken_va else fall_va)
+        else chain_exit env st ~pc:(if taken then taken_va else fall_va)
     | Leave ->
-      let memo = fresh_memo () in
       fun _h ->
         counts.branches <- counts.branches + 1;
-        let taken = f (Array.unsafe_get regs rs1) (Array.unsafe_get regs rs2) in
+        let taken = holds cond (get regs a) (get regs b) in
         if taken <> predicted_taken then st.k_cycles <- st.k_cycles + env.c_mispredict;
-        chain_exit env st memo ~pc:(if taken then taken_va else fall_va))
+        chain_exit env st ~pc:(if taken then taken_va else fall_va))
 
 (* ---- segment lowering ---- *)
 
@@ -671,7 +641,7 @@ let lower_segment env st (sg : Trace.seg) ~(kind : cont_kind) : Tlb.handle -> te
 (* ---- trace compilation ---- *)
 
 let compile env (plan : Trace.plan) : compiled =
-  let st = { k_cycles = 0; k_retired = 0; k_fuel = 0; k_line = None } in
+  let st = { k_cycles = 0; k_retired = 0; k_fuel = 0; k_line = Cache.handle () } in
   let segs = plan.Trace.p_segs in
   let n = Array.length segs in
   let body0_fwd = ref (fun (_ : Tlb.handle) -> T_redispatch) in
@@ -679,27 +649,25 @@ let compile env (plan : Trace.plan) : compiled =
      I-TLB access and any walk, exactly like the dispatch loop's block
      entry), verify the physical placement the plan assumed, and fetch a
      fresh TLB handle for the segment's batched rehits. *)
-  let seam (sg : Trace.seg) (body : Tlb.handle -> texit) () =
-    match Mmu.translate env.mmu ~access:Perm.Fetch sg.Trace.sg_va with
-    | Error f ->
-      flush env st;
-      Cpu.set_pc env.cpu sg.Trace.sg_va;
-      T_trap (Trap.of_mmu_fault ~pc:sg.Trace.sg_va f)
-    | Ok { pa; walk_steps; _ } ->
-      st.k_cycles <- st.k_cycles + (walk_steps * env.c_ptw);
-      if pa <> sg.Trace.sg_pa then begin
-        (* remapped since planning: the fetch is accounted, so hand the
-           dispatcher the PA to run without a second translation *)
+  let seam (sg : Trace.seg) (body : Tlb.handle -> texit) =
+    let va = sg.Trace.sg_va and planned_pa = sg.Trace.sg_pa in
+    fun () ->
+      let pa = Mmu.translate_pa env.mmu ~access:Perm.Fetch va in
+      if pa < 0 then begin
         flush env st;
-        Cpu.set_pc env.cpu sg.Trace.sg_va;
-        T_enter_block { eb_pc = sg.Trace.sg_va; eb_pa = pa }
+        Cpu.set_pc env.cpu va;
+        T_trap (Trap.of_mmu_fault ~pc:va (Mmu.last_fault env.mmu))
       end
       else begin
-        match Tlb.peek env.itlb ~vpn:(sg.Trace.sg_va lsr Page_table.page_shift) with
-        | Some h -> body h
-        | None ->
-          (* translate succeeded, so the entry is resident; defensive *)
-          side_exit env st ~pc:sg.Trace.sg_va
+        st.k_cycles <- st.k_cycles + (Mmu.walk_steps env.mmu * env.c_ptw);
+        if pa <> planned_pa then begin
+          (* remapped since planning: the fetch is accounted, so hand the
+             dispatcher the PA to run without a second translation *)
+          flush env st;
+          Cpu.set_pc env.cpu va;
+          T_enter_block { eb_pc = va; eb_pa = pa }
+        end
+        else body (Mmu.fetch_handle env.mmu va)
       end
   in
   let loop_cont =
@@ -738,6 +706,5 @@ let compile env (plan : Trace.plan) : compiled =
         st.k_cycles <- 0;
         st.k_retired <- 0;
         st.k_fuel <- fuel;
-        st.k_line <- None;
         body0 h);
   }

@@ -46,7 +46,7 @@ type compiled = {
     at compile time. *)
 type env = {
   cpu : Cpu.t;
-  regs : int64 array;  (** [Cpu.regs cpu]; index 0 is x0 and stays 0 *)
+  regs : Bytes.t;  (** [Cpu.regs cpu]; bytes 0..7 are x0 and stay 0 *)
   mem : Roload_mem.Phys_mem.t;
   hier : Roload_cache.Hierarchy.t;
   mmu : Roload_mem.Mmu.t;
@@ -65,9 +65,6 @@ type env = {
   find_trace : int -> compiled option;
       (** live view of the machine's trace table keyed by entry PA, for
           trace-to-trace chaining at dynamic exits *)
-  code_gen : unit -> int;
-      (** the machine's code-cache generation counter; per-chain-site
-          translation memos are invalidated by any code flush *)
 }
 
 val compilable : roload_enabled:bool -> Block.t -> bool

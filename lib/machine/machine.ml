@@ -66,8 +66,8 @@ let engine_of_string s =
    around each visit. *)
 type prof = {
   mutable p_entries : int;
-  mutable p_cycles : int64;
-  mutable p_insts : int64;
+  mutable p_cycles : int;
+  mutable p_insts : int;
 }
 
 (* The trace-compiled engine is the default; [ROLOAD_ENGINE] overrides it
@@ -278,7 +278,7 @@ let set_tracer t tracer =
   t.tracer <- tracer;
   (match tracer with
   | None -> ()
-  | Some tr -> Tracer.set_clock tr (fun () -> Cpu.cycles t.cpu));
+  | Some tr -> Tracer.set_clock tr (fun () -> Int64.of_int (Cpu.cycles t.cpu)));
   wire_observers t
 
 let tracer t = t.tracer
@@ -324,8 +324,8 @@ let profile_blocks t =
         {
           Roload_obs.Profile.pa;
           entries = p.p_entries;
-          cycles = p.p_cycles;
-          instructions = p.p_insts;
+          cycles = Int64.of_int p.p_cycles;
+          instructions = Int64.of_int p.p_insts;
           disasm;
         }
         :: acc)
@@ -414,10 +414,11 @@ let data_access t ~pc ~va ~access ~width ~unsigned ~store_value =
   match check_alignment ~pc ~va ~width ~access with
   | Error tr -> Error tr
   | Ok () -> (
-    match Mmu.translate (mmu_exn t) ~access va with
-    | Error f -> Error (Trap.of_mmu_fault ~pc f)
-    | Ok { pa; walk_steps; _ } ->
-      charge_walk t walk_steps;
+    let mmu = mmu_exn t in
+    let pa = Mmu.translate_pa mmu ~access va in
+    if pa < 0 then Error (Trap.of_mmu_fault ~pc (Mmu.last_fault mmu))
+    else begin
+      charge_walk t (Mmu.walk_steps mmu);
       Cpu.add_cycles t.cpu (Roload_cache.Hierarchy.access_data t.hierarchy ~pa ~write);
       if write then begin
         write_phys t pa width (Option.get store_value);
@@ -427,7 +428,8 @@ let data_access t ~pc ~va ~access ~width ~unsigned ~store_value =
         if page_holds_code t pa then flush_code_caches t;
         Ok 0L
       end
-      else Ok (read_phys t pa width ~unsigned))
+      else Ok (read_phys t pa width ~unsigned)
+    end)
 
 (* ---- execute ---- *)
 
@@ -655,13 +657,13 @@ let prof_charge tbl ~pa ~cycles ~insts =
     match Hashtbl.find_opt tbl pa with
     | Some p -> p
     | None ->
-      let p = { p_entries = 0; p_cycles = 0L; p_insts = 0L } in
+      let p = { p_entries = 0; p_cycles = 0; p_insts = 0 } in
       Hashtbl.add tbl pa p;
       p
   in
   p.p_entries <- p.p_entries + 1;
-  p.p_cycles <- Int64.add p.p_cycles cycles;
-  p.p_insts <- Int64.add p.p_insts insts
+  p.p_cycles <- p.p_cycles + cycles;
+  p.p_insts <- p.p_insts + insts
 
 (* Execute [block] starting at slot 0 (pc [pc0], already translated to
    [pa] with the I-TLB access accounted and [tlb_handle] captured by the
@@ -677,7 +679,7 @@ let exec_block t ~stop_at_pc ~(fuel : int ref) ~pc0 ~pa ~vpn ~tlb_handle ~block 
   (
             let gen0 = t.code_gen in
             let icache_line = ref (-1) in
-            let icache_handle = ref None in
+            let icache_handle = Roload_cache.Cache.handle () in
             (* [run i ~pc]: execute slot [i]; pc is the slot's VA.  Returns
                [None] to hand control back to the outer loop (block over,
                fall through or jump elsewhere), [Some r] to finish. *)
@@ -695,28 +697,19 @@ let exec_block t ~stop_at_pc ~(fuel : int ref) ~pc0 ~pa ~vpn ~tlb_handle ~block 
                    the entry translate).  On rehit failure nothing was
                    accounted; re-enter through the outer loop, whose full
                    translate performs whatever accounting is due. *)
-                i > 0
-                &&
-                match tlb_handle with
-                | Some h -> Tlb.rehit itlb ~vpn h = None
-                | None -> true
+                i > 0 && not (Tlb.rehit itlb ~vpn tlb_handle)
               then None
               else if i < Block.length block then begin
                 let s = Block.slot block i in
                 let line = s.Block.s_pa lsr t.line_shift in
-                (if line <> !icache_line then begin
-                   let cost, h = Roload_cache.Hierarchy.access_ifetch_handle hier ~pa:s.Block.s_pa in
-                   Cpu.add_cycles cpu cost;
-                   icache_line := line;
-                   icache_handle := Some h
-                 end
-                 else
-                   match !icache_handle with
-                   | Some h when Roload_cache.Hierarchy.rehit_ifetch hier h -> ()
-                   | Some _ | None ->
-                     let cost, h = Roload_cache.Hierarchy.access_ifetch_handle hier ~pa:s.Block.s_pa in
-                     Cpu.add_cycles cpu cost;
-                     icache_handle := Some h);
+                if line <> !icache_line then begin
+                  icache_line := line;
+                  Cpu.add_cycles cpu
+                    (Roload_cache.Hierarchy.ifetch_into hier ~pa:s.Block.s_pa icache_handle)
+                end
+                else if not (Roload_cache.Hierarchy.rehit_ifetch hier icache_handle) then
+                  Cpu.add_cycles cpu
+                    (Roload_cache.Hierarchy.ifetch_into hier ~pa:s.Block.s_pa icache_handle);
                 match execute_inst t ~pc s.Block.s_inst ~size:s.Block.s_size with
                 | Trapped tr -> Some (Trap tr)
                 | Continue ->
@@ -733,19 +726,14 @@ let exec_block t ~stop_at_pc ~(fuel : int ref) ~pc0 ~pa ~vpn ~tlb_handle ~block 
                 let off = pc land page_mask in
                 let spa = page_pbase lor off in
                 let line = spa lsr t.line_shift in
-                (if line <> !icache_line then begin
-                   let cost, h = Roload_cache.Hierarchy.access_ifetch_handle hier ~pa:spa in
-                   Cpu.add_cycles cpu cost;
-                   icache_line := line;
-                   icache_handle := Some h
-                 end
-                 else
-                   match !icache_handle with
-                   | Some h when Roload_cache.Hierarchy.rehit_ifetch hier h -> ()
-                   | Some _ | None ->
-                     let cost, h = Roload_cache.Hierarchy.access_ifetch_handle hier ~pa:spa in
-                     Cpu.add_cycles cpu cost;
-                     icache_handle := Some h);
+                if line <> !icache_line then begin
+                  icache_line := line;
+                  Cpu.add_cycles cpu
+                    (Roload_cache.Hierarchy.ifetch_into hier ~pa:spa icache_handle)
+                end
+                else if not (Roload_cache.Hierarchy.rehit_ifetch hier icache_handle) then
+                  Cpu.add_cycles cpu
+                    (Roload_cache.Hierarchy.ifetch_into hier ~pa:spa icache_handle);
                 let decoded =
                   match Hashtbl.find_opt t.decode_cache spa with
                   | Some (inst, size) -> Ok (inst, size)
@@ -765,10 +753,9 @@ let exec_block t ~stop_at_pc ~(fuel : int ref) ~pc0 ~pa ~vpn ~tlb_handle ~block 
                         if va2 lsr Page_table.page_shift = vpn then (
                           (* same page: a guaranteed I-TLB hit, replayed
                              with exact accounting *)
-                          match tlb_handle with
-                          | Some h when Tlb.rehit itlb ~vpn h <> None ->
+                          if Tlb.rehit itlb ~vpn tlb_handle then
                             Ok (page_pbase lor (off + 2))
-                          | Some _ | None -> (
+                          else (
                             match Mmu.translate mmu ~access:Perm.Fetch va2 with
                             | Error f -> Error (Trap.of_mmu_fault ~pc f)
                             | Ok { pa = pa2; walk_steps; _ } ->
@@ -823,14 +810,13 @@ let exec_block t ~stop_at_pc ~(fuel : int ref) ~pc0 ~pa ~vpn ~tlb_handle ~block 
               let cyc0 = Cpu.cycles cpu and ins0 = Cpu.instret cpu in
               let r = run 0 ~pc:pc0 in
               prof_charge tbl ~pa
-                ~cycles:(Int64.sub (Cpu.cycles cpu) cyc0)
-                ~insts:(Int64.sub (Cpu.instret cpu) ins0);
+                ~cycles:(Cpu.cycles cpu - cyc0)
+                ~insts:(Cpu.instret cpu - ins0);
               r)
 
 let run_blocks t ~stop_at_pc ~fuel =
   let cpu = t.cpu in
   let mmu = mmu_exn t in
-  let itlb = Mmu.itlb mmu in
   let fuel = ref fuel in
   let finished = ref None in
   while !finished = None do
@@ -843,12 +829,12 @@ let run_blocks t ~stop_at_pc ~fuel =
         if pc0 land 1 <> 0 then
           finished := Some (Trap (Trap.Misaligned_access { pc = pc0; va = pc0; access = Perm.Fetch }))
         else begin
-          match Mmu.translate mmu ~access:Perm.Fetch pc0 with
-          | Error f -> finished := Some (Trap (Trap.of_mmu_fault ~pc:pc0 f))
-          | Ok { pa; walk_steps; _ } ->
-            charge_walk t walk_steps;
+          let pa = Mmu.translate_pa mmu ~access:Perm.Fetch pc0 in
+          if pa < 0 then finished := Some (Trap (Trap.of_mmu_fault ~pc:pc0 (Mmu.last_fault mmu)))
+          else begin
+            charge_walk t (Mmu.walk_steps mmu);
             let vpn = pc0 lsr Page_table.page_shift in
-            let tlb_handle = Tlb.peek itlb ~vpn in
+            let tlb_handle = Mmu.fetch_handle mmu pc0 in
             let block, cached =
               match Hashtbl.find_opt t.blocks pa with
               | Some b -> (b, true)
@@ -862,9 +848,10 @@ let run_blocks t ~stop_at_pc ~fuel =
             (match t.tracer with
             | None -> ()
             | Some tr -> Tracer.emit tr (Event.Block_enter { pa; cached }));
-            (match exec_block t ~stop_at_pc ~fuel ~pc0 ~pa ~vpn ~tlb_handle ~block with
+            match exec_block t ~stop_at_pc ~fuel ~pc0 ~pa ~vpn ~tlb_handle ~block with
             | Some r -> finished := Some r
-            | None -> ())
+            | None -> ()
+          end
         end
     end
   done;
@@ -893,7 +880,6 @@ let lower_env t =
     page_holds_code = (fun pa -> page_holds_code t pa);
     flush_code = (fun () -> flush_code_caches t);
     find_trace = (fun pa -> Hashtbl.find_opt t.traces pa);
-    code_gen = (fun () -> t.code_gen);
   }
 
 (* Try to stitch and compile a trace rooted at [block].  The static
@@ -938,7 +924,6 @@ let attempt_compile t ~entry_va ~entry_pa ~block =
 let run_traced t ~stop_at_pc ~fuel =
   let cpu = t.cpu in
   let mmu = mmu_exn t in
-  let itlb = Mmu.itlb mmu in
   let fuel = ref fuel in
   let finished = ref None in
   let usable = t.trace = None && t.tracer = None && stop_at_pc = None in
@@ -946,7 +931,7 @@ let run_traced t ~stop_at_pc ~fuel =
   let prev_block = ref None in
   (* a seam translation that already accounted its I-TLB access but
      resolved to an unplanned PA: run that block without re-translating *)
-  let pending = ref None in
+  let pending_pc = ref (-1) and pending_pa = ref 0 in
   while !finished = None do
     if !fuel <= 0 then finished := Some Exhausted
     else begin
@@ -958,24 +943,19 @@ let run_traced t ~stop_at_pc ~fuel =
           finished :=
             Some (Trap (Trap.Misaligned_access { pc = pc0; va = pc0; access = Perm.Fetch }))
         else begin
-          let trans =
-            match !pending with
-            | Some (p, pa) when p = pc0 ->
-              pending := None;
-              Ok pa
-            | _ -> (
-              pending := None;
-              match Mmu.translate mmu ~access:Perm.Fetch pc0 with
-              | Error f -> Error f
-              | Ok { pa; walk_steps; _ } ->
-                charge_walk t walk_steps;
-                Ok pa)
+          let pa =
+            if !pending_pc = pc0 then !pending_pa
+            else begin
+              let pa = Mmu.translate_pa mmu ~access:Perm.Fetch pc0 in
+              if pa >= 0 then charge_walk t (Mmu.walk_steps mmu);
+              pa
+            end
           in
-          match trans with
-          | Error f -> finished := Some (Trap (Trap.of_mmu_fault ~pc:pc0 f))
-          | Ok pa ->
+          pending_pc := -1;
+          if pa < 0 then finished := Some (Trap (Trap.of_mmu_fault ~pc:pc0 (Mmu.last_fault mmu)))
+          else begin
             let vpn = pc0 lsr Page_table.page_shift in
-            let tlb_handle = Tlb.peek itlb ~vpn in
+            let tlb_handle = Mmu.fetch_handle mmu pc0 in
             (match !prev_block with
             | Some pb ->
               Block.note_successor pb pc0;
@@ -984,30 +964,25 @@ let run_traced t ~stop_at_pc ~fuel =
             let ran_trace =
               usable
               &&
-              match tlb_handle with
-              | None -> false
-              | Some h -> (
-                match Hashtbl.find_opt t.traces pa with
-                | Some c
-                  when c.Lower.c_entry_va = pc0 && !fuel >= c.Lower.c_max_retire ->
-                  t.trace_enters <- t.trace_enters + 1;
-                  let cyc0 = Cpu.cycles cpu and ins0 = Cpu.instret cpu in
-                  let r = c.Lower.c_run ~fuel:!fuel h in
-                  let dins = Int64.to_int (Int64.sub (Cpu.instret cpu) ins0) in
-                  fuel := !fuel - dins;
-                  t.trace_retires <- t.trace_retires + dins;
-                  (match t.profile with
-                  | None -> ()
-                  | Some tbl ->
-                    prof_charge tbl ~pa
-                      ~cycles:(Int64.sub (Cpu.cycles cpu) cyc0)
-                      ~insts:(Int64.of_int dins));
-                  (match r with
-                  | Lower.T_redispatch -> ()
-                  | Lower.T_trap tr -> finished := Some (Trap tr)
-                  | Lower.T_enter_block { eb_pc; eb_pa } -> pending := Some (eb_pc, eb_pa));
-                  true
-                | _ -> false)
+              match Hashtbl.find_opt t.traces pa with
+              | Some c when c.Lower.c_entry_va = pc0 && !fuel >= c.Lower.c_max_retire ->
+                t.trace_enters <- t.trace_enters + 1;
+                let cyc0 = Cpu.cycles cpu and ins0 = Cpu.instret cpu in
+                let r = c.Lower.c_run ~fuel:!fuel tlb_handle in
+                let dins = Cpu.instret cpu - ins0 in
+                fuel := !fuel - dins;
+                t.trace_retires <- t.trace_retires + dins;
+                (match t.profile with
+                | None -> ()
+                | Some tbl -> prof_charge tbl ~pa ~cycles:(Cpu.cycles cpu - cyc0) ~insts:dins);
+                (match r with
+                | Lower.T_redispatch -> ()
+                | Lower.T_trap tr -> finished := Some (Trap tr)
+                | Lower.T_enter_block { eb_pc; eb_pa } ->
+                  pending_pc := eb_pc;
+                  pending_pa := eb_pa);
+                true
+              | _ -> false
             in
             if not ran_trace then begin
               let block, cached =
@@ -1034,6 +1009,7 @@ let run_traced t ~stop_at_pc ~fuel =
               | Some r -> finished := Some r
               | None -> prev_block := Some block
             end
+          end
         end
     end
   done;

@@ -33,6 +33,18 @@ type fault_counts = {
   mutable roload_not_readonly : int; (* pointee page writable/executable *)
 }
 
+(* Same-page memos: per side, a small direct-mapped table of the TLB
+   entries that served recent translations, indexed by the low vpn bits.
+   A repeated access to a memoized page replays the TLB hit through
+   [Tlb.rehit] — whose accounting (clock, recency, hit counter) is exactly
+   what the full lookup would have done — and skips the associative scan.
+   More than one slot keeps alternating pages (stack and heap; a caller's
+   and a callee's code page) from evicting each other.  The memos never
+   change what is simulated, only how fast: a slot is only trusted after
+   [rehit]'s guard confirms the entry still caches the page, so they
+   survive invalidate, flush and restore untouched. *)
+let memo_slots = 8
+
 type t = {
   page_table : Page_table.t;
   itlb : Tlb.t;
@@ -42,15 +54,11 @@ type t = {
       (* false on the baseline processor, which has no key-check logic.
          The baseline also refuses to *decode* ld.ro; this flag exists so
          the MMU model is meaningful on its own. *)
-  mutable i_memo : (int * Tlb.handle) option;
-  mutable d_memo : (int * Tlb.handle) option;
-      (* Same-page fast path: the (vpn, entry) of the last successful I-side
-         and D-side translation.  A repeated access to the memoized page
-         replays the TLB hit through [Tlb.rehit] — whose accounting (clock,
-         recency, hit counter) is exactly what the full lookup would have
-         done — and skips the associative scan.  The memos never change what
-         is simulated, only how fast; they are dropped on invalidate/flush
-         and self-check against entry recycling via [rehit]'s vpn guard. *)
+  i_memo : Tlb.handle array;
+  d_memo : Tlb.handle array;
+  mutable walk_steps : int;
+      (* PTE fetches of the last translation: 0 on a TLB hit *)
+  mutable fault : fault; (* the last fault, read after [translate_pa] = -1 *)
 }
 
 let create ~page_table ~itlb_entries ~dtlb_entries ~roload_check_enabled =
@@ -60,155 +68,128 @@ let create ~page_table ~itlb_entries ~dtlb_entries ~roload_check_enabled =
     dtlb = Tlb.create ~name:"D-TLB" ~entries:dtlb_entries;
     fault_counts = { page_faults = 0; roload_key_mismatch = 0; roload_not_readonly = 0 };
     roload_check_enabled;
-    i_memo = None;
-    d_memo = None;
+    i_memo = Array.make memo_slots Tlb.no_handle;
+    d_memo = Array.make memo_slots Tlb.no_handle;
+    walk_steps = 0;
+    fault = Page_fault { va = 0; access = Perm.Fetch };
   }
 
 let itlb t = t.itlb
 let dtlb t = t.dtlb
 let page_table t = t.page_table
 let fault_counts t = t.fault_counts
+let walk_steps t = t.walk_steps
+let last_fault t = t.fault
 
-(* Count a fault at its construction site, so every path out of
-   [translate] is triaged exactly once. *)
-let record_fault t f =
+(* Record a fault: count it by triage class (every path out of the core
+   that fails goes through here exactly once) and leave it for the
+   caller.  Only fault paths allocate. *)
+let fail t f =
   (match f with
   | Page_fault _ -> t.fault_counts.page_faults <- t.fault_counts.page_faults + 1
   | Roload_fault { page_perms; _ } ->
     if Perm.read_only page_perms then
       t.fault_counts.roload_key_mismatch <- t.fault_counts.roload_key_mismatch + 1
     else t.fault_counts.roload_not_readonly <- t.fault_counts.roload_not_readonly + 1);
-  f
-
-let tlb_for t (access : Perm.access) =
-  match access with
-  | Perm.Fetch -> t.itlb
-  | Perm.Load | Perm.Store | Perm.Roload _ -> t.dtlb
-
-(* The extra ROLoad condition.  [true] means "allowed". *)
-let roload_check t ~access ~pte =
-  match access with
-  | Perm.Fetch | Perm.Load | Perm.Store -> true
-  | Perm.Roload key ->
-    (not t.roload_check_enabled)
-    || (Perm.read_only (Pte.perms pte) && Pte.key pte = key)
-
-let check t ~va ~access pte =
-  let perms = Pte.perms pte in
-  (* Conventional check: user bit (all simulated execution is user-mode)
-     and R/W/X permission. *)
-  if not (Pte.user pte && Perm.allows perms access) then
-    Error (record_fault t (Page_fault { va; access }))
-  else if not (roload_check t ~access ~pte) then
-    match access with
-    | Perm.Roload key ->
-      Error
-        (record_fault t
-           (Roload_fault
-              { va; key_requested = key; page_key = Pte.key pte; page_perms = perms }))
-    | Perm.Fetch | Perm.Load | Perm.Store -> assert false
-  else Ok ()
+  t.fault <- f;
+  -1
 
 let page_mask = Page_table.page_size - 1
+let u_mask = 1 lsl Pte.u_bit
+let r_mask = 1 lsl Pte.r_bit
+let w_mask = 1 lsl Pte.w_bit
+let x_mask = 1 lsl Pte.x_bit
+let rwx_mask = r_mask lor w_mask lor x_mask
+let ppn_mask = (1 lsl Pte.ppn_width) - 1
 
-let set_memo t (access : Perm.access) memo =
-  match access with
-  | Perm.Fetch -> t.i_memo <- memo
-  | Perm.Load | Perm.Store | Perm.Roload _ -> t.d_memo <- memo
+(* The access check, read straight off the PTE bits (the low 63 bits as
+   an [int] hold the flags and the PPN; the key needs bit 63 too).
+   Conventional check: user bit (all simulated execution is user-mode)
+   and R/W/X permission.  Then the extra ROLoad condition for a [Roload
+   key] access: the page must be read-only (R, ¬W, ¬X) and carry
+   [key]. *)
+let[@inline] check t ~va ~access (pte : Pte.t) =
+  let bits = Int64.to_int (pte :> int64) in
+  let need =
+    match access with
+    | Perm.Fetch -> x_mask
+    | Perm.Load | Perm.Roload _ -> r_mask
+    | Perm.Store -> w_mask
+  in
+  if bits land u_mask = 0 || bits land need = 0 then fail t (Page_fault { va; access })
+  else
+    match access with
+    | Perm.Roload key
+      when t.roload_check_enabled
+           && not
+                (bits land rwx_mask = r_mask
+                && Int64.to_int (Int64.shift_right_logical (pte :> int64) Pte.key_lo) = key) ->
+      fail t
+        (Roload_fault
+           { va; key_requested = key; page_key = Pte.key pte; page_perms = Pte.perms pte })
+    | Perm.Fetch | Perm.Load | Perm.Store | Perm.Roload _ ->
+      (((bits lsr Pte.ppn_lo) land ppn_mask) lsl Page_table.page_shift) lor (va land page_mask)
 
-let memo_for t (access : Perm.access) =
-  match access with
-  | Perm.Fetch -> t.i_memo
-  | Perm.Load | Perm.Store | Perm.Roload _ -> t.d_memo
-
-(* The slow path: full TLB lookup, walk on miss.  Factored out of
-   [translate] so the same-page memo fast path stays small. *)
-let translate_slow t ~access ~vpn va =
-  let tlb = tlb_for t access in
-  match Tlb.lookup_handle tlb vpn with
-  | Some (pte, handle) -> (
-    set_memo t access (Some (vpn, handle));
-    match check t ~va ~access pte with
-    | Ok () ->
-      Ok { pa = (Pte.ppn pte lsl Page_table.page_shift) lor (va land page_mask);
-           tlb_hit = true; walk_steps = 0 }
-    | Error f -> Error f)
-  | None -> (
-    match Page_table.walk t.page_table va with
-    | Error (Page_table.Not_mapped | Page_table.Bad_alignment) ->
-      Error (record_fault t (Page_fault { va; access }))
-    | Ok { pte; steps; _ } -> (
-      let handle = Tlb.insert_handle tlb ~vpn ~pte in
-      set_memo t access (Some (vpn, handle));
-      match check t ~va ~access pte with
-      | Ok () ->
-        Ok { pa = (Pte.ppn pte lsl Page_table.page_shift) lor (va land page_mask);
-             tlb_hit = false; walk_steps = steps }
-      | Error f -> Error f))
+(* The one translation path: same-page memo, then the full TLB lookup,
+   then the walk on a miss.  Returns the physical address, or -1 with the
+   fault in [t.fault]; [t.walk_steps] holds the PTE fetches paid.  Never
+   allocates unless it walks or faults. *)
+let translate_pa t ~access va =
+  if va < 0 then fail t (Page_fault { va; access })
+  else begin
+    let fetch = match access with Perm.Fetch -> true | Perm.Load | Perm.Store | Perm.Roload _ -> false in
+    let tlb = if fetch then t.itlb else t.dtlb in
+    let memo = if fetch then t.i_memo else t.d_memo in
+    let vpn = va lsr Page_table.page_shift in
+    let slot = vpn land (memo_slots - 1) in
+    let h = Array.unsafe_get memo slot in
+    if Tlb.rehit tlb ~vpn h then begin
+      t.walk_steps <- 0;
+      check t ~va ~access (Tlb.pte h)
+    end
+    else begin
+      let h = Tlb.lookup_entry tlb vpn in
+      if h != Tlb.no_handle then begin
+        Array.unsafe_set memo slot h;
+        t.walk_steps <- 0;
+        check t ~va ~access (Tlb.pte h)
+      end
+      else
+        match Page_table.walk t.page_table va with
+        | Error (Page_table.Not_mapped | Page_table.Bad_alignment) ->
+          fail t (Page_fault { va; access })
+        | Ok { pte; steps; _ } ->
+          Array.unsafe_set memo slot (Tlb.insert tlb ~vpn ~pte);
+          t.walk_steps <- steps;
+          check t ~va ~access pte
+    end
+  end
 
 let translate t ~access va =
-  if va < 0 then Error (record_fault t (Page_fault { va; access }))
-  else
-    let vpn = va lsr Page_table.page_shift in
-    match memo_for t access with
-    | Some (mvpn, handle) when mvpn = vpn -> (
-      match Tlb.rehit (tlb_for t access) ~vpn handle with
-      | Some pte -> (
-        (* the entry still caches this page: rehit performed the exact hit
-           accounting the full lookup would have *)
-        match check t ~va ~access pte with
-        | Ok () ->
-          Ok { pa = (Pte.ppn pte lsl Page_table.page_shift) lor (va land page_mask);
-               tlb_hit = true; walk_steps = 0 }
-        | Error f -> Error f)
-      | None ->
-        (* entry invalidated or recycled since: no accounting happened, so
-           the full path below observes a pristine TLB *)
-        set_memo t access None;
-        translate_slow t ~access ~vpn va)
-    | Some _ | None -> translate_slow t ~access ~vpn va
+  let pa = translate_pa t ~access va in
+  if pa < 0 then Error t.fault
+  else Ok { pa; tlb_hit = t.walk_steps = 0; walk_steps = t.walk_steps }
 
-(* Chain-site translation memo support (trace engine).  Replay an I-side
-   hit on a handle the chain site captured earlier: [Tlb.rehit] performs
-   the exact hit accounting a full [translate] would have, then the
-   permission check re-runs against the PTE the entry holds *now* (it
-   may have been corrupted in place since — the roload-chaos TLB fault
-   model), and the physical address is recomputed from that same PTE.
-   [None] means the entry no longer caches [vpn]; no accounting happened
-   and the caller must fall back to the full [translate]. *)
-let rehit_fetch t ~vpn ~handle va =
-  match Tlb.rehit t.itlb ~vpn handle with
-  | None -> None
-  | Some pte ->
-    Some
-      (match check t ~va ~access:Perm.Fetch pte with
-      | Ok () ->
-        Ok
-          { pa = (Pte.ppn pte lsl Page_table.page_shift) lor (va land page_mask);
-            tlb_hit = true; walk_steps = 0 }
-      | Error f -> Error f)
+let fetch_handle t va =
+  Array.unsafe_get t.i_memo ((va lsr Page_table.page_shift) land (memo_slots - 1))
 
 (* Invalidate cached translations for [va] in both TLBs (sfence.vma
    analogue, used after mprotect/mprotect_key). *)
 let invalidate t ~va =
   let vpn = va lsr Page_table.page_shift in
   Tlb.invalidate t.itlb ~vpn;
-  Tlb.invalidate t.dtlb ~vpn;
-  t.i_memo <- None;
-  t.d_memo <- None
+  Tlb.invalidate t.dtlb ~vpn
 
 let flush t =
   Tlb.flush t.itlb;
-  Tlb.flush t.dtlb;
-  t.i_memo <- None;
-  t.d_memo <- None
+  Tlb.flush t.dtlb
 
 (* ---- snapshots ----
    Both TLB images plus the fault triage counters.  The same-page memos
-   are deliberately *not* captured and are dropped on restore: they are
-   accounting-neutral by construction ([rehit] performs exactly the
-   accounting [lookup] would), so their presence or absence never shows
-   in any counter — only in wall-clock speed. *)
+   are deliberately *not* captured: they are accounting-neutral by
+   construction ([rehit] performs exactly the accounting [lookup] would),
+   so their contents never show in any counter — only in wall-clock
+   speed. *)
 
 type image = {
   im_itlb : Tlb.image;
@@ -232,6 +213,4 @@ let restore t img =
   Tlb.restore t.dtlb img.im_dtlb;
   t.fault_counts.page_faults <- img.im_page_faults;
   t.fault_counts.roload_key_mismatch <- img.im_roload_key_mismatch;
-  t.fault_counts.roload_not_readonly <- img.im_roload_not_readonly;
-  t.i_memo <- None;
-  t.d_memo <- None
+  t.fault_counts.roload_not_readonly <- img.im_roload_not_readonly

@@ -38,18 +38,28 @@ val fault_counts : t -> fault_counts
 (** Cumulative triage counts; every fault [translate] returns is counted
     exactly once. *)
 
-val translate : t -> access:Perm.access -> int -> (translation, fault) result
-(** Translate a user-mode virtual address. Fetches consult the I-TLB; data
-    accesses the D-TLB. On a miss the Sv39 walk runs and the result is
-    cached. *)
+val translate_pa : t -> access:Perm.access -> int -> int
+(** The translation core.  Translate a user-mode virtual address and
+    return the physical address, or [-1] on a fault, which is then
+    counted in {!fault_counts} and readable through {!last_fault}.
+    {!walk_steps} holds the PTE fetches this call paid (0 on a TLB hit).
+    Fetches consult the I-TLB, data accesses the D-TLB; on a miss the
+    Sv39 walk runs and the result is cached.  Allocates nothing unless it
+    walks or faults. *)
 
-val rehit_fetch :
-  t -> vpn:int -> handle:Tlb.handle -> int -> (translation, fault) result option
-(** Replay an I-side translation on a handle captured earlier (the trace
-    engine's chain-site memo): exact hit accounting via {!Tlb.rehit},
-    permission check re-run against the PTE the entry holds now, physical
-    address recomputed from it.  [None] (with no accounting) when the
-    entry no longer caches [vpn] — fall back to {!translate}. *)
+val walk_steps : t -> int
+(** PTE fetches performed by the last {!translate_pa} (0 on a TLB hit). *)
+
+val last_fault : t -> fault
+(** The fault of the last {!translate_pa} that returned [-1]. *)
+
+val translate : t -> access:Perm.access -> int -> (translation, fault) result
+(** {!translate_pa} as a result value, for callers off the hot path. *)
+
+val fetch_handle : t -> int -> Tlb.handle
+(** The I-TLB entry that served the last fetch translation of [va]'s
+    page — valid right after a successful [translate_pa ~access:Fetch va],
+    for the trace engine's batched same-page I-TLB accounting. *)
 
 val invalidate : t -> va:int -> unit
 (** Drop cached translations of [va]'s page from both TLBs. *)
@@ -63,5 +73,5 @@ val snapshot : t -> image
 
 val restore : t -> image -> unit
 (** Restore TLBs and fault counters in place.  The internal same-page
-    memos are dropped — they are accounting-neutral, so no counter ever
-    observes the difference. *)
+    memos are not captured — they are accounting-neutral, so no counter
+    ever observes them. *)

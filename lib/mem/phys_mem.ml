@@ -37,7 +37,7 @@ let create ~size =
 
 let size t = t.size
 
-let check t addr len =
+let[@inline] check t addr len =
   if addr < 0 || len < 0 || addr + len > t.size then raise (Out_of_range addr)
 
 (* Copy-on-write fault: the first store into a page shared with a frozen
@@ -97,6 +97,17 @@ let diff_images a b =
    Aligned power-of-two accesses never straddle a page; the unaligned
    straddling case (reachable only through backdoors and block copies)
    falls back to a byte loop. *)
+
+(* The page under an access of [len] bytes at [addr] that stays inside
+   one page (any aligned access of up to 8 bytes), owned first when the
+   caller will write it — the one accessor the trace engine's loads and
+   stores go through, reading and writing the page [Bytes] in place. *)
+let page t addr ~len ~write =
+  check t addr len;
+  if (addr land page_mask) + len > page_bytes then invalid_arg "Phys_mem.page: straddles a page";
+  let p = addr lsr page_shift in
+  if write && Bytes.unsafe_get t.owned p <> '\001' then own_page t p;
+  Array.unsafe_get t.pages p
 
 let read_u8 t addr =
   check t addr 1;

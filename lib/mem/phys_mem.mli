@@ -41,6 +41,15 @@ val diff_images : image -> image -> page_diff list
     physically shared between the two images compare equal by pointer,
     so diffing twin forks of one snapshot is O(page count). *)
 
+val page : t -> int -> len:int -> write:bool -> Bytes.t
+(** [page t addr ~len ~write] is the page holding the [len]-byte access
+    at [addr]; the access lives at offset [addr land (page_bytes - 1)].
+    With [~write:true] the page is first made private (copy-on-write),
+    so the caller may write it in place.  Raises {!Out_of_range} like
+    the other accessors, and [Invalid_argument] when the access would
+    straddle a page (aligned accesses of up to 8 bytes never do).
+    Callers must not retain the page across a snapshot. *)
+
 val read_u8 : t -> int -> int
 val write_u8 : t -> int -> int -> unit
 val read_u16 : t -> int -> int

@@ -64,8 +64,8 @@ let accessed t = Roload_util.Bits.bit t a_bit
 let dirty t = Roload_util.Bits.bit t d_bit
 
 let is_leaf t = readable t || writable t || executable t
-let ppn t = Roload_util.Bits.extract_int t ~lo:ppn_lo ~width:ppn_width
-let key t = Roload_util.Bits.extract_int t ~lo:key_lo ~width:key_width
+let ppn t = Int64.to_int (Int64.shift_right_logical t ppn_lo) land ((1 lsl ppn_width) - 1)
+let key t = Int64.to_int (Int64.shift_right_logical t key_lo)
 
 let perms t = { Perm.r = readable t; w = writable t; x = executable t }
 

@@ -1,7 +1,10 @@
 (** Sv39 page-table entries extended with the ROLoad page key, stored in
     the reserved top 10 bits (paper §III-A). *)
 
-type t
+type t = private int64
+(** The raw 64-bit entry.  Private, so the MMU's translation core can
+    read the bits directly (no call, no boxing) while every entry is
+    still built through this module. *)
 
 val invalid_pte : t
 
@@ -36,5 +39,13 @@ val to_int64 : t -> int64
 val of_int64 : int64 -> t
 val to_string : t -> string
 
+(** Field layout, for code that reads a [t]'s bits directly. *)
+
+val r_bit : int
+val w_bit : int
+val x_bit : int
+val u_bit : int
+val ppn_lo : int
+val ppn_width : int
 val key_width : int
 val key_lo : int

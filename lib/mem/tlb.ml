@@ -41,75 +41,62 @@ let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
-let lookup t vpn =
-  let n = Array.length t.entries in
-  let rec go i =
-    if i >= n then None
-    else
-      let e = t.entries.(i) in
-      if e.valid && e.vpn = vpn then begin
-        e.last_use <- tick t;
-        Some e.pte
-      end
-      else go (i + 1)
-  in
-  let r = go 0 in
-  (match r with
-  | Some _ -> t.stats.hits <- t.stats.hits + 1
-  | None -> t.stats.misses <- t.stats.misses + 1);
-  notify t ~vpn ~hit:(r <> None);
-  r
+(* Handles.  A handle names the entry that produced a hit; [rehit] replays a
+   hit on it with the exact accounting [lookup] would have performed (clock
+   tick, recency update, hit counter), provided the entry still caches
+   [vpn].  If it does not — the entry was invalidated or recycled — [rehit]
+   performs no accounting at all and the caller falls back to the full
+   lookup, so the observable TLB state is identical to always calling
+   [lookup].  [no_handle] stands for "no entry": it is never valid, so
+   every guard refuses it, and nothing ever writes to it.
 
-(* Handle-based variants for the fetch/data fast paths.  A handle names the
-   entry that produced a hit; [rehit] replays a hit on it with the exact
-   accounting [lookup] would have performed (clock tick, recency update, hit
-   counter), provided the entry still caches [vpn].  If it does not — the
-   entry was invalidated or recycled — [rehit] performs no accounting at all
-   and the caller falls back to the full [lookup], so the observable TLB
-   state is identical to always calling [lookup]. *)
+   Every scan below is a plain loop over the entry array returning an
+   index, and misses return [no_handle] rather than an option: the MMU
+   calls these on every access, so they must not allocate. *)
 
 type handle = entry
 
-let lookup_handle t vpn =
-  let n = Array.length t.entries in
-  let rec go i =
-    if i >= n then None
-    else
-      let e = t.entries.(i) in
-      if e.valid && e.vpn = vpn then begin
-        e.last_use <- tick t;
-        Some (e.pte, e)
-      end
-      else go (i + 1)
-  in
-  let r = go 0 in
-  (match r with
-  | Some _ -> t.stats.hits <- t.stats.hits + 1
-  | None -> t.stats.misses <- t.stats.misses + 1);
-  notify t ~vpn ~hit:(r <> None);
-  r
+let no_handle = { vpn = -1; pte = Pte.invalid_pte; last_use = 0; valid = false }
+let pte (e : handle) = e.pte
 
-(* Locate the entry caching [vpn] without touching stats, clock or recency —
-   used to capture a handle right after a translation already accounted for
-   the access. *)
+let rec find entries vpn i =
+  if i >= Array.length entries then -1
+  else
+    let e = Array.unsafe_get entries i in
+    if e.valid && e.vpn = vpn then i else find entries vpn (i + 1)
+
+let lookup_entry t vpn =
+  let i = find t.entries vpn 0 in
+  if i >= 0 then begin
+    let e = Array.unsafe_get t.entries i in
+    e.last_use <- tick t;
+    t.stats.hits <- t.stats.hits + 1;
+    notify t ~vpn ~hit:true;
+    e
+  end
+  else begin
+    t.stats.misses <- t.stats.misses + 1;
+    notify t ~vpn ~hit:false;
+    no_handle
+  end
+
+let lookup t vpn =
+  let e = lookup_entry t vpn in
+  if e == no_handle then None else Some e.pte
+
+(* Locate the entry caching [vpn] without touching stats, clock or recency. *)
 let peek t ~vpn =
-  let n = Array.length t.entries in
-  let rec go i =
-    if i >= n then None
-    else
-      let e = t.entries.(i) in
-      if e.valid && e.vpn = vpn then Some e else go (i + 1)
-  in
-  go 0
+  let i = find t.entries vpn 0 in
+  if i < 0 then no_handle else Array.unsafe_get t.entries i
 
 let rehit t ~vpn (e : handle) =
   if e.valid && e.vpn = vpn then begin
     e.last_use <- tick t;
     t.stats.hits <- t.stats.hits + 1;
     notify t ~vpn ~hit:true;
-    Some e.pte
+    true
   end
-  else None
+  else false
 
 (* [n] consecutive rehits on the same entry, batched into O(1) state
    updates.  Each individual rehit ticks the clock and stamps the entry's
@@ -133,31 +120,24 @@ let rehit_many t ~vpn (e : handle) ~n =
   end
   else false
 
+(* Replacement victim: the first invalid slot, else the least recently
+   used entry (the first one on a tie). *)
+let rec victim entries i best =
+  if i >= Array.length entries then best
+  else
+    let e = Array.unsafe_get entries i in
+    if not e.valid then i
+    else
+      victim entries (i + 1)
+        (if e.last_use < (Array.unsafe_get entries best).last_use then i else best)
+
 let insert t ~vpn ~pte =
-  let n = Array.length t.entries in
-  (* Prefer an invalid slot; otherwise evict the least recently used. *)
-  let victim = ref t.entries.(0) in
-  (try
-     for i = 0 to n - 1 do
-       let e = t.entries.(i) in
-       if not e.valid then begin
-         victim := e;
-         raise Exit
-       end;
-       if e.last_use < !victim.last_use then victim := e
-     done
-   with Exit -> ());
-  let e = !victim in
+  let e = Array.unsafe_get t.entries (victim t.entries 0 0) in
   e.vpn <- vpn;
   e.pte <- pte;
   e.valid <- true;
-  e.last_use <- tick t
-
-(* [insert] that also returns the handle of the entry written, so callers
-   maintaining a same-page memo can capture it without a separate scan. *)
-let insert_handle t ~vpn ~pte =
-  insert t ~vpn ~pte;
-  match peek t ~vpn with Some e -> e | None -> assert false
+  e.last_use <- tick t;
+  e
 
 (* Fault-injection backdoor (roload-chaos): mutate the cached leaf PTE of
    the entry holding [vpn] in place, with no accounting whatsoever (no
@@ -166,11 +146,12 @@ let insert_handle t ~vpn ~pte =
    whether an entry was corrupted; [false] means [vpn] is not currently
    cached and the fault landed in thin air. *)
 let corrupt t ~vpn ~f =
-  match peek t ~vpn with
-  | Some e ->
+  let e = peek t ~vpn in
+  if e == no_handle then false
+  else begin
     e.pte <- f e.pte;
     true
-  | None -> false
+  end
 
 (* Invalidate a single translation (used by mprotect/mprotect_key — an
    sfence.vma analogue). *)

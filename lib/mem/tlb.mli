@@ -19,22 +19,29 @@ val lookup : t -> int -> Pte.t option
 (** [lookup t vpn] returns the cached leaf PTE and updates LRU/stats. *)
 
 type handle
-(** Names the entry that produced a hit, for the same-page fast paths. *)
+(** Names a TLB entry, for the same-page fast paths. *)
 
-val lookup_handle : t -> int -> (Pte.t * handle) option
-(** Exactly [lookup], additionally returning the hit entry's handle. *)
+val no_handle : handle
+(** The absent entry: never valid, so {!rehit} always refuses it.
+    Compare with [==]. *)
 
-val peek : t -> vpn:int -> handle option
-(** Locate the entry caching [vpn] with no accounting whatsoever (no clock
-    tick, no recency update, no stats) — for capturing a handle after a
-    translation that already accounted for the access. *)
+val pte : handle -> Pte.t
+(** The leaf PTE the entry holds now. *)
 
-val rehit : t -> vpn:int -> handle -> Pte.t option
+val lookup_entry : t -> int -> handle
+(** Exactly {!lookup}, returning the hit entry, or {!no_handle} on a
+    miss.  Never allocates. *)
+
+val peek : t -> vpn:int -> handle
+(** The entry caching [vpn] ({!no_handle} if none), with no accounting
+    whatsoever (no clock tick, no recency update, no stats). *)
+
+val rehit : t -> vpn:int -> handle -> bool
 (** Replay a hit on [handle] with the exact accounting [lookup] performs
     (clock tick, recency, hit counter) — provided the entry still caches
-    [vpn].  Returns [None] with {i no} accounting otherwise; the caller must
-    then fall back to [lookup], keeping observable TLB state identical to a
-    plain [lookup] sequence. *)
+    [vpn].  Returns [false] with {i no} accounting otherwise; the caller
+    must then fall back to [lookup], keeping observable TLB state
+    identical to a plain [lookup] sequence. *)
 
 val rehit_many : t -> vpn:int -> handle -> n:int -> bool
 (** [n] consecutive {!rehit}s on the same entry, batched into O(1) state
@@ -43,10 +50,9 @@ val rehit_many : t -> vpn:int -> handle -> n:int -> bool
     Returns [false] with {i no} accounting when the entry no longer
     caches [vpn]; [true] without accounting when [n <= 0]. *)
 
-val insert : t -> vpn:int -> pte:Pte.t -> unit
-
-val insert_handle : t -> vpn:int -> pte:Pte.t -> handle
-(** [insert] returning the handle of the entry written. *)
+val insert : t -> vpn:int -> pte:Pte.t -> handle
+(** Fill the first invalid entry, else evict the least recently used
+    one; returns the entry written.  Callers insert only on a miss. *)
 
 val corrupt : t -> vpn:int -> f:(Pte.t -> Pte.t) -> bool
 (** Fault-injection backdoor (roload-chaos): mutate the cached PTE of the

@@ -136,7 +136,8 @@ let prop_rehit_exact_accounting =
       in
       List.iter replay before;
       (* capture the handle with identical accounting on both caches *)
-      let _, handle = Cache.access_handle a ~addr ~write:false in
+      let handle = Cache.handle () in
+      ignore (Cache.access_into a ~addr ~write:false handle);
       ignore (Cache.access b ~addr ~write:false);
       List.iter replay between;
       let oa =
@@ -159,6 +160,50 @@ let prop_rehit_exact_accounting =
            [ (addr, false); (addr + 512, true); (addr + 1024, false);
              (addr, false); (addr + 1536, true); (addr + 512, false) ])
 
+(* property: [Cache.rehit_many h ~n] is [n] sequential [rehit]s — same
+   verdict, statistics, line recency and clock (compared through the
+   snapshot image, which captures them), and the same observer firings.
+   The handle is captured mid-history and the history goes on before the
+   replay, so it is sometimes stale; both sides must then refuse without
+   accounting. *)
+let prop_rehit_many =
+  let trace = QCheck.Gen.(list_size (int_bound 16) (pair (int_bound 4095) bool)) in
+  let arb =
+    QCheck.make
+      ~print:(fun (before, addr, between, n) ->
+        let show l =
+          String.concat ";" (List.map (fun (a, w) -> Printf.sprintf "%d%s" a (if w then "w" else "r")) l)
+        in
+        Printf.sprintf "[%s] addr=%d [%s] n=%d" (show before) addr (show between) n)
+      QCheck.Gen.(quad trace (int_bound 4095) trace (int_range (-1) 6))
+  in
+  QCheck.Test.make ~count:300 ~name:"Cache.rehit_many = n x rehit (state, clock, observer)" arb
+    (fun (before, addr, between, n) ->
+      let a = mk () and b = mk () in
+      let log_a = ref [] and log_b = ref [] in
+      let tap log =
+        Some (fun ~addr ~write ~hit ~writeback -> log := (addr, write, hit, writeback) :: !log)
+      in
+      Cache.set_observer a (tap log_a);
+      Cache.set_observer b (tap log_b);
+      let replay (ad, w) =
+        ignore (Cache.access a ~addr:ad ~write:w);
+        ignore (Cache.access b ~addr:ad ~write:w)
+      in
+      List.iter replay before;
+      let ha = Cache.handle () and hb = Cache.handle () in
+      ignore (Cache.access_into a ~addr ~write:false ha);
+      ignore (Cache.access_into b ~addr ~write:false hb);
+      List.iter replay between;
+      let batched = Cache.rehit_many a ha ~n in
+      let one_by_one = ref true in
+      for _ = 1 to n do
+        if not (Cache.rehit b hb) then one_by_one := false
+      done;
+      batched = !one_by_one
+      && Cache.snapshot a = Cache.snapshot b
+      && !log_a = !log_b)
+
 let suite =
   [
     Alcotest.test_case "geometry validation" `Quick test_geometry_validation;
@@ -171,4 +216,5 @@ let suite =
     Seeded.to_alcotest prop_repeat_hits;
     Seeded.to_alcotest prop_deterministic;
     Seeded.to_alcotest prop_rehit_exact_accounting;
+    Seeded.to_alcotest prop_rehit_many;
   ]

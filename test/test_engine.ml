@@ -343,15 +343,15 @@ let test_trace_invalidation () =
         traced_outcome.Kernel.instructions o.Kernel.instructions)
     outcomes
 
-(* The chain-exit translation memo (lower.ml) must be invalidated when a
-   store rewrites a page that chained hops land on.  Run a hot loop that
-   chains through an mmap'd function on every iteration — so the
-   per-site memo is warm by the time the rewrite happens — then rewrite
-   the function *mid-loop* and keep looping through the same chain
-   site.  8 calls returning 3 then 8 returning 5: exit 64.  A stale
-   memo or trace replays 3 and exits 48; a memo that skipped or
-   double-charged the TLB scan diverges from the single-step oracle's
-   cycle count. *)
+(* A store that rewrites a page chained hops land on must invalidate
+   the trace they chain into, while the MMU's same-page memo keeps
+   replaying the hop's I-TLB hit exactly.  Run a hot loop that chains
+   through an mmap'd function on every iteration — so the memo and the
+   chain are warm by the time the rewrite happens — then rewrite the
+   function *mid-loop* and keep looping through the same chain site.
+   8 calls returning 3 then 8 returning 5: exit 64.  A stale trace
+   replays 3 and exits 48; a memo that skipped or double-charged the
+   TLB scan diverges from the single-step oracle's cycle count. *)
 let chain_memo_smc_src =
   Printf.sprintf
     {|
@@ -409,6 +409,66 @@ let test_chain_memo_smc () =
   Alcotest.(check int64) "block cycles agree with the oracle" stepped.Kernel.cycles
     blocked.Kernel.cycles
 
+(* ---------- allocation budget of the traced hot path ---------- *)
+
+(* The traced engine's hot path allocates nothing: registers live in an
+   unboxed register file, translation returns an int, and the cache/TLB
+   fast paths reuse their handles.  What remains per instruction is the
+   amortized cost of compiling traces and of the dispatch loop's rare
+   entries.  A trace-hot program — a vcall (ld.ro) loop over loads,
+   stores, mul and branches — must stay under one minor-heap word per
+   retired instruction; a boxed int64 anywhere on the path costs at
+   least two. *)
+let hot_loop_src =
+  {|
+class Shape {
+  int k;
+  virtual int area(int x) { return x + k; }
+};
+class Square : Shape {
+  virtual int area(int x) { return x * x + k; }
+};
+int buf[64];
+int main() {
+  Shape *s = new Square;
+  s->k = 3;
+  int acc = 0;
+  int i;
+  int j;
+  for (i = 0; i < 3000; i = i + 1) {
+    for (j = 0; j < 32; j = j + 1) {
+      buf[j] = buf[j] + s->area(i + j);
+      acc = acc ^ (buf[j] >> 3);
+    }
+  }
+  print_int(acc & 255);
+  print_char('\n');
+  return 0;
+}
+|}
+
+let test_hot_path_allocation () =
+  let exe =
+    Core.Toolchain.compile_exe
+      ~options:{ Core.Toolchain.default_options with scheme = Pass.Vcall }
+      ~name:"hot" hot_loop_src
+  in
+  let machine = Machine.create ~engine:Machine.Traced (System.machine_config System.Processor_kernel_modified) in
+  let kernel = Kernel.create ~machine ~config:Kernel.default_config in
+  let process = Kernel.load kernel exe in
+  Kernel.schedule kernel process;
+  let w0 = Gc.minor_words () in
+  let outcome = Kernel.run kernel process in
+  let words = Gc.minor_words () -. w0 in
+  check_exit "hot loop" 0 outcome;
+  let insts = Int64.to_float outcome.Kernel.instructions in
+  Alcotest.(check bool) "ran long enough to amortize compilation" true (insts > 1e6);
+  Alcotest.(check bool) "most instructions ran in traces" true
+    (float_of_int (Machine.trace_retires machine) > 0.9 *. insts);
+  let per_inst = words /. insts in
+  if per_inst > 1.0 then
+    Alcotest.failf "%.2f minor words per retired instruction (budget 1.0)" per_inst
+
 (* ---------- parallel fan-out determinism (ROLOAD_JOBS) ---------- *)
 
 let small () = [ Option.get (Suite.find "xalancbmk"); Option.get (Suite.find "gobmk") ]
@@ -436,5 +496,7 @@ let suite =
       test_trace_invalidation;
     Alcotest.test_case "mid-loop rewrite invalidates chain-exit memos" `Quick
       test_chain_memo_smc;
+    Alcotest.test_case "traced hot path allocates < 1 word/inst" `Quick
+      test_hot_path_allocation;
     Alcotest.test_case "jobs determinism (-j1 == -j4)" `Slow test_jobs_determinism;
   ]

@@ -90,11 +90,11 @@ let test_set_key_and_perms () =
 let test_tlb_lru () =
   let tlb = Tlb.create ~name:"test" ~entries:2 in
   let p n = Pte.make ~ppn:n ~perms:Perm.rw ~user:true ~key:0 in
-  Tlb.insert tlb ~vpn:1 ~pte:(p 1);
-  Tlb.insert tlb ~vpn:2 ~pte:(p 2);
+  ignore (Tlb.insert tlb ~vpn:1 ~pte:(p 1));
+  ignore (Tlb.insert tlb ~vpn:2 ~pte:(p 2));
   Alcotest.(check bool) "hit 1" true (Tlb.lookup tlb 1 <> None);
   (* inserting a third entry must evict vpn 2 (least recently used) *)
-  Tlb.insert tlb ~vpn:3 ~pte:(p 3);
+  ignore (Tlb.insert tlb ~vpn:3 ~pte:(p 3));
   Alcotest.(check bool) "1 survives" true (Tlb.lookup tlb 1 <> None);
   Alcotest.(check bool) "2 evicted" true (Tlb.lookup tlb 2 = None);
   Alcotest.(check bool) "3 present" true (Tlb.lookup tlb 3 <> None);
@@ -222,39 +222,40 @@ let prop_tlb_walk_agree =
           | _ -> false)
         mapped true)
 
+(* A small TLB op language shared by the handle properties: fills,
+   lookups and invalidates over a small vpn space, so handles regularly
+   go stale through both recycling and invalidation. *)
+let tlb_apply t = function
+  | `Fill (vpn, key) -> (
+    (* model an MMU fill: insert only on a miss — [insert] itself does
+       not dedupe, real callers never insert a cached vpn *)
+    match Tlb.lookup t vpn with
+    | Some _ -> ()
+    | None ->
+      ignore (Tlb.insert t ~vpn ~pte:(Pte.make ~ppn:(vpn + 100) ~perms:Perm.ro ~user:true ~key)))
+  | `Lookup vpn -> ignore (Tlb.lookup t vpn)
+  | `Invalidate vpn -> Tlb.invalidate t ~vpn
+
+let tlb_op =
+  QCheck.Gen.(
+    int_bound 11 >>= fun vpn ->
+    frequency
+      [ (4, map (fun k -> `Fill (vpn, k)) (int_bound 3));
+        (3, return (`Lookup vpn));
+        (1, return (`Invalidate vpn)) ])
+
+let print_tlb_op = function
+  | `Fill (v, k) -> Printf.sprintf "fill %d/k%d" v k
+  | `Lookup v -> Printf.sprintf "lkp %d" v
+  | `Invalidate v -> Printf.sprintf "inv %d" v
+
 (* property: [Tlb.rehit]'s documented contract — replaying a hit through a
    captured handle, with [lookup] as the fallback on refusal, is
    observably identical to always calling [lookup]: same PTE, same
    hit/miss counters, and the same LRU state afterwards (probed by
-   running an identical eviction-heavy tail on a twin TLB).  The op
-   sequence interleaves inserts, lookups and invalidates over a small vpn
-   space so handles regularly go stale through both recycling and
-   invalidation. *)
+   running an identical eviction-heavy tail on a twin TLB). *)
 let prop_tlb_rehit_exact_accounting =
-  let apply t = function
-    | `Fill (vpn, key) -> (
-      (* model an MMU fill: insert only on a miss — [insert] itself does
-         not dedupe, real callers never insert a cached vpn *)
-      match Tlb.lookup t vpn with
-      | Some _ -> ()
-      | None ->
-        Tlb.insert t ~vpn ~pte:(Pte.make ~ppn:(vpn + 100) ~perms:Perm.ro ~user:true ~key))
-    | `Lookup vpn -> ignore (Tlb.lookup t vpn)
-    | `Invalidate vpn -> Tlb.invalidate t ~vpn
-  in
-  let op =
-    QCheck.Gen.(
-      int_bound 11 >>= fun vpn ->
-      frequency
-        [ (4, map (fun k -> `Fill (vpn, k)) (int_bound 3));
-          (3, return (`Lookup vpn));
-          (1, return (`Invalidate vpn)) ])
-  in
-  let print_op = function
-    | `Fill (v, k) -> Printf.sprintf "fill %d/k%d" v k
-    | `Lookup v -> Printf.sprintf "lkp %d" v
-    | `Invalidate v -> Printf.sprintf "inv %d" v
-  in
+  let apply = tlb_apply and op = tlb_op and print_op = print_tlb_op in
   let arb =
     QCheck.make
       ~print:(fun (a, vpn, b) ->
@@ -272,12 +273,7 @@ let prop_tlb_rehit_exact_accounting =
       let handle = Tlb.peek a ~vpn in
       List.iter (fun o -> apply a o; apply b o) between;
       let via_rehit =
-        match handle with
-        | None -> Tlb.lookup a vpn
-        | Some h -> (
-          match Tlb.rehit a ~vpn h with
-          | Some pte -> Some pte
-          | None -> Tlb.lookup a vpn)
+        if Tlb.rehit a ~vpn handle then Some (Tlb.pte handle) else Tlb.lookup a vpn
       in
       let via_lookup = Tlb.lookup b vpn in
       let stats_eq () =
@@ -290,13 +286,158 @@ let prop_tlb_rehit_exact_accounting =
       (* same LRU state: an eviction-heavy tail behaves identically *)
       && List.for_all
            (fun probe ->
-             Tlb.insert a ~vpn:(probe + 50)
-               ~pte:(Pte.make ~ppn:probe ~perms:Perm.ro ~user:true ~key:0);
-             Tlb.insert b ~vpn:(probe + 50)
-               ~pte:(Pte.make ~ppn:probe ~perms:Perm.ro ~user:true ~key:0);
+             ignore
+               (Tlb.insert a ~vpn:(probe + 50)
+                  ~pte:(Pte.make ~ppn:probe ~perms:Perm.ro ~user:true ~key:0));
+             ignore
+               (Tlb.insert b ~vpn:(probe + 50)
+                  ~pte:(Pte.make ~ppn:probe ~perms:Perm.ro ~user:true ~key:0));
              List.for_all (fun v -> Tlb.lookup a v = Tlb.lookup b v) [ vpn; probe + 50 ]
              && stats_eq ())
            [ 0; 1; 2; 3; 4; 5 ])
+
+(* property: [Tlb.rehit_many h ~n] is [n] sequential [rehit]s — same
+   verdict, statistics, entry recency and LRU clock (all compared through
+   the snapshot image, which captures them), and the same observer
+   firings.  The handle is captured mid-history and the history goes on
+   before the replay, so it is sometimes stale; both sides must then
+   refuse without accounting. *)
+let prop_tlb_rehit_many =
+  let arb =
+    QCheck.make
+      ~print:(fun (a, vpn, b, n) ->
+        Printf.sprintf "[%s] vpn=%d [%s] n=%d"
+          (String.concat "; " (List.map print_tlb_op a))
+          vpn
+          (String.concat "; " (List.map print_tlb_op b))
+          n)
+      QCheck.Gen.(
+        quad (list_size (int_bound 20) tlb_op) (int_bound 11)
+          (list_size (int_bound 8) tlb_op) (int_range (-1) 6))
+  in
+  QCheck.Test.make ~count:300 ~name:"Tlb.rehit_many = n x rehit (state, clock, observer)" arb
+    (fun (before, vpn, between, n) ->
+      let a = Tlb.create ~name:"a" ~entries:4 in
+      let b = Tlb.create ~name:"b" ~entries:4 in
+      let log_a = ref [] and log_b = ref [] in
+      let tap log = Some (fun ~vpn ~hit -> log := (vpn, hit) :: !log) in
+      Tlb.set_observer a (tap log_a);
+      Tlb.set_observer b (tap log_b);
+      List.iter (fun o -> tlb_apply a o; tlb_apply b o) before;
+      let ha = Tlb.peek a ~vpn and hb = Tlb.peek b ~vpn in
+      List.iter (fun o -> tlb_apply a o; tlb_apply b o) between;
+      let batched = Tlb.rehit_many a ~vpn ha ~n in
+      let one_by_one = ref true in
+      for _ = 1 to n do
+        if not (Tlb.rehit b ~vpn hb) then one_by_one := false
+      done;
+      batched = !one_by_one
+      && Tlb.snapshot a = Tlb.snapshot b
+      && !log_a = !log_b)
+
+(* property: the MMU's one translation core agrees with its [translate]
+   wrapper and with a fresh MMU that has no same-page memos (restored
+   from the core's image right before each access).  Random access
+   sequences — fetch, load, store and ld.ro with every key — run over
+   pages of every permission class, some unmapped, through 4-entry TLBs
+   and vpns that collide in the memo, interleaved with TLB key-bit
+   corruption, invalidate, flush and snapshot/restore.  After every step
+   the PA or fault, the walk steps, and the whole MMU image (TLB entries,
+   LRU clocks, hit/miss counters, fault triage counts) must match. *)
+let prop_mmu_core_agrees =
+  let base = 0x100000 in
+  let classes =
+    [| (Perm.ro, 1); (Perm.ro, 2); (Perm.rw, 0); (Perm.rx, 0); (Perm.ro, 0);
+       (Perm.rw, 3); (Perm.ro, 3); (Perm.rwx, 1) |]
+  in
+  let n_vpns = 10 (* the last two are unmapped *) in
+  let access_of k =
+    match k with
+    | 0 -> Perm.Fetch
+    | 1 -> Perm.Load
+    | 2 -> Perm.Store
+    | k -> Perm.Roload (k - 3)
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (12, map3 (fun k v off -> `Access (k, v, off)) (int_bound 6) (int_bound (n_vpns - 1))
+                 (int_bound 511));
+          (2, map3 (fun side v bit -> `Corrupt (side, v, bit)) bool (int_bound (n_vpns - 1))
+                (int_bound 1));
+          (1, map (fun v -> `Invalidate v) (int_bound (n_vpns - 1)));
+          (1, return `Flush);
+          (1, return `Snapshot);
+          (1, return `Restore) ])
+  in
+  let print_op = function
+    | `Access (k, v, off) -> Printf.sprintf "acc%d %d+%d" k v off
+    | `Corrupt (side, v, bit) -> Printf.sprintf "flip%s %d.%d" (if side then "I" else "D") v bit
+    | `Invalidate v -> Printf.sprintf "inv %d" v
+    | `Flush -> "flush"
+    | `Snapshot -> "snap"
+    | `Restore -> "restore"
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+      QCheck.Gen.(list_size (int_range 1 60) op)
+  in
+  QCheck.Test.make ~count:300 ~name:"Mmu core = translate wrapper = memo-free MMU" arb
+    (fun ops ->
+      let _mem, pt = make_env () in
+      Array.iteri
+        (fun i (perms, key) ->
+          Page_table.map_page pt ~va:(base + (i * page)) ~ppn:(200 + i) ~perms ~user:true ~key)
+        classes;
+      let core = make_mmu pt and wrapped = make_mmu pt in
+      let saved = ref None in
+      let step = function
+        | `Access (k, v, off) ->
+          let access = access_of k and va = base + (v * page) + (off * 8) in
+          let before = Mmu.snapshot core in
+          let pa = Mmu.translate_pa core ~access va in
+          let core_result =
+            if pa < 0 then Error (Mmu.last_fault core) else Ok (pa, Mmu.walk_steps core)
+          in
+          let wrapped_result =
+            match Mmu.translate wrapped ~access va with
+            | Ok { Mmu.pa; walk_steps; _ } -> Ok (pa, walk_steps)
+            | Error f -> Error f
+          in
+          let fresh = make_mmu pt in
+          Mmu.restore fresh before;
+          let fpa = Mmu.translate_pa fresh ~access va in
+          let fresh_result =
+            if fpa < 0 then Error (Mmu.last_fault fresh) else Ok (fpa, Mmu.walk_steps fresh)
+          in
+          core_result = wrapped_result && core_result = fresh_result
+          && Mmu.snapshot fresh = Mmu.snapshot core
+        | `Corrupt (side, v, bit) ->
+          let tlb m = if side then Mmu.itlb m else Mmu.dtlb m in
+          let vpn = (base lsr Page_table.page_shift) + v in
+          let f pte = Pte.flip_key_bit pte ~bit in
+          Tlb.corrupt (tlb core) ~vpn ~f = Tlb.corrupt (tlb wrapped) ~vpn ~f
+        | `Invalidate v ->
+          Mmu.invalidate core ~va:(base + (v * page));
+          Mmu.invalidate wrapped ~va:(base + (v * page));
+          true
+        | `Flush ->
+          Mmu.flush core;
+          Mmu.flush wrapped;
+          true
+        | `Snapshot ->
+          saved := Some (Mmu.snapshot core, Mmu.snapshot wrapped);
+          true
+        | `Restore ->
+          (match !saved with
+          | Some (c, w) ->
+            Mmu.restore core c;
+            Mmu.restore wrapped w
+          | None -> ());
+          true
+      in
+      List.for_all (fun o -> step o && Mmu.snapshot core = Mmu.snapshot wrapped) ops)
 
 let suite =
   [
@@ -313,4 +454,6 @@ let suite =
     Seeded.to_alcotest prop_pte_roundtrip;
     Seeded.to_alcotest prop_tlb_walk_agree;
     Seeded.to_alcotest prop_tlb_rehit_exact_accounting;
+    Seeded.to_alcotest prop_tlb_rehit_many;
+    Seeded.to_alcotest prop_mmu_core_agrees;
   ]
