@@ -15,9 +15,9 @@
    [--metrics] extends the §V tables with counter columns (ld.ro count,
    ROLoad faults, TLB/cache miss rates) and writes the per-cell metrics
    log as JSON; [--check-cycles] compares that log's cycle counts against
-   a committed baseline and fails (exit 1) on any divergence — the CI
-   gate that pins down "metrics collection does not change what is
-   simulated". *)
+   a committed baseline and fails (exit 1) on any divergence, or (exit 2)
+   when the baseline cannot be read — the CI gate that pins down
+   "metrics collection does not change what is simulated". *)
 
 open Cmdliner
 
@@ -163,8 +163,12 @@ let run names scale jobs engine json baseline metrics check_cycles =
     | Error msg ->
       prerr_endline msg;
       exit 2));
+  (* an explicit --engine beats ROLOAD_ENGINE; whichever applies, and
+     ROLOAD_TRACE_HOT, is validated before anything runs *)
   let engine_label =
-    try Machine.engine_name (Machine.effective_engine ())
+    try
+      ignore (Machine.effective_hot_threshold ());
+      Machine.engine_name (Machine.effective_engine ())
     with Failure msg ->
       prerr_endline msg;
       exit 2
@@ -174,6 +178,17 @@ let run names scale jobs engine json baseline metrics check_cycles =
      Printf.eprintf "--check-cycles requires --metrics\n";
      exit 2
    end);
+  (* a gate without its baseline must not pass: fail before running *)
+  let cycle_baseline =
+    Option.map
+      (fun bpath ->
+        match read_file bpath with
+        | Some doc -> (bpath, doc)
+        | None ->
+          Printf.eprintf "cannot read cycle baseline %s\n" bpath;
+          exit 2)
+      check_cycles
+  in
   if metrics <> None then Core.Experiments.enable_metrics ();
   let names =
     match names with
@@ -226,29 +241,25 @@ let run names scale jobs engine json baseline metrics check_cycles =
     (* the cycle-divergence gate: metrics collection (and tracing) must
        not change what is simulated, so the cycle counts of every cell
        must equal the committed baseline's exactly *)
-    match check_cycles with
+    match cycle_baseline with
     | None -> ()
-    | Some bpath -> (
-      match read_file bpath with
-      | None ->
-        Printf.eprintf "warning: cannot read cycle baseline %s; skipping gate\n" bpath
-      | Some base_doc ->
-        let cur = Roload_util.Json.scan_int64_values ~key:"cycles" doc in
-        let base = Roload_util.Json.scan_int64_values ~key:"cycles" base_doc in
-        if cur <> base then begin
-          Printf.eprintf
-            "CYCLE DIVERGENCE: %d cycle values (baseline %d) and/or values differ \
-             between %s and %s\n"
-            (List.length cur) (List.length base) path bpath;
-          List.iteri
-            (fun i (c, b) ->
-              if c <> b then Printf.eprintf "  cell %d: %Ld vs baseline %Ld\n" i c b)
-            (try List.combine cur base with Invalid_argument _ -> []);
-          exit 1
-        end
-        else
-          Printf.printf "cycle gate: %d cells match baseline %s exactly — ok\n"
-            (List.length cur) bpath));
+    | Some (bpath, base_doc) ->
+      let cur = Roload_util.Json.scan_int64_values ~key:"cycles" doc in
+      let base = Roload_util.Json.scan_int64_values ~key:"cycles" base_doc in
+      if cur <> base then begin
+        Printf.eprintf
+          "CYCLE DIVERGENCE: %d cycle values (baseline %d) and/or values differ \
+           between %s and %s\n"
+          (List.length cur) (List.length base) path bpath;
+        List.iteri
+          (fun i (c, b) ->
+            if c <> b then Printf.eprintf "  cell %d: %Ld vs baseline %Ld\n" i c b)
+          (try List.combine cur base with Invalid_argument _ -> []);
+        exit 1
+      end
+      else
+        Printf.printf "cycle gate: %d cells match baseline %s exactly — ok\n"
+          (List.length cur) bpath);
   (match !failed with
   | [] -> ()
   | fs ->
@@ -370,9 +381,10 @@ let engine_arg =
        & opt (some string) None
        & info [ "engine" ] ~docv:"ENGINE"
            ~doc:
-             "Execution engine for every simulation: single, block, or traced (default: \
-              traced; \\$ROLOAD_ENGINE overrides). All engines are cycle-exact to each \
-              other.")
+             "Execution engine for every simulation: single or traced (default: \
+              \\$ROLOAD_ENGINE, else traced; this flag beats \\$ROLOAD_ENGINE). The engines \
+              are cycle-exact to each other; \\$ROLOAD_TRACE_HOT=1000000000 runs traced \
+              without trace compilation.")
 
 let json_arg =
   Arg.(value
@@ -403,7 +415,7 @@ let check_cycles_arg =
        & info [ "check-cycles" ] ~docv:"PATH"
            ~doc:
              "Compare the metrics log's cycle counts against the baseline at PATH; exit 1 \
-              on any divergence. Requires --metrics.")
+              on any divergence, exit 2 if PATH cannot be read. Requires --metrics.")
 
 let cmd =
   Cmd.v

@@ -4,7 +4,7 @@
      roload-fuzz --seed 1 --count 2000              # fixed-seed campaign
      roload-fuzz --count 200 --time-budget 60       # time-bounded smoke run
      roload-fuzz --scheme icall --count 500         # focus one scheme
-     roload-fuzz --engine traced --matrix out.tsv   # one engine, diffable matrix
+     roload-fuzz --engine traced --matrix out.tsv   # one engine, timing-free matrix
      roload-fuzz --check-oracle                     # mutation self-check
      roload-fuzz --replay corpus/foo.mc             # re-check a reproducer
      roload-fuzz --json ...                         # machine-readable report
@@ -325,9 +325,7 @@ let engine_arg =
   Arg.(value & opt (some string) None
        & info [ "engine" ] ~docv:"ENGINE"
            ~doc:"Restrict the machine side of the differential check to one execution \
-                 engine (single, block, or traced; default: all three). The per-case \
-                 --matrix output is timing-free, so two single-engine campaigns — e.g. \
-                 --engine traced vs --engine block — must be byte-identical.")
+                 engine (single or traced; default: both).")
 
 let size_arg =
   Arg.(value & opt int 6 & info [ "size" ] ~docv:"N" ~doc:"Upper bound on program size (number of optional chunks).")

@@ -1,7 +1,7 @@
 (* roload_run — load an .rxe image and run it on the simulated system.
 
    Usage: roload_run prog.rxe [--system baseline|processor|full]
-                              [--engine single|block|traced]
+                              [--engine single|traced]
                               [--trace out.json] [--trace-text out.txt]
                               [--profile] [--metrics] [--disasm N] *)
 
@@ -14,24 +14,25 @@ let write_file path contents =
 
 let run path system_name engine_name verbose disasm_count trace_path trace_text_path
     profile metrics =
+  let module Machine = Roload_machine.Machine in
   let engine =
     match engine_name with
-    | None -> (
-      (* validate ROLOAD_ENGINE up front so a typo is a clean usage
-         error, not an uncaught exception mid-run *)
-      try
-        ignore (Roload_machine.Machine.effective_engine ());
-        None
-      with Failure msg ->
-        prerr_endline msg;
-        exit 2)
+    | None -> None
     | Some name -> (
-      match Roload_machine.Machine.engine_of_string name with
+      match Machine.engine_of_string name with
       | Ok e -> Some e
       | Error msg ->
         prerr_endline msg;
         exit 2)
   in
+  (* validate ROLOAD_ENGINE and ROLOAD_TRACE_HOT up front so a typo is a
+     clean usage error, not an uncaught exception mid-run *)
+  (try
+     if engine = None then ignore (Machine.effective_engine ());
+     ignore (Machine.effective_hot_threshold ())
+   with Failure msg ->
+     prerr_endline msg;
+     exit 2);
   let variant =
     match system_name with
     | "baseline" -> Core.System.Baseline
@@ -118,8 +119,9 @@ let engine_arg =
   Arg.(value & opt (some string) None
        & info [ "engine" ] ~docv:"ENGINE"
            ~doc:
-             "Execution engine: single, block, or traced (default: traced; \
-              \\$ROLOAD_ENGINE overrides). All engines are cycle-exact to each other.")
+             "Execution engine: single or traced (default: \\$ROLOAD_ENGINE, else \
+              traced). The engines are cycle-exact to each other; \
+              \\$ROLOAD_TRACE_HOT=1000000000 runs traced without trace compilation.")
 
 let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print run statistics.")
 

@@ -43,9 +43,8 @@ val run :
   variant:variant ->
   Roload_obj.Exe.t ->
   measurement
-(** [engine] selects the execution engine for this run (defaults to the
-    machine's effective default: [ROLOAD_ENGINE] if set, else the
-    process default, which is trace-compiled).
+(** [engine] selects the execution engine for this run (defaults to
+    [Machine.effective_engine ()]).
     [template] seeds the run from a pristine boot image instead of
     creating a machine from reset: [Machine.fork] of a just-created
     machine is bit-identical to [Machine.create] but shares all untouched

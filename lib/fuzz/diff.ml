@@ -2,15 +2,15 @@
 
    For each scheme: the oracle interprets the freshly-lowered, unhardened
    IR; the compiled pipeline (parse → lower → optimize → pass → codegen →
-   assemble → link) runs on every execution engine (single-step
-   reference, block-cached, trace-compiled) under the full ROLoad system
-   variant.  All observations must agree on the stop class (exit code /
-   ROLoad fault / check abort / plain segfault) and on the exact output
-   bytes; the engines must additionally agree on cycle and instruction
+   assemble → link) runs on both execution engines (single-step
+   reference, trace-compiled) under the full ROLoad system variant.  All
+   observations must agree on the stop class (exit code / ROLoad fault /
+   check abort / plain segfault) and on the exact output bytes; the
+   engines must additionally agree on cycle and instruction
    counts (they are documented cycle-exact).  The trace hotness threshold
    is lowered to 1 for the machine runs, so even short generated programs
-   exercise the trace compiler rather than skating by on the block
-   engine.
+   exercise the trace compiler rather than skating by on its per-slot
+   tier.
 
    The oracle's fuel and the machines' instruction budget are deliberately
    far apart (200k IR steps vs 50M machine instructions) so a program the
@@ -38,8 +38,7 @@ type case_result =
 
 let schemes_under_test = Pass.all_schemes
 
-let engines_under_test =
-  [ Machine.Single_step; Machine.Block_cached; Machine.Traced ]
+let engines_under_test = [ Machine.Single_step; Machine.Traced ]
 
 let lower_fresh ~name source =
   let ast = Roload_front.Parser.parse source in

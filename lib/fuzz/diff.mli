@@ -1,8 +1,8 @@
 (** The differential runner: compile one MiniC program under every
     hardening scheme and check IR-oracle ≡ single-step engine ≡
-    block-cached engine ≡ trace-compiled engine, including trap
-    equivalence — a program the oracle says must SIGSEGV with the ROLoad
-    triage must do so on every engine, and must not trap under [none]. *)
+    trace-compiled engine, including trap equivalence — a program the
+    oracle says must SIGSEGV with the ROLoad triage must do so on every
+    engine, and must not trap under [none]. *)
 
 module Pass = Roload_passes.Pass
 module Ir = Roload_ir.Ir
@@ -28,7 +28,7 @@ val schemes_under_test : Pass.scheme list
 
 val engines_under_test : Roload_machine.Machine.engine list
 (** The default machine-engine matrix: single-step reference,
-    block-cached, trace-compiled. *)
+    trace-compiled. *)
 
 val oracle_behaviors :
   ?schemes:Pass.scheme list ->
@@ -50,11 +50,10 @@ val run_source :
   case_result
 (** [run_source ~name source] performs the full differential check.
     [engines] (default {!engines_under_test}, [[]] means the default)
-    restricts the machine-engine side of the matrix — e.g. [--engine
-    traced] campaigns whose per-case outcome matrices are byte-diffed
-    against [--engine block] ones; the first listed engine anchors the
-    cycle-exactness comparison.  The machine runs force the trace
-    hotness threshold to 1 so short programs still compile traces.
+    restricts the machine-engine side of the matrix (e.g. [--engine
+    traced]); the first listed engine anchors the cycle-exactness
+    comparison.  The machine runs force the trace hotness threshold to 1
+    so short programs still compile traces.
     [sabotage] is the mutation-self-check hook: it runs after the
     hardening pass and before code generation for each scheme and may
     plant a miscompile, returning whether it changed anything (the

@@ -51,7 +51,8 @@
    [Mmu.translate_pa] returns the physical address, loads and stores read
    the page [Bytes] that [Phys_mem.page] hands back, and the cache and TLB
    entry points return [int]/[bool].  The [Alu] module stays the
-   reference semantics for the interpreting engines. *)
+   reference semantics for the single-step engine and the per-slot
+   tier. *)
 
 module Perm = Roload_mem.Perm
 module Mmu = Roload_mem.Mmu
@@ -173,7 +174,7 @@ let chain_exit env st ~pc =
 
 (* A block is compilable when every slot can be lowered: no ecall/ebreak
    (the kernel decides the resumption pc), and no ld.ro on a baseline
-   machine (it must raise Illegal_instruction, which the block engine
+   machine (it must raise Illegal_instruction, which the per-slot tier
    already handles). *)
 let compilable ~roload_enabled b =
   let n = Block.length b in
@@ -557,7 +558,7 @@ let lower_segment env st (sg : Trace.seg) ~(kind : cont_kind) : Tlb.handle -> te
   in
   (* chunk boundaries, then per-chunk statics and fetch plans in forward
      order ([cur_line] threads the compile-time I-cache line across
-     chunks; it resets per segment, mirroring the block engine's
+     chunks; it resets per segment, mirroring the per-slot tier's
      per-entry reset) *)
   let bounds = ref [] in
   let k0 = ref 0 in

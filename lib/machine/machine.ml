@@ -46,64 +46,66 @@ type exec_counts = Lower.exec_counts = {
   mutable indirect_jumps : int;
 }
 
-type engine = Block_cached | Single_step | Traced
+type engine = Single_step | Traced
 
 let engine_name = function
   | Single_step -> "single"
-  | Block_cached -> "block"
   | Traced -> "traced"
 
 let engine_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "single" | "single-step" | "step" -> Ok Single_step
-  | "block" | "block-cached" | "blocks" -> Ok Block_cached
   | "traced" | "trace" -> Ok Traced
-  | _ -> Error (Printf.sprintf "unknown engine %S (valid: single, block, traced)" s)
+  | _ -> Error (Printf.sprintf "unknown engine %S (valid: single, traced)" s)
 
-(* Per-block profile accumulator (block-cached and traced engines), keyed
-   by the block's (or trace entry's) start PA.  Profiling, like tracing,
-   never touches simulated state — it reads the cycle/instret counters
-   around each visit. *)
+(* Per-block profile accumulator (traced engine's per-slot tier and its
+   traces), keyed by the block's (or trace entry's) start PA.  Profiling,
+   like tracing, never touches simulated state — it reads the
+   cycle/instret counters around each visit. *)
 type prof = {
   mutable p_entries : int;
   mutable p_cycles : int;
   mutable p_insts : int;
 }
 
-(* The trace-compiled engine is the default; [ROLOAD_ENGINE] overrides it
-   ([single] is the per-instruction reference interpreter, kept for
-   differential testing; [block] the PR 2 block-cached engine).  An
-   unrecognized value fails loudly — a silently misread engine name would
-   invalidate benchmark comparisons. *)
-let default_engine = ref Traced
-let set_default_engine e = default_engine := e
+(* The trace-compiled engine is the default.  An engine set by
+   [set_default_engine] (a front-end's explicit flag) wins over
+   [ROLOAD_ENGINE], which wins over the built-in default ([single] is the
+   per-instruction reference interpreter, kept for differential
+   testing).  Environment values fail loudly — a silently misread engine
+   name or threshold would invalidate benchmark comparisons. *)
+let explicit_engine = ref None
+let set_default_engine e = explicit_engine := Some e
 
-(* The engine a [create] with no [?engine] argument would pick right now
-   — the process default unless [ROLOAD_ENGINE] overrides it.  Harness
-   front-ends use this to label their output. *)
+(* The engine a [create] with no [?engine] argument would pick right
+   now.  Harness front-ends use this to label their output. *)
 let effective_engine () =
-  match Sys.getenv_opt "ROLOAD_ENGINE" with
-  | None | Some "" -> !default_engine
-  | Some s -> (
+  match (!explicit_engine, Sys.getenv_opt "ROLOAD_ENGINE") with
+  | Some e, _ -> e
+  | None, (None | Some "") -> Traced
+  | None, Some s -> (
     match engine_of_string s with
     | Ok e -> e
     | Error msg -> failwith ("ROLOAD_ENGINE: " ^ msg))
 
 (* Dispatch-loop entries before a block is considered hot enough to seed
    a trace; ROLOAD_TRACE_HOT overrides (tests use 1 to force immediate
-   compilation), and the differential fuzzer lowers the process default
-   so short generated programs still exercise the trace compiler. *)
+   compilation, a huge value turns trace compilation off), and the
+   differential fuzzer lowers the process default so short generated
+   programs still exercise the trace compiler. *)
 let default_hot_threshold' = ref 64
 let default_hot_threshold () = !default_hot_threshold'
 let set_default_hot_threshold n = default_hot_threshold' := max 1 n
 
-let hot_threshold_of_env () =
+let effective_hot_threshold () =
   match Sys.getenv_opt "ROLOAD_TRACE_HOT" with
   | None | Some "" -> !default_hot_threshold'
   | Some s -> (
-    match int_of_string_opt s with
+    match int_of_string_opt (String.trim s) with
     | Some n when n >= 1 -> n
-    | _ -> !default_hot_threshold')
+    | _ ->
+      failwith
+        (Printf.sprintf "ROLOAD_TRACE_HOT: invalid threshold %S (expected an integer >= 1)" s))
 
 type t = {
   config : Config.t;
@@ -192,7 +194,7 @@ let create ?(costs = default_costs) ?engine (config : Config.t) =
     traces;
     trace_tables;
     asid = 0;
-    hot_threshold = hot_threshold_of_env ();
+    hot_threshold = effective_hot_threshold ();
     trace_enters = 0;
     trace_retires = 0;
     traces_compiled = 0;
@@ -462,7 +464,8 @@ let classify (inst : Inst.t) : Event.inst_class =
   | Inst.Ecall | Inst.Ebreak -> Event.C_system
 
 (* Execute one decoded instruction: everything [step] does after
-   fetch/decode.  Shared by the single-step and block-cached engines. *)
+   fetch/decode.  Shared by the single-step engine and the traced
+   engine's per-slot tier. *)
 let execute_inst t ~pc inst ~size =
   let cpu = t.cpu in
   (match t.trace with Some f -> f ~pc inst | None -> ());
@@ -602,26 +605,14 @@ let execute_inst t ~pc inst ~size =
   result
 
 (* The per-instruction reference interpreter: fetch, decode (memoized per
-   pa), execute.  The block-cached engine must match its observable
-   behaviour — architectural state, traps, cycles, cache/TLB statistics —
-   exactly. *)
+   pa), execute.  The traced engine must match its observable behaviour —
+   architectural state, traps, cycles, cache/TLB statistics — exactly. *)
 let step t =
   match fetch_decode t with
   | Error tr -> Trapped tr
   | Ok (inst, size) -> execute_inst t ~pc:(Cpu.pc t.cpu) inst ~size
 
-(* Run until a trap; the caller (kernel) decides whether to resume. *)
-let run_until_trap ?(max_steps = max_int) t =
-  let rec go n =
-    if n >= max_steps then None
-    else
-      match step t with
-      | Continue -> go (n + 1)
-      | Trapped tr -> Some tr
-  in
-  go 0
-
-(* ---- block-cached engine ---- *)
+(* ---- the traced engine's per-slot tier ---- *)
 
 type run_stop =
   | Exhausted (* fuel ran out; the caller re-checks its limits *)
@@ -669,7 +660,8 @@ let prof_charge tbl ~pa ~cycles ~insts =
    [pa] with the I-TLB access accounted and [tlb_handle] captured by the
    caller).  Returns [None] to hand control back to the dispatch loop
    (block over: fall through or jump elsewhere), [Some r] to finish the
-   run.  Shared by the block-cached and traced engines. *)
+   run.  This is the traced engine's per-slot tier: it runs cold blocks,
+   blocks no trace covers, and every dispatch a trace cannot take. *)
 let exec_block t ~stop_at_pc ~(fuel : int ref) ~pc0 ~pa ~vpn ~tlb_handle ~block =
   let cpu = t.cpu in
   let mmu = mmu_exn t in
@@ -814,49 +806,6 @@ let exec_block t ~stop_at_pc ~(fuel : int ref) ~pc0 ~pa ~vpn ~tlb_handle ~block 
                 ~insts:(Cpu.instret cpu - ins0);
               r)
 
-let run_blocks t ~stop_at_pc ~fuel =
-  let cpu = t.cpu in
-  let mmu = mmu_exn t in
-  let fuel = ref fuel in
-  let finished = ref None in
-  while !finished = None do
-    if !fuel <= 0 then finished := Some Exhausted
-    else begin
-      let pc0 = Cpu.pc cpu in
-      match stop_at_pc with
-      | Some s when s = pc0 -> finished := Some Stop_pc
-      | _ ->
-        if pc0 land 1 <> 0 then
-          finished := Some (Trap (Trap.Misaligned_access { pc = pc0; va = pc0; access = Perm.Fetch }))
-        else begin
-          let pa = Mmu.translate_pa mmu ~access:Perm.Fetch pc0 in
-          if pa < 0 then finished := Some (Trap (Trap.of_mmu_fault ~pc:pc0 (Mmu.last_fault mmu)))
-          else begin
-            charge_walk t (Mmu.walk_steps mmu);
-            let vpn = pc0 lsr Page_table.page_shift in
-            let tlb_handle = Mmu.fetch_handle mmu pc0 in
-            let block, cached =
-              match Hashtbl.find_opt t.blocks pa with
-              | Some b -> (b, true)
-              | None ->
-                let b = Block.create ~start_pa:pa in
-                Hashtbl.add t.blocks pa b;
-                (b, false)
-            in
-            t.block_enters <- t.block_enters + 1;
-            if cached then t.block_hits <- t.block_hits + 1;
-            (match t.tracer with
-            | None -> ()
-            | Some tr -> Tracer.emit tr (Event.Block_enter { pa; cached }));
-            match exec_block t ~stop_at_pc ~fuel ~pc0 ~pa ~vpn ~tlb_handle ~block with
-            | Some r -> finished := Some r
-            | None -> ()
-          end
-        end
-    end
-  done;
-  match !finished with Some r -> r | None -> assert false
-
 (* ---- trace-compiled engine ---- *)
 
 let lower_env t =
@@ -910,16 +859,17 @@ let attempt_compile t ~entry_va ~entry_pa ~block =
     Hashtbl.replace t.traces entry_pa (Lower.compile (lower_env t) plan);
     t.traces_compiled <- t.traces_compiled + 1
 
-(* The traced engine: the block-cached dispatch loop, plus hot-path
-   promotion.  Blocks record entry counts and taken successors; once a
+(* The traced engine: a dispatch loop over pre-decoded blocks, plus
+   hot-path promotion.  Blocks record entry counts and taken successors; once a
    block is hot its trace is stitched ([Trace.build]) and lowered
    ([Lower.compile]), and later dispatches that land on the trace entry
    run the compiled closure instead of interpreting slots.
 
    Traces only run on "plain" dispatches: no instruction-trace hook, no
    obs tracer, no [stop_at_pc], and enough fuel for a full pass — any of
-   those falls back to the block engine, whose per-slot path emits the
-   events and honors the stop.  Correctness never depends on when or
+   those falls back to [exec_block], whose per-slot path emits the events
+   and honors the stop.  A hot threshold no block reaches (ROLOAD_TRACE_HOT
+   set huge) runs every dispatch on that tier, compiling nothing.  Correctness never depends on when or
    whether a trace runs. *)
 let run_traced t ~stop_at_pc ~fuel =
   let cpu = t.cpu in
@@ -1035,7 +985,6 @@ let run_single t ~stop_at_pc ~fuel =
    retired instructions. *)
 let run_steps ?stop_at_pc ~fuel t =
   match t.engine with
-  | Block_cached -> run_blocks t ~stop_at_pc ~fuel
   | Single_step -> run_single t ~stop_at_pc ~fuel
   | Traced -> run_traced t ~stop_at_pc ~fuel
 

@@ -26,27 +26,40 @@ type exec_counts = Lower.exec_counts = {
 type t
 
 type engine =
-  | Block_cached  (** pre-decoded basic blocks + fetch fast paths *)
   | Single_step  (** the per-instruction reference interpreter *)
   | Traced
-      (** block engine + hot superblocks compiled to closures (default) *)
+      (** the fast engine (default): a dispatch loop over pre-decoded
+          basic blocks, whose hot superblocks are compiled to closures.
+          Cold blocks, blocks no trace covers, and every run with a
+          tracer, an instruction hook or a [stop_at_pc] execute slot by
+          slot.  With the hot threshold at [max_int] nothing compiles —
+          the "no trace compilation" ablation. *)
 
 val engine_name : engine -> string
-(** Canonical short name: ["single"], ["block"] or ["traced"]. *)
+(** Canonical short name: ["single"] or ["traced"]. *)
 
 val engine_of_string : string -> (engine, string) result
 (** Parse an engine name ([single]/[single-step]/[step],
-    [block]/[block-cached]/[blocks], [traced]/[trace], case-insensitive);
-    the error message lists the valid names. *)
+    [traced]/[trace], case-insensitive); the error message lists the
+    valid names. *)
+
+(** {2 Engine and threshold precedence}
+
+    A machine's engine is, first to last: the [?engine] argument of
+    {!create}; the engine given to {!set_default_engine} (a front-end's
+    explicit [--engine] flag); the [ROLOAD_ENGINE] environment variable;
+    {!Traced}.  Its trace hotness threshold is [ROLOAD_TRACE_HOT] when
+    set, else the process default ({!set_default_hot_threshold}).  A
+    malformed [ROLOAD_ENGINE] or [ROLOAD_TRACE_HOT] raises [Failure]
+    naming the variable; it is never silently replaced by a default. *)
 
 val set_default_engine : engine -> unit
-(** Override the engine used when neither [?engine] nor [ROLOAD_ENGINE]
-    says otherwise (initially {!Traced}). *)
+(** Set the engine for every later {!create} without [?engine]. *)
 
 val effective_engine : unit -> engine
-(** The engine a [create] with no [?engine] argument picks right now:
-    [ROLOAD_ENGINE] when set (unknown values fail loudly), else the
-    process default.  Harness front-ends use this to label output. *)
+(** The engine a [create] with no [?engine] argument picks right now.
+    Harness front-ends use this to label output and to validate
+    [ROLOAD_ENGINE] up front. *)
 
 val default_hot_threshold : unit -> int
 (** The process-default trace hotness threshold: dispatch-loop entries
@@ -54,16 +67,18 @@ val default_hot_threshold : unit -> int
 
 val set_default_hot_threshold : int -> unit
 (** Override the default hotness threshold (clamped to [>= 1]) for
-    machines created afterwards; [ROLOAD_TRACE_HOT] still wins.  The
-    threshold only changes {e when} traces compile, never any
-    architectural counter — all settings are cycle-identical. *)
+    machines created afterwards.  The threshold only changes {e when}
+    traces compile, never any architectural counter — all settings are
+    cycle-identical. *)
+
+val effective_hot_threshold : unit -> int
+(** The threshold a machine created now gets.  Front-ends call it to
+    validate [ROLOAD_TRACE_HOT] up front. *)
 
 type step_result = Continue | Trapped of Trap.t
 
 val create : ?costs:costs -> ?engine:engine -> Config.t -> t
-(** [engine] defaults to the [ROLOAD_ENGINE] environment variable when
-    set (unknown values fail loudly), else to the process default
-    ({!Traced} unless {!set_default_engine} was called).  All engines are
+(** Without [engine], picks {!effective_engine}.  Both engines are
     cycle-exact to each other. *)
 
 val cpu : t -> Cpu.t
@@ -83,7 +98,7 @@ val cached_traces : t -> int
 (** Number of compiled traces currently cached (introspection). *)
 
 val flush_code_caches : t -> unit
-(** Drop every pre-decoded block, compiled trace and decode memo.  All
+(** Drop every pre-decoded block, compiled trace and decode memo.  Both
     engines share the decode memo, so a flush affects their cycle
     accounting identically (decode-time fetches are re-charged on next
     execution).  Called automatically on [set_mmu] and on stores into
@@ -110,7 +125,7 @@ val roload_key_counts : t -> int array
     maintained, independent of tracing.  Callers must not mutate. *)
 
 val block_enters : t -> int
-(** Block-engine entries into the outer dispatch loop. *)
+(** Traced-engine dispatches that ran a block slot by slot. *)
 
 val block_hits : t -> int
 (** Entries that found a pre-decoded block in the cache. *)
@@ -139,7 +154,7 @@ val note_injection : t -> kind:string -> addr:int -> unit
     roload-chaos injector only. *)
 
 val set_profiling : t -> bool -> unit
-(** Enable/disable hot-block profiling (block-cached and traced engines).
+(** Enable/disable hot-block profiling (traced engine).
     Profiling reads the cycle counters around each block/trace visit and
     never changes simulated behaviour. *)
 
@@ -150,10 +165,6 @@ val profile_blocks : t -> Roload_obs.Profile.block list
 val step : t -> step_result
 (** Execute one instruction. On [Trapped Ecall] the pc still points at the
     ecall; the kernel advances it after servicing. *)
-
-val run_until_trap : ?max_steps:int -> t -> Trap.t option
-(** Run until a trap occurs; [None] when [max_steps] was exhausted
-    first. *)
 
 type run_stop =
   | Exhausted  (** the fuel ran out; the caller re-checks its limits *)

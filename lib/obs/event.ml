@@ -49,7 +49,8 @@ type t =
   | Tlb_access of { side : side; vpn : int; hit : bool }
   | Cache_access of { side : side; pa : int; write : bool; hit : bool; writeback : bool }
   | Block_enter of { pa : int; cached : bool }
-      (* the block engine entered a block; [cached] = found pre-decoded *)
+      (* the traced engine's per-slot tier entered a block; [cached] =
+         found pre-decoded *)
   | Block_decode of { pa : int } (* one slot lazily decoded and appended *)
   | Fault_triage of { kind : string; pc : int }
       (* the kernel classified a trap (e.g. "roload" vs "segv") *)

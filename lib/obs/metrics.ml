@@ -15,7 +15,7 @@
    holds all engines to that. *)
 
 type t = {
-  engine : string; (* "single", "block" or "traced" *)
+  engine : string; (* "single" or "traced" *)
   instructions : int64;
   cycles : int64;
   (* retired instruction mix *)
@@ -49,7 +49,8 @@ type t = {
   (* fault injection (roload-chaos); zero outside a campaign *)
   injections : int; (* faults applied to this machine's state *)
   dropped_writebacks : int; (* D-cache writebacks the campaign suppressed *)
-  (* block engine only; zero under the single-step reference engine *)
+  (* the traced engine's block dispatch; zero under the single-step
+     reference engine *)
   block_enters : int;
   block_hits : int;
   block_decodes : int;

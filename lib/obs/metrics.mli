@@ -4,7 +4,7 @@
     available with tracing off. *)
 
 type t = {
-  engine : string;  (** "single", "block" or "traced" *)
+  engine : string;  (** "single" or "traced" *)
   instructions : int64;
   cycles : int64;
   loads : int;
@@ -33,7 +33,7 @@ type t = {
   syscalls : int;
   injections : int;  (** roload-chaos faults applied; zero outside a campaign *)
   dropped_writebacks : int;  (** D-cache writebacks suppressed by roload-chaos *)
-  block_enters : int;  (** block-engine only; zero under single-step *)
+  block_enters : int;  (** traced engine only; zero under single-step *)
   block_hits : int;
   block_decodes : int;
   trace_enters : int;  (** traced engine only; zero elsewhere *)
@@ -53,8 +53,7 @@ val icache_miss_pct : t -> float
 
 val core_equal : t -> t -> bool
 (** Architectural equality: ignores [engine] and the [block_*]/[trace_*]
-    fields so the traced, block-cached and single-step engines can be
-    compared. *)
+    fields so the traced and single-step engines can be compared. *)
 
 val to_json : t -> string
 

@@ -1,5 +1,5 @@
 (* The hot-block profiler: per-block entry/cycle/instruction attribution
-   collected by the block-cached engine when profiling is enabled.
+   collected by the traced engine when profiling is enabled.
 
    The machine layer owns the accounting (it knows block boundaries and
    the cycle counter); this module is the presentation half — ranking by

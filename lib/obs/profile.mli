@@ -1,5 +1,5 @@
 (** Hot-block profiler presentation: ranking and rendering of per-block
-    cycle attribution collected by the block-cached engine. *)
+    cycle attribution collected by the traced engine. *)
 
 type block = {
   pa : int;

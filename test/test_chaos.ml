@@ -184,16 +184,16 @@ let test_empty_plan_bit_identity () =
       List.iter
         (fun se -> List.iter (check engine se) [ 1; 137; 500; 999 ])
         exes)
-    [ Machine.Single_step; Machine.Block_cached ]
+    [ Machine.Single_step; Machine.Traced ]
 
 (* qcheck flavor of the same property: arbitrary pause points. *)
 let prop_pause_identity =
   let exe = lazy (Campaign.compile_victim Pass.Vcall) in
   QCheck.Test.make ~name:"pause/resume at any point is bit-identical" ~count:25
     QCheck.(pair (int_range 1 999) bool)
-    (fun (permille, block) ->
+    (fun (permille, traced) ->
       let exe = Lazy.force exe in
-      let engine = if block then Machine.Block_cached else Machine.Single_step in
+      let engine = if traced then Machine.Traced else Machine.Single_step in
       let budget = 10_000_000L in
       let plain, pm = Campaign.measure ~engine ~max_instructions:budget exe in
       let pause_at =
@@ -229,7 +229,7 @@ let test_fuel_exhaustion () =
         (Int64.compare m.System.instructions 50_000L >= 0);
       Alcotest.(check string) "distinct status string" "running (instruction limit hit)"
         (System.status_string m))
-    [ Machine.Single_step; Machine.Block_cached ];
+    [ Machine.Single_step; Machine.Traced ];
   (* and the campaign classifies a still-running cell as divergent, not
      as detection *)
   let baseline =
@@ -331,8 +331,8 @@ let test_server_gates () =
   in
   Alcotest.(check bool) "supervised restarts occurred" true (restarts > 0)
 
-(* The availability table is byte-identical across -j and across all
-   three engines. *)
+(* The availability table is byte-identical across -j and across both
+   engines. *)
 let test_server_jobs_invariant () =
   let rp4 = Lazy.force server_report in
   let rp1 = Campaign.run_server { server_config with Campaign.sv_jobs = Some 1 } in
@@ -347,7 +347,6 @@ let test_server_engine_invariant () =
       (Campaign.run_server { server_config with Campaign.sv_engine = Some engine })
   in
   let single = render Machine.Single_step in
-  Alcotest.(check string) "block equals single" single (render Machine.Block_cached);
   let traced =
     let prev = Machine.default_hot_threshold () in
     Machine.set_default_hot_threshold 1;

@@ -1,5 +1,5 @@
-(* Execution-engine equivalence tests: the block-cached and
-   trace-compiled engines must be observably indistinguishable —
+(* Execution-engine equivalence tests: the trace-compiled engine must be
+   observably indistinguishable —
    architectural state, traps, output, and every cycle/cache/TLB
    counter — from the retained single-step reference interpreter, on
    random programs, on every hardening scheme, and across
@@ -46,14 +46,12 @@ let with_hot_threshold n f =
   Fun.protect ~finally:(fun () -> Machine.set_default_hot_threshold prev) f
 
 let run_both_engines ?(variant = System.Processor_kernel_modified) ~ctx exe =
-  let blocked = System.run ~engine:Machine.Block_cached ~variant exe in
   let stepped = System.run ~engine:Machine.Single_step ~variant exe in
   let traced =
     with_hot_threshold 1 (fun () -> System.run ~engine:Machine.Traced ~variant exe)
   in
-  check_same_measurement (ctx ^ "/block-vs-single") blocked stepped;
   check_same_measurement (ctx ^ "/traced-vs-single") traced stepped;
-  blocked
+  traced
 
 (* ---------- random MiniC programs (straight-line + branchy) ---------- *)
 
@@ -120,7 +118,7 @@ let arb_case =
       Printf.sprintf "// scheme %s\n%s" (Pass.scheme_name scheme) src)
 
 let prop_engines_agree =
-  QCheck.Test.make ~count:25 ~name:"block & traced engines == single-step reference"
+  QCheck.Test.make ~count:25 ~name:"traced engine == single-step reference"
     arb_case
     (fun (src, scheme) ->
       let exe =
@@ -214,17 +212,12 @@ let check_exit ctx expected (outcome : Kernel.run_outcome) =
 
 let test_self_modifying () =
   let exe = build_exe self_modifying_src in
-  let _, blocked = exec_on ~engine:Machine.Block_cached exe in
-  check_exit "block engine" 42 blocked;
   let _, stepped = exec_on ~engine:Machine.Single_step exe in
   check_exit "single-step engine" 42 stepped;
   let _, traced =
     with_hot_threshold 1 (fun () -> exec_on ~engine:Machine.Traced exe)
   in
   check_exit "traced engine" 42 traced;
-  Alcotest.(check int64) "cycles agree" blocked.Kernel.cycles stepped.Kernel.cycles;
-  Alcotest.(check int64) "instructions agree" blocked.Kernel.instructions
-    stepped.Kernel.instructions;
   Alcotest.(check int64) "traced cycles agree" traced.Kernel.cycles
     stepped.Kernel.cycles;
   Alcotest.(check int64) "traced instructions agree" traced.Kernel.instructions
@@ -253,7 +246,7 @@ buf:
 
 let test_adjacent_page_store_keeps_caches () =
   let exe = build_exe adjacent_store_src in
-  let machine, outcome = exec_on ~engine:Machine.Block_cached exe in
+  let machine, outcome = exec_on ~engine:Machine.Traced exe in
   check_exit "adjacent store" 0 outcome;
   Alcotest.(check bool) "blocks survive data-page stores" true
     (Machine.cached_blocks machine > 0);
@@ -262,7 +255,7 @@ let test_adjacent_page_store_keeps_caches () =
 
 let test_code_page_store_flushes () =
   let exe = build_exe self_modifying_src in
-  let machine, outcome = exec_on ~engine:Machine.Block_cached exe in
+  let machine, outcome = exec_on ~engine:Machine.Traced exe in
   check_exit "self-modifying" 42 outcome;
   (* the final block (the rewritten mmap page code ran last, then the
      exit sequence re-decoded) is small: the flush really dropped the
@@ -313,10 +306,7 @@ loop:
 
 let test_trace_invalidation () =
   let exe = build_exe trace_smc_src in
-  let engines =
-    [ (Machine.Single_step, "single"); (Machine.Block_cached, "block");
-      (Machine.Traced, "traced") ]
-  in
+  let engines = [ (Machine.Single_step, "single"); (Machine.Traced, "traced") ] in
   let outcomes =
     List.map
       (fun (engine, name) ->
@@ -328,7 +318,7 @@ let test_trace_invalidation () =
       engines
   in
   (* the traced run really compiled a trace over the rewritten page —
-     otherwise this test degenerates into the block-cache regression *)
+     otherwise this test degenerates into the decoded-block regression *)
   let _, traced_machine, traced_outcome =
     List.find (fun (n, _, _) -> n = "traced") outcomes
   in
@@ -394,8 +384,6 @@ let test_chain_memo_smc () =
   let exe = build_exe chain_memo_smc_src in
   let _, stepped = exec_on ~engine:Machine.Single_step exe in
   check_exit "single-step" 64 stepped;
-  let _, blocked = exec_on ~engine:Machine.Block_cached exe in
-  check_exit "block" 64 blocked;
   let machine, traced =
     with_hot_threshold 1 (fun () -> exec_on ~engine:Machine.Traced exe)
   in
@@ -405,9 +393,7 @@ let test_chain_memo_smc () =
   Alcotest.(check int64) "traced cycles agree with the oracle" stepped.Kernel.cycles
     traced.Kernel.cycles;
   Alcotest.(check int64) "traced instructions agree with the oracle"
-    stepped.Kernel.instructions traced.Kernel.instructions;
-  Alcotest.(check int64) "block cycles agree with the oracle" stepped.Kernel.cycles
-    blocked.Kernel.cycles
+    stepped.Kernel.instructions traced.Kernel.instructions
 
 (* ---------- allocation budget of the traced hot path ---------- *)
 
@@ -419,8 +405,9 @@ let test_chain_memo_smc () =
    stores, mul and branches — must stay under one minor-heap word per
    retired instruction; a boxed int64 anywhere on the path costs at
    least two. *)
-let hot_loop_src =
-  {|
+let hot_loop_src ~iterations =
+  Printf.sprintf
+    {|
 class Shape {
   int k;
   virtual int area(int x) { return x + k; }
@@ -435,7 +422,7 @@ int main() {
   int acc = 0;
   int i;
   int j;
-  for (i = 0; i < 3000; i = i + 1) {
+  for (i = 0; i < %d; i = i + 1) {
     for (j = 0; j < 32; j = j + 1) {
       buf[j] = buf[j] + s->area(i + j);
       acc = acc ^ (buf[j] >> 3);
@@ -446,13 +433,15 @@ int main() {
   return 0;
 }
 |}
+    iterations
+
+let compile_hot_loop ~iterations =
+  Core.Toolchain.compile_exe
+    ~options:{ Core.Toolchain.default_options with scheme = Pass.Vcall }
+    ~name:"hot" (hot_loop_src ~iterations)
 
 let test_hot_path_allocation () =
-  let exe =
-    Core.Toolchain.compile_exe
-      ~options:{ Core.Toolchain.default_options with scheme = Pass.Vcall }
-      ~name:"hot" hot_loop_src
-  in
+  let exe = compile_hot_loop ~iterations:3000 in
   let machine = Machine.create ~engine:Machine.Traced (System.machine_config System.Processor_kernel_modified) in
   let kernel = Kernel.create ~machine ~config:Kernel.default_config in
   let process = Kernel.load kernel exe in
@@ -468,6 +457,79 @@ let test_hot_path_allocation () =
   let per_inst = words /. insts in
   if per_inst > 1.0 then
     Alcotest.failf "%.2f minor words per retired instruction (budget 1.0)" per_inst
+
+(* ---------- the no-compilation ablation and engine selection ---------- *)
+
+(* "No trace compilation" is the traced engine at a hot threshold no
+   block reaches: every dispatch runs on the per-slot tier.  It must
+   compile nothing and still match both the threshold-1 run (nearly all
+   in traces) and the single-step reference exactly. *)
+let test_no_compile_ablation () =
+  let exe = compile_hot_loop ~iterations:60 in
+  let run engine threshold = with_hot_threshold threshold (fun () -> exec_on ~engine exe) in
+  let cold_m, cold = run Machine.Traced max_int in
+  let hot_m, hot = run Machine.Traced 1 in
+  let _, stepped = run Machine.Single_step 1 in
+  check_exit "no-compile run" 0 cold;
+  Alcotest.(check int) "threshold max_int compiles no trace" 0
+    (Machine.traces_compiled cold_m);
+  Alcotest.(check bool) "threshold 1 compiles traces" true
+    (Machine.traces_compiled hot_m >= 1);
+  List.iter
+    (fun (name, (o : Kernel.run_outcome)) ->
+      Alcotest.(check int64) (name ^ ": cycles") o.Kernel.cycles cold.Kernel.cycles;
+      Alcotest.(check int64) (name ^ ": instret") o.Kernel.instructions
+        cold.Kernel.instructions;
+      Alcotest.(check string) (name ^ ": output") o.Kernel.output cold.Kernel.output)
+    [ ("threshold 1", hot); ("single", stepped) ]
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+let test_block_engine_name_rejected () =
+  match Machine.engine_of_string "block" with
+  | Ok _ -> Alcotest.fail "\"block\" still names an engine"
+  | Error msg ->
+    Alcotest.(check bool) "error names single" true (contains msg "single");
+    Alcotest.(check bool) "error names traced" true (contains msg "traced")
+
+(* set [var] for the duration of [f]; an empty value reads as unset *)
+let with_env var value f =
+  let prev = Option.value (Sys.getenv_opt var) ~default:"" in
+  Unix.putenv var value;
+  Fun.protect ~finally:(fun () -> Unix.putenv var prev) f
+
+let test_trace_hot_env_fails_loudly () =
+  List.iter
+    (fun bad ->
+      with_env "ROLOAD_TRACE_HOT" bad (fun () ->
+          match Machine.effective_hot_threshold () with
+          | n -> Alcotest.failf "ROLOAD_TRACE_HOT=%S read as %d" bad n
+          | exception Failure msg ->
+            Alcotest.(check bool) (bad ^ ": message names the variable") true
+              (contains msg "ROLOAD_TRACE_HOT")))
+    [ "0"; "-3"; "abc"; "1e9" ];
+  with_env "ROLOAD_TRACE_HOT" "abc" (fun () ->
+      match Machine.create Config.default with
+      | _ -> Alcotest.fail "create accepted ROLOAD_TRACE_HOT=abc"
+      | exception Failure _ -> ());
+  with_env "ROLOAD_TRACE_HOT" "1000000000" (fun () ->
+      Alcotest.(check int) "a valid value wins over the default" 1_000_000_000
+        (Machine.effective_hot_threshold ()))
+
+let test_explicit_engine_beats_env () =
+  let prev = Machine.effective_engine () in
+  Fun.protect
+    ~finally:(fun () -> Machine.set_default_engine prev)
+    (fun () ->
+      with_env "ROLOAD_ENGINE" "single" (fun () ->
+          Machine.set_default_engine Machine.Traced;
+          Alcotest.(check string) "set_default_engine wins" "traced"
+            (Machine.engine_name (Machine.effective_engine ()));
+          Alcotest.(check string) "and reaches create" "traced"
+            (Machine.engine_name (Machine.engine (Machine.create Config.default)))))
 
 (* ---------- parallel fan-out determinism (ROLOAD_JOBS) ---------- *)
 
@@ -498,5 +560,13 @@ let suite =
       test_chain_memo_smc;
     Alcotest.test_case "traced hot path allocates < 1 word/inst" `Quick
       test_hot_path_allocation;
+    Alcotest.test_case "hot threshold max_int: no traces, same run" `Quick
+      test_no_compile_ablation;
+    Alcotest.test_case "engine name \"block\" is rejected" `Quick
+      test_block_engine_name_rejected;
+    Alcotest.test_case "malformed ROLOAD_TRACE_HOT fails loudly" `Quick
+      test_trace_hot_env_fails_loudly;
+    Alcotest.test_case "set_default_engine beats ROLOAD_ENGINE" `Quick
+      test_explicit_engine_beats_env;
     Alcotest.test_case "jobs determinism (-j1 == -j4)" `Slow test_jobs_determinism;
   ]

@@ -42,6 +42,9 @@ int main() {
 
 let test_trace_is_side_channel () =
   let exe = compile ~name:"obs_side" workload_src in
+  (* threshold 1: the untraced traced-engine run compiles traces, the
+     tracer-on run drives the whole program through the per-slot tier *)
+  Test_engine.with_hot_threshold 1 @@ fun () ->
   List.iter
     (fun (engine, ctx) ->
       let plain = System.run ~engine ~variant:System.Processor_kernel_modified exe in
@@ -59,8 +62,7 @@ let test_trace_is_side_channel () =
         Alcotest.failf "%s: metrics differ between traced and untraced runs" ctx;
       if Tracer.emitted tracer = 0 then
         Alcotest.failf "%s: tracer attached but no events emitted" ctx)
-    [ (Machine.Block_cached, "block"); (Machine.Single_step, "single");
-      (Machine.Traced, "traced") ]
+    [ (Machine.Single_step, "single"); (Machine.Traced, "traced") ]
 
 (* ---------- the ring buffer itself ---------- *)
 
@@ -89,10 +91,7 @@ let test_ring_buffer () =
 
 (* ---------- exporters ---------- *)
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
+let contains = Test_engine.contains
 
 let count_substring hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -186,7 +185,7 @@ let test_fault_events () =
   Alcotest.(check bool) "fault event traced" true (contains doc "ld.ro fault");
   Alcotest.(check bool) "kernel triage traced" true (contains doc "fault:roload")
 
-(* ---------- metrics: block engine == single-step recount ---------- *)
+(* ---------- metrics: traced engine == single-step recount ---------- *)
 
 let check_metrics_consistency ctx (m : System.measurement) =
   let mt = m.System.metrics in
@@ -211,7 +210,7 @@ let check_metrics_consistency ctx (m : System.measurement) =
 
 let prop_metrics_agree =
   QCheck.Test.make ~count:15
-    ~name:"metrics: block & traced snapshots == single-step recount"
+    ~name:"metrics: traced snapshots == single-step recount"
     Test_engine.arb_case
     (fun (src, scheme) ->
       let exe =
@@ -221,28 +220,21 @@ let prop_metrics_agree =
       in
       let ctx = Pass.scheme_name scheme in
       let variant = System.Processor_kernel_modified in
-      let blocked = System.run ~engine:Machine.Block_cached ~variant exe in
       let stepped = System.run ~engine:Machine.Single_step ~variant exe in
       let traced =
         Test_engine.with_hot_threshold 1 (fun () ->
             System.run ~engine:Machine.Traced ~variant exe)
       in
-      check_metrics_consistency (ctx ^ "/block") blocked;
       check_metrics_consistency (ctx ^ "/single") stepped;
       check_metrics_consistency (ctx ^ "/traced") traced;
       Alcotest.(check string)
         (ctx ^ ": engine tags")
-        "block/single/traced"
-        (blocked.System.metrics.Metrics.engine ^ "/"
-        ^ stepped.System.metrics.Metrics.engine
-        ^ "/" ^ traced.System.metrics.Metrics.engine);
-      List.iter
-        (fun (other : System.measurement) ->
-          if not (Metrics.core_equal other.System.metrics stepped.System.metrics) then
-            Alcotest.failf "%s: metrics diverge between engines:\n%s\nvs\n%s" ctx
-              (Metrics.to_json other.System.metrics)
-              (Metrics.to_json stepped.System.metrics))
-        [ blocked; traced ];
+        "single/traced"
+        (stepped.System.metrics.Metrics.engine ^ "/" ^ traced.System.metrics.Metrics.engine);
+      if not (Metrics.core_equal traced.System.metrics stepped.System.metrics) then
+        Alcotest.failf "%s: metrics diverge between engines:\n%s\nvs\n%s" ctx
+          (Metrics.to_json traced.System.metrics)
+          (Metrics.to_json stepped.System.metrics);
       true)
 
 let test_metrics_json () =

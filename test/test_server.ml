@@ -310,11 +310,10 @@ let run_server_on ?time_slice ~engine exe =
   System.run_server ?time_slice ~engine ~variant:System.Processor_kernel_modified
     ~requests:small_requests exe
 
-(* same interleaving => byte-identical measurement across all three
-   engines (the tentpole's determinism contract) *)
+(* same interleaving => byte-identical measurement across both engines
+   (the scheduler's determinism contract) *)
 let test_engine_determinism () =
   let exe = server_exe Pass.Vcall in
-  let block_m, block_s = run_server_on ~engine:Machine.Block_cached exe in
   let single_m, single_s = run_server_on ~engine:Machine.Single_step exe in
   let traced_m, traced_s =
     with_hot_threshold 1 (fun () -> run_server_on ~engine:Machine.Traced exe)
@@ -329,7 +328,6 @@ let test_engine_determinism () =
     Alcotest.(check (array int64))
       (ctx ^ ": latencies") sa.System.latencies sb.System.latencies
   in
-  check_same "block-vs-single" block_m block_s single_m single_s;
   check_same "traced-vs-single" traced_m traced_s single_m single_s;
   Alcotest.(check int) "all requests served" (Array.length small_requests)
     single_s.System.served;
@@ -339,9 +337,9 @@ let test_engine_determinism () =
    checksum is partition-independent by construction *)
 let test_time_slice_invariance () =
   let exe = server_exe Pass.Unprotected in
-  let _, s1 = run_server_on ~time_slice:5_000 ~engine:Machine.Block_cached exe in
-  let _, s2 = run_server_on ~time_slice:20_000 ~engine:Machine.Block_cached exe in
-  let _, s3 = run_server_on ~time_slice:50_000 ~engine:Machine.Block_cached exe in
+  let _, s1 = run_server_on ~time_slice:5_000 ~engine:Machine.Traced exe in
+  let _, s2 = run_server_on ~time_slice:20_000 ~engine:Machine.Traced exe in
+  let _, s3 = run_server_on ~time_slice:50_000 ~engine:Machine.Traced exe in
   Alcotest.(check string) "5k vs 20k slice" s1.System.console s2.System.console;
   Alcotest.(check string) "20k vs 50k slice" s2.System.console s3.System.console;
   Alcotest.(check int) "served under 5k slice" (Array.length small_requests)
@@ -351,7 +349,7 @@ let test_time_slice_invariance () =
    instruction stream (and hence request partition) differs *)
 let test_scheme_invariance () =
   let run scheme =
-    let _, s = run_server_on ~engine:Machine.Block_cached (server_exe scheme) in
+    let _, s = run_server_on ~engine:Machine.Traced (server_exe scheme) in
     Alcotest.(check bool)
       (Pass.scheme_name scheme ^ ": all tasks exited")
       true
@@ -363,7 +361,7 @@ let test_scheme_invariance () =
   Alcotest.(check string) "ICall checksum" stock (run Pass.Icall)
 
 (* ---- qcheck: the payload-multiset checksum is invariant under any
-   seeded single-worker kill, on all three engines ---- *)
+   seeded single-worker kill, on both engines ---- *)
 
 let kill_requests = Server.requests ~seed:7L ~count:120
 let kill_supervision = { Kernel.max_restarts = 2; Kernel.deadline_cycles = 0L }
@@ -386,7 +384,7 @@ let serve_with_kill ~engine ?at_slot exe =
 let prop_checksum_under_kill =
   let exe = server_exe Pass.Unprotected in
   let baseline =
-    let _, s = serve_with_kill ~engine:Machine.Block_cached exe in
+    let _, s = serve_with_kill ~engine:Machine.Traced exe in
     s.System.console
   in
   QCheck.Test.make ~count:8
@@ -402,7 +400,7 @@ let prop_checksum_under_kill =
           String.equal s.System.console baseline
           && s.System.served = Array.length kill_requests
           && all_exited s.System.task_statuses)
-        [ Machine.Single_step; Machine.Block_cached; Machine.Traced ])
+        [ Machine.Single_step; Machine.Traced ])
 
 let suite =
   [

@@ -30,7 +30,7 @@ module Metrics = Roload_obs.Metrics
 module System = Core.System
 
 let all_engines =
-  [ Machine.Single_step; Machine.Block_cached; Machine.Traced ]
+  [ Machine.Single_step; Machine.Traced ]
 
 let compile ~scheme src =
   Core.Toolchain.compile_exe
