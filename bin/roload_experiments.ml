@@ -4,13 +4,13 @@
                               figure4|figure5|security|elide|campaign|
                               server|server-chaos|ablations|all]
                              [--scale N] [-j N] [--engine ENGINE]
-                             [--json PATH] [--baseline PATH]
                              [--metrics [PATH]] [--check-cycles PATH]
 
-   With [--json] each experiment's wall-clock, simulated instruction
-   count and simulated MIPS are appended to a bench-trajectory file;
-   [--baseline] compares the aggregate simulated MIPS against a
-   previously written file and fails (exit 1) on a >30% regression.
+   Every experiment name, --scale/-j value, engine and gate baseline is
+   validated before anything is simulated; a bad one is a usage error
+   (exit 2).  Host-cost figures (simulated MIPS, cells/s, requests/s)
+   are measured by roload_bench, not here; the wall-clock columns this
+   driver prints are reports, and it gates only on exact results.
 
    [--metrics] extends the §V tables with counter columns (ld.ro count,
    ROLoad faults, TLB/cache miss rates) and writes the per-cell metrics
@@ -23,35 +23,20 @@ open Cmdliner
 
 let print_table t = Roload_util.Table.print t
 
-(* Chaos-campaign throughput: the same pinned plan run snapshot-seeded
-   (the default fan-out) and booted from reset, with the reports
-   required byte-identical.  The seeded cells/s figure is recorded in
-   the bench JSON as [campaign_cells_per_s] and gated against the
-   baseline like simulated MIPS. *)
-let campaign_cps : float option ref = ref None
-
-(* Server macro-benchmark throughput: the stock scheme's wall-clock
-   requests/s, recorded in the bench JSON as [requests_per_s] and gated
-   against the baseline like simulated MIPS. *)
-let server_rps : float option ref = ref None
-
 (* The request-serving macro-benchmark: the server workload forked into
    a worker pool, drained under stock/VCall/ICall.  100k requests per
    scale unit; the driver raises if any scheme crashes, underserves, or
    prints a diverging checksum. *)
-let run_server_bench ~scale =
-  let r = Core.Experiments.experiment_server ~requests:(100_000 * scale) () in
-  server_rps := Some r.Core.Experiments.sv_requests_per_s;
-  print_table r.Core.Experiments.sv_table
+let run_server_bench ~scale ~metrics:_ =
+  print_table
+    (Core.Experiments.experiment_server ~requests:(100_000 * scale) ())
+      .Core.Experiments.sv_table
 
 (* Live-server chaos campaign: per-request serving availability by
-   scheme under mid-stream faults with supervised restarts.  The
-   per-scheme served_ratio figures are recorded in the bench JSON as
-   [served_ratio_<scheme>] and gated against the baseline as an
-   absolute floor (availability is a fraction, not a throughput). *)
-let server_ratios : (string * float) list ref = ref []
-
-let run_server_chaos ~scale =
+   scheme under mid-stream faults with supervised restarts.  The exact
+   per-scheme availability of this configuration is pinned by
+   test_chaos. *)
+let run_server_chaos ~scale ~metrics:_ =
   let module Campaign = Roload_inject.Campaign in
   let rp =
     Campaign.run_server
@@ -62,7 +47,6 @@ let run_server_chaos ~scale =
       }
   in
   print_string (Campaign.render_server rp);
-  server_ratios := Campaign.served_ratios rp;
   let g = Campaign.server_gate rp in
   if g.Campaign.sg_cell_failures > 0 then
     raise (Core.Experiments.Experiment_failure "server-chaos campaign had cell failures")
@@ -72,7 +56,10 @@ let run_server_chaos ~scale =
       (Core.Experiments.Experiment_failure
          "server-chaos availability/corruption gate violated under a roload scheme")
 
-let run_campaign ~scale =
+(* Chaos-campaign throughput: the same pinned plan run snapshot-seeded
+   (the default fan-out) and booted from reset, with the reports
+   required byte-identical.  The wall-clock columns are a report only. *)
+let run_campaign ~scale ~metrics:_ =
   let module Campaign = Roload_inject.Campaign in
   let cfg =
     { Campaign.default_config with Campaign.seed = 1L; count = 60 * scale }
@@ -92,7 +79,6 @@ let run_campaign ~scale =
          "snapshot-seeded campaign diverged from the from-reset campaign");
   let cells = List.length seeded.Campaign.rows in
   let cps w = if w > 0.0 then float_of_int cells /. w else 0.0 in
-  campaign_cps := Some (cps seeded_s);
   let t =
     Roload_util.Table.create
       ~title:
@@ -109,40 +95,57 @@ let run_campaign ~scale =
   Printf.printf "campaign speedup: %.1fx (snapshot-seeded over from-reset)\n"
     (if seeded_s > 0.0 then reset_s /. seeded_s else 0.0)
 
-let run_one ~scale ~metrics name =
-  match name with
-  | "table1" -> print_table (Core.Experiments.table1 ())
-  | "table2" -> print_table (Core.Experiments.table2 ())
-  | "table3" -> print_table (Core.Experiments.table3 ()).Core.Experiments.table
-  | "section5b" ->
-    print_table (Core.Experiments.section5b ~scale ~metrics ()).Core.Experiments.table
-  | "figure3" ->
-    let f = Core.Experiments.figure3 ~scale () in
-    print_table f.Core.Experiments.runtime_table;
-    print_table f.Core.Experiments.memory_table;
-    if metrics then print_table f.Core.Experiments.metrics_table
-  | "figure4" | "figure5" | "figure45" ->
-    let f = Core.Experiments.figure45 ~scale () in
-    print_table f.Core.Experiments.runtime_table;
-    print_table f.Core.Experiments.memory_table;
-    if metrics then print_table f.Core.Experiments.metrics_table
-  | "security" ->
-    print_table (Core.Experiments.security ()).Core.Experiments.table;
-    print_table (Core.Experiments.related_work_table ())
-  | "elide" ->
-    print_table (Core.Experiments.experiment_elide ~scale ()).Core.Experiments.el_table
-  | "campaign" -> run_campaign ~scale
-  | "server" -> run_server_bench ~scale
-  | "server-chaos" -> run_server_chaos ~scale
-  | "ablations" ->
-    print_table (Core.Experiments.ablation_compressed ());
-    print_table (Core.Experiments.ablation_keys ());
-    print_table (Core.Experiments.ablation_separate_code ());
-    print_table (Core.Experiments.ablation_retcall ());
-    print_table (Core.Experiments.ablation_tlb ())
-  | other ->
-    Printf.eprintf "unknown experiment %s\n" other;
-    exit 2
+let print_figure ~metrics (f : Core.Experiments.figure_result) =
+  print_table f.Core.Experiments.runtime_table;
+  print_table f.Core.Experiments.memory_table;
+  if metrics then print_table f.Core.Experiments.metrics_table
+
+(* every experiment the driver knows, by command-line name *)
+let experiments =
+  let figure45 ~scale ~metrics =
+    print_figure ~metrics (Core.Experiments.figure45 ~scale ())
+  in
+  [
+    ("table1", fun ~scale:_ ~metrics:_ -> print_table (Core.Experiments.table1 ()));
+    ("table2", fun ~scale:_ ~metrics:_ -> print_table (Core.Experiments.table2 ()));
+    ( "table3",
+      fun ~scale:_ ~metrics:_ ->
+        print_table (Core.Experiments.table3 ()).Core.Experiments.table );
+    ( "section5b",
+      fun ~scale ~metrics ->
+        print_table (Core.Experiments.section5b ~scale ~metrics ()).Core.Experiments.table
+    );
+    ( "figure3",
+      fun ~scale ~metrics -> print_figure ~metrics (Core.Experiments.figure3 ~scale ()) );
+    ("figure4", figure45);
+    ("figure5", figure45);
+    ("figure45", figure45);
+    ( "security",
+      fun ~scale:_ ~metrics:_ ->
+        print_table (Core.Experiments.security ()).Core.Experiments.table;
+        print_table (Core.Experiments.related_work_table ()) );
+    ( "elide",
+      fun ~scale ~metrics:_ ->
+        print_table (Core.Experiments.experiment_elide ~scale ()).Core.Experiments.el_table
+    );
+    ("campaign", run_campaign);
+    ("server", run_server_bench);
+    ("server-chaos", run_server_chaos);
+    ( "ablations",
+      fun ~scale:_ ~metrics:_ ->
+        print_table (Core.Experiments.ablation_compressed ());
+        print_table (Core.Experiments.ablation_keys ());
+        print_table (Core.Experiments.ablation_separate_code ());
+        print_table (Core.Experiments.ablation_retcall ());
+        print_table (Core.Experiments.ablation_tlb ()) );
+  ]
+
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
 
 let read_file path =
   try
@@ -153,43 +156,35 @@ let read_file path =
     Some s
   with Sys_error _ -> None
 
-let run names scale jobs engine json baseline metrics check_cycles =
+(* the cycle-divergence gate: metrics collection (and tracing) must not
+   change what is simulated, so the cycle counts of every cell must
+   equal the committed baseline's exactly; a divergence names every
+   differing cell of the common prefix, or how the cell counts differ *)
+let check_cycles ~path ~doc ~bpath ~base_doc =
+  let cur = Roload_util.Json.scan_int64_values ~key:"cycles" doc in
+  let base = Roload_util.Json.scan_int64_values ~key:"cycles" base_doc in
+  if cur = base then
+    Printf.printf "cycle gate: %d cells match baseline %s exactly — ok\n"
+      (List.length cur) bpath
+  else begin
+    let nc = List.length cur and nb = List.length base in
+    Printf.eprintf "CYCLE DIVERGENCE: %d cycle values (baseline %d) between %s and %s\n"
+      nc nb path bpath;
+    let n = min nc nb in
+    let prefix l = List.filteri (fun i _ -> i < n) l in
+    let common = List.combine (prefix cur) (prefix base) in
+    List.iteri
+      (fun i (c, b) -> if c <> b then Printf.eprintf "  cell %d: %Ld vs baseline %Ld\n" i c b)
+      common;
+    if List.for_all (fun (c, b) -> c = b) common then
+      Printf.eprintf "  first %d cells equal, then baseline has %d %s\n" n
+        (abs (nb - nc))
+        (if nb > nc then "more" else "fewer");
+    exit 1
+  end
+
+let run names scale jobs engine metrics check_cycles_path =
   let module Machine = Roload_machine.Machine in
-  (match engine with
-  | None -> ()
-  | Some name -> (
-    match Machine.engine_of_string name with
-    | Ok e -> Machine.set_default_engine e
-    | Error msg ->
-      prerr_endline msg;
-      exit 2));
-  (* an explicit --engine beats ROLOAD_ENGINE; whichever applies, and
-     ROLOAD_TRACE_HOT, is validated before anything runs *)
-  let engine_label =
-    try
-      ignore (Machine.effective_hot_threshold ());
-      Machine.engine_name (Machine.effective_engine ())
-    with Failure msg ->
-      prerr_endline msg;
-      exit 2
-  in
-  (match jobs with Some j -> Core.Parallel.set_jobs j | None -> ());
-  (if check_cycles <> None && metrics = None then begin
-     Printf.eprintf "--check-cycles requires --metrics\n";
-     exit 2
-   end);
-  (* a gate without its baseline must not pass: fail before running *)
-  let cycle_baseline =
-    Option.map
-      (fun bpath ->
-        match read_file bpath with
-        | Some doc -> (bpath, doc)
-        | None ->
-          Printf.eprintf "cannot read cycle baseline %s\n" bpath;
-          exit 2)
-      check_cycles
-  in
-  if metrics <> None then Core.Experiments.enable_metrics ();
   let names =
     match names with
     | [] | [ "all" ] ->
@@ -197,169 +192,67 @@ let run names scale jobs engine json baseline metrics check_cycles =
         "elide"; "ablations" ]
     | names -> names
   in
-  let entries = ref [] in
+  List.iter
+    (fun n ->
+      if not (List.mem_assoc n experiments) then usage_error "unknown experiment %s" n)
+    names;
+  if scale < 1 then usage_error "--scale must be at least 1 (got %d)" scale;
+  (match jobs with
+  | Some j when j < 1 -> usage_error "-j must be at least 1 (got %d)" j
+  | Some j -> Core.Parallel.set_jobs j
+  | None -> ());
+  (match engine with
+  | None -> ()
+  | Some name -> (
+    match Machine.engine_of_string name with
+    | Ok e -> Machine.set_default_engine e
+    | Error msg -> usage_error "%s" msg));
+  (* an explicit --engine beats ROLOAD_ENGINE; whichever applies, and
+     ROLOAD_TRACE_HOT, is validated before anything runs *)
+  (try
+     ignore (Machine.effective_hot_threshold ());
+     ignore (Machine.effective_engine ())
+   with Failure msg -> usage_error "%s" msg);
+  if check_cycles_path <> None && metrics = None then
+    usage_error "--check-cycles requires --metrics";
+  (* a gate without its baseline must not pass: fail before running *)
+  let cycle_baseline =
+    Option.map
+      (fun bpath ->
+        match read_file bpath with
+        | Some doc -> (bpath, doc)
+        | None -> usage_error "cannot read cycle baseline %s" bpath)
+      check_cycles_path
+  in
+  if metrics <> None then Core.Experiments.enable_metrics ();
   (* containment: a failing experiment is recorded and the rest of the
      run continues; the process still exits 1 at the end *)
   let failed = ref [] in
   List.iter
     (fun n ->
-      let t0 = Unix.gettimeofday () in
-      let i0 = Core.System.total_instructions_simulated () in
-      (try run_one ~scale ~metrics:(metrics <> None) n with
+      (try (List.assoc n experiments) ~scale ~metrics:(metrics <> None) with
       | Core.Experiments.Experiment_failure m ->
         Printf.eprintf "EXPERIMENT FAILURE in %s: %s\n%!" n m;
         failed := n :: !failed);
-      let wall_s = Unix.gettimeofday () -. t0 in
-      let instructions = Core.System.total_instructions_simulated () - i0 in
-      (* the campaign and server experiments measure their own
-         throughput figures (cells/s, requests/s) — they record
-         top-level figures instead of trajectory entries, so the MIPS
-         totals stay comparable across baselines *)
-      if n <> "campaign" && n <> "server" && n <> "server-chaos" then
-        entries :=
-          Core.Bench_log.entry ~name:n ~engine:engine_label ~wall_s ~instructions
-          :: !entries;
       print_newline ())
     names;
-  let entries = List.rev !entries in
-  (match json with
-  | Some path ->
-    Core.Bench_log.write ~path ~scale ~jobs:(Core.Parallel.default_jobs ())
-      ?campaign_cells_per_s:!campaign_cps ?requests_per_s:!server_rps
-      ?served_ratios:(match !server_ratios with [] -> None | l -> Some l)
-      entries;
-    Printf.printf "bench trajectory written to %s\n" path
-  | None -> ());
   (match metrics with
   | None -> ()
-  | Some path ->
+  | Some path -> (
     let doc = Roload_obs.Metrics.log_to_json (Core.Experiments.collected_metrics ()) in
     let oc = open_out path in
     output_string oc doc;
     close_out oc;
     Printf.printf "metrics written to %s\n" path;
-    (* the cycle-divergence gate: metrics collection (and tracing) must
-       not change what is simulated, so the cycle counts of every cell
-       must equal the committed baseline's exactly *)
     match cycle_baseline with
     | None -> ()
-    | Some (bpath, base_doc) ->
-      let cur = Roload_util.Json.scan_int64_values ~key:"cycles" doc in
-      let base = Roload_util.Json.scan_int64_values ~key:"cycles" base_doc in
-      if cur <> base then begin
-        Printf.eprintf
-          "CYCLE DIVERGENCE: %d cycle values (baseline %d) and/or values differ \
-           between %s and %s\n"
-          (List.length cur) (List.length base) path bpath;
-        List.iteri
-          (fun i (c, b) ->
-            if c <> b then Printf.eprintf "  cell %d: %Ld vs baseline %Ld\n" i c b)
-          (try List.combine cur base with Invalid_argument _ -> []);
-        exit 1
-      end
-      else
-        Printf.printf "cycle gate: %d cells match baseline %s exactly — ok\n"
-          (List.length cur) bpath);
-  (match !failed with
+    | Some (bpath, base_doc) -> check_cycles ~path ~doc ~bpath ~base_doc));
+  match !failed with
   | [] -> ()
   | fs ->
     Printf.eprintf "%d experiment(s) failed: %s\n" (List.length fs)
       (String.concat ", " (List.rev fs));
-    exit 1);
-  (match baseline with
-  | None -> ()
-  | Some _ when entries = [] ->
-    (* a run of only figure-recording experiments (campaign, server)
-       has no trajectory entries: nothing for the MIPS gate to compare *)
-    ()
-  | Some path -> (
-    let _, _, mips = Core.Bench_log.totals entries in
-    match Core.Bench_log.read_total_mips path with
-    | None ->
-      Printf.eprintf "warning: no readable total_mips in baseline %s; skipping gate\n" path
-    | Some base ->
-      let floor = 0.7 *. base in
-      if mips < floor then begin
-        Printf.eprintf
-          "PERF REGRESSION: %.3f simulated MIPS < 70%% of baseline %.3f (floor %.3f)\n" mips
-          base floor;
-        exit 1
-      end
-      else
-        Printf.printf "perf gate: %.3f simulated MIPS vs baseline %.3f (floor %.3f) — ok\n"
-          mips base floor));
-  (* server-throughput gate: stock-scheme requests/s must not regress
-     >30% against the checked-in baseline (skipped when the baseline
-     predates the figure or the server experiment did not run) *)
-  (match (baseline, !server_rps) with
-  | Some path, Some rps -> (
-    match Core.Bench_log.read_requests_per_s path with
-    | None ->
-      Printf.eprintf
-        "warning: no requests_per_s in baseline %s; skipping server gate\n" path
-    | Some base ->
-      let floor = 0.7 *. base in
-      if rps < floor then begin
-        Printf.eprintf
-          "SERVER-THROUGHPUT REGRESSION: %.3f requests/s < 70%% of baseline %.3f \
-           (floor %.3f)\n"
-          rps base floor;
-        exit 1
-      end
-      else
-        Printf.printf "server gate: %.3f requests/s vs baseline %.3f (floor %.3f) — ok\n"
-          rps base floor)
-  | _ -> ());
-  (* served-ratio gate: each scheme's serving availability must not drop
-     more than one percentage point below the checked-in baseline — an
-     absolute floor, since availability is a fraction near 1.0 where the
-     30%-of-baseline throughput rule would be vacuous (skipped when the
-     baseline predates the figure or server-chaos did not run) *)
-  (match (baseline, !server_ratios) with
-  | Some path, (_ :: _ as ratios) ->
-    List.iter
-      (fun (scheme, ratio) ->
-        match Core.Bench_log.read_served_ratio path ~scheme with
-        | None ->
-          Printf.eprintf
-            "warning: no served_ratio_%s in baseline %s; skipping its gate\n" scheme path
-        | Some base ->
-          let floor = base -. 0.01 in
-          if ratio < floor then begin
-            Printf.eprintf
-              "SERVED-RATIO REGRESSION (%s): %.5f < baseline %.5f - 0.01 (floor %.5f)\n"
-              scheme ratio base floor;
-            exit 1
-          end
-          else
-            Printf.printf
-              "served-ratio gate (%s): %.5f vs baseline %.5f (floor %.5f) — ok\n" scheme
-              ratio base floor)
-      ratios
-  | _ -> ());
-  (* campaign-throughput gate: seeded cells/s must not regress >30%
-     against the checked-in baseline (skipped when the baseline predates
-     the figure or the campaign experiment did not run) *)
-  match (baseline, !campaign_cps) with
-  | Some path, Some cps -> (
-    match Core.Bench_log.read_campaign_cells_per_s path with
-    | None ->
-      Printf.eprintf
-        "warning: no campaign_cells_per_s in baseline %s; skipping campaign gate\n" path
-    | Some base ->
-      let floor = 0.7 *. base in
-      if cps < floor then begin
-        Printf.eprintf
-          "CAMPAIGN-THROUGHPUT REGRESSION: %.3f cells/s < 70%% of baseline %.3f (floor \
-           %.3f)\n"
-          cps base floor;
-        exit 1
-      end
-      else
-        Printf.printf
-          "campaign gate: %.3f cells/s vs baseline %.3f (floor %.3f) — ok\n" cps base
-          floor)
-  | _ -> ()
+    exit 1
 
 let names_arg = Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT")
 
@@ -386,20 +279,6 @@ let engine_arg =
               are cycle-exact to each other; \\$ROLOAD_TRACE_HOT=1000000000 runs traced \
               without trace compilation.")
 
-let json_arg =
-  Arg.(value
-       & opt (some string) None
-       & info [ "json" ] ~docv:"PATH"
-           ~doc:"Write per-experiment wall-clock/instructions/simulated-MIPS to PATH.")
-
-let baseline_arg =
-  Arg.(value
-       & opt (some string) None
-       & info [ "baseline" ] ~docv:"PATH"
-           ~doc:
-             "Compare aggregate simulated MIPS against a previously written bench file; \
-              exit 1 if it regressed more than 30%.")
-
 let metrics_arg =
   Arg.(value
        & opt ~vopt:(Some "results/metrics.json") (some string) None
@@ -421,7 +300,7 @@ let cmd =
   Cmd.v
     (Cmd.info "roload_experiments"
        ~doc:"Regenerate the tables and figures of the ROLoad paper (DAC 2021)")
-    Term.(const run $ names_arg $ scale_arg $ jobs_arg $ engine_arg $ json_arg
-          $ baseline_arg $ metrics_arg $ check_cycles_arg)
+    Term.(const run $ names_arg $ scale_arg $ jobs_arg $ engine_arg $ metrics_arg
+          $ check_cycles_arg)
 
 let () = exit (Cmd.eval cmd)

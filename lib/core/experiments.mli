@@ -160,9 +160,6 @@ type server_result = {
   sv_table : Table.t;
   sv_requests : int;
   sv_console : string;  (** the identical console of every scheme *)
-  sv_requests_per_s : float;
-      (** the stock (unprotected) scheme's throughput — the figure the
-          bench-regression gate tracks *)
 }
 
 val experiment_server :

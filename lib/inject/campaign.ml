@@ -1281,8 +1281,8 @@ let server_to_json (rp : server_report) =
       ("rows", Json.arr (List.map row_json rp.sv_rows));
     ]
 
-(* per-scheme availability over every non-failed cell — the figure the
-   bench-regression gate tracks for the roload schemes *)
+(* per-scheme availability over every non-failed cell — pinned exactly
+   by test_chaos, and reported by roload_bench as served_ratio_min *)
 let served_ratios (rp : server_report) =
   List.map
     (fun s ->

@@ -200,5 +200,6 @@ val render_server : server_report -> string
 val server_to_json : server_report -> string
 
 val served_ratios : server_report -> (string * float) list
-(** Per-scheme availability over every non-failed cell — the
-    [served_ratio] figures the bench-regression gate tracks. *)
+(** Per-scheme availability over every non-failed cell.  It feeds the
+    exact per-scheme availability test in [test_chaos] and
+    [roload_bench]'s [served_ratio_min]. *)

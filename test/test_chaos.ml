@@ -293,12 +293,47 @@ let server_config =
 
 let server_report = lazy (Campaign.run_server server_config)
 
-(* Acceptance: under VCall/ICall every cell keeps availability at or
-   above the floor with zero corrupted payloads (detection -> supervised
-   restart -> redelivery), while the stock system commits silently
-   corrupted payloads under the redirect. *)
-let test_server_gates () =
-  let rp = Lazy.force server_report in
+(* exactly what [roload_experiments server-chaos --scale 1] runs:
+   stock/CFI/VCall/ICall, 400 requests per cell *)
+let experiment_server_report =
+  lazy
+    (Campaign.run_server
+       { Campaign.default_server_config with Campaign.sv_seed = 3L; sv_count = 6 })
+
+(* per-scheme (correct, total) requests over every non-failed cell *)
+let served_counts (rp : Campaign.server_report) =
+  List.map
+    (fun s ->
+      let name = Pass.scheme_name s in
+      let correct, total =
+        List.fold_left
+          (fun (c, n) (r : Campaign.server_row) ->
+            if String.equal r.Campaign.sv_scheme name && not r.Campaign.sv_failed then
+              let t = r.Campaign.sv_tally in
+              ( c + t.Server_fault.served + t.Server_fault.retried
+                + t.Server_fault.duplicated,
+                n + Server_fault.tally_requests t )
+            else (c, n))
+          (0, 0) rp.Campaign.sv_rows
+      in
+      (name, (correct, total)))
+    rp.Campaign.sv_report_schemes
+
+(* Acceptance: under the ROLoad schemes every cell keeps availability
+   at or above the floor with zero corrupted payloads (detection ->
+   supervised restart -> redelivery), while the stock system commits
+   silently corrupted payloads under the redirect.  Each scheme's
+   availability, stock included, is pinned exactly as correct/total
+   request counts, and [Campaign.served_ratios] must report the same
+   fractions. *)
+let test_server_gates report ~availability () =
+  let rp = Lazy.force report in
+  Alcotest.(check (list (pair string (pair int int))))
+    "per-scheme correct/total requests" availability (served_counts rp);
+  Alcotest.(check (list (pair string (float 0.0))))
+    "served_ratios match the pinned counts"
+    (List.map (fun (s, (c, n)) -> (s, float_of_int c /. float_of_int n)) availability)
+    (Campaign.served_ratios rp);
   let g = Campaign.server_gate rp in
   Alcotest.(check int) "no low-availability cell under roload" 0
     g.Campaign.sg_low_availability;
@@ -627,7 +662,14 @@ let suite =
       test_plan_determinism;
     Alcotest.test_case "corpus reproducers replay" `Slow test_corpus_replay;
     Alcotest.test_case "server campaign: roload gates hold, stock corrupts" `Slow
-      test_server_gates;
+      (test_server_gates server_report
+         ~availability:
+           [ ("none", (705, 720)); ("VCall", (720, 720)); ("ICall", (720, 720)) ]);
+    Alcotest.test_case "server-chaos experiment: availability pinned per scheme" `Slow
+      (test_server_gates experiment_server_report
+         ~availability:
+           [ ("none", (2399, 2400)); ("CFI", (2400, 2400)); ("VCall", (2400, 2400));
+             ("ICall", (2400, 2400)) ]);
     Alcotest.test_case "server campaign: -j1 equals -j4" `Slow
       test_server_jobs_invariant;
     Alcotest.test_case "server campaign: engines agree byte-identically" `Slow
