@@ -34,6 +34,12 @@ let compile input output scheme_name asm_only map lint lint_format prove prove_f
     in
     check_format "lint" lint_format;
     check_format "prove" prove_format;
+    (match List.filter snd [ ("-S", asm_only); ("--lint", lint); ("--prove", prove) ] with
+    | _ :: _ :: _ as modes ->
+      Printf.eprintf "%s are mutually exclusive (pick one)\n"
+        (String.concat " and " (List.map fst modes));
+      exit 2
+    | [] | [ _ ] -> ());
     let source = read_file input in
     let options = { Core.Toolchain.scheme; compress; separate_code; optimize; elide } in
     let name = Filename.remove_extension (Filename.basename input) in

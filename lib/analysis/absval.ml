@@ -1,8 +1,7 @@
 (* Abstract value-set domain for roload-prove.
 
    An abstract value describes the set of *pointees* a runtime word can
-   denote.  Unlike the per-function [Pointee] domain of lint layer 2,
-   this domain distinguishes non-pointer numbers from pointers and keeps
+   denote.  It distinguishes non-pointer numbers from pointers and keeps
    a dedicated element for the zero a writable cell holds before its
    first store — both distinctions are what let the elision pass prove a
    hoisted check can never fault where the original would not. *)

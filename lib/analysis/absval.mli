@@ -1,10 +1,8 @@
-(** Abstract value-set domain for roload-prove.
-
-    Sits one rung above lint layer 2's {!Pointee} on the precision
-    ladder (see [key_dataflow.mli]): where [Pointee] collapses to Top at
-    every load and call boundary, this domain keeps named pointees
-    across loads through abstract memory and across call boundaries via
-    function summaries, and additionally distinguishes
+(** Abstract value-set domain for roload-prove, and the static
+    verifier's only one (lint layer 2 reads {!Prove}'s values; see the
+    precision ladder in [prove.mli]).  Named pointees are kept across
+    loads through abstract memory and across call boundaries via
+    function summaries, and the domain distinguishes
 
     - non-pointer numbers ([Num]) from pointers, and
     - the implicit zero of a not-yet-written writable cell

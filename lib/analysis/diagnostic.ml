@@ -7,11 +7,11 @@
    Reports render either as text (one finding per line plus a summary) or
    as JSON for tooling. *)
 
-type layer = Ir_completeness | Key_dataflow | Machine_check | Prove
+type layer = Ir_completeness | Dataflow | Machine_check | Prove
 
 let layer_name = function
   | Ir_completeness -> "ir"
-  | Key_dataflow -> "dataflow"
+  | Dataflow -> "dataflow"
   | Machine_check -> "machine"
   | Prove -> "prove"
 
@@ -41,7 +41,7 @@ let report_to_string ds =
       (Printf.sprintf "lint: %d finding%s (ir: %d, dataflow: %d, machine: %d, prove: %d)\n"
          (List.length ds)
          (if List.length ds = 1 then "" else "s")
-         (count Ir_completeness) (count Key_dataflow) (count Machine_check) (count Prove));
+         (count Ir_completeness) (count Dataflow) (count Machine_check) (count Prove));
     Buffer.contents b
 
 (* JSON escaping is shared with the metrics/bench writers (PR 4's

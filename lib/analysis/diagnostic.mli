@@ -4,7 +4,7 @@
 
 type layer =
   | Ir_completeness  (** layer 1: IR protection-completeness *)
-  | Key_dataflow  (** layer 2: key-consistency dataflow / ro-store lint *)
+  | Dataflow  (** layer 2: key consistency / ro-store lint, read off {!Prove}'s fixpoint *)
   | Machine_check  (** layer 3: disassembly & loader cross-check *)
   | Prove  (** whole-program interprocedural prover (roload-prove) *)
 

@@ -82,7 +82,11 @@ let run ~scheme (m : Ir.modul) =
       | Ir.Bin _ | Ir.Store _ | Ir.Lea_frame _ | Ir.Call _ -> ());
   List.iter
     (fun (g : Ir.global) ->
-      if keyed_section g.Ir.g_section && Pointee.section_attrs g.Ir.g_section = None then
+      if
+        keyed_section g.Ir.g_section
+        && (try ignore (Roload_obj.Section.attrs_of_name g.Ir.g_section); false
+            with Invalid_argument _ -> true)
+      then
         diag ~code:"bad-keyed-section" ~site:("global " ^ g.Ir.g_name)
           "section name %s does not parse as .rodata.key.<0..%d>" g.Ir.g_section Ext.max_key)
     m.Ir.m_globals;

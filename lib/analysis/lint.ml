@@ -3,7 +3,8 @@
 
    Three layers, in order of abstraction:
      1. [Ir_lint]      — protection completeness after [Pass.apply]
-     2. [Key_dataflow] — key-consistency dataflow and the ro-store lint
+     2. dataflow       — key consistency and the ro-store lint, a view of
+                         [Prove]'s whole-program fixpoint
      3. [Machine_lint] — disassembly & loader cross-check of the image
 
    A clean run returns []; any finding means a hardening-pass, codegen,
@@ -11,7 +12,7 @@
    `roloadc --lint`, and the test suite runs it over every workload. *)
 
 let run ~scheme ~ir ~exe =
-  Ir_lint.run ~scheme ir @ Key_dataflow.run ir @ Machine_lint.run ~ir ~exe
+  Ir_lint.run ~scheme ir @ (Prove.run ir).Prove.pr_dataflow @ Machine_lint.run ~ir ~exe
 
 let ok findings = findings = []
 
