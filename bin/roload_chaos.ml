@@ -3,7 +3,7 @@
    Usage: roload_chaos [--seed N] [--count N] [--scheme S]... [-j N]
                        [--json PATH] [--checkpoint PATH] [--resume]
                        [--attempts N] [--fail-cell IDX] [--max-cells N]
-                       [--checkpoint-batch N] [--replay PATH]
+                       [--replay PATH]
                        [--elide] [--from-reset] [--diff-pages]  (classic only)
                        [--server [--requests N] [--workers N] [--shards N]
                                  [--max-restarts N] [--deadline CYCLES]]
@@ -16,7 +16,9 @@
      1  findings — silent corruption or undetected tampering under a
         ROLoad scheme (or a replayed reproducer's verdict changed)
      2  usage error (including --elide, --from-reset or --diff-pages
-        combined with --server)
+        combined with --server, and --replay combined with --server,
+        --scheme, --json, --checkpoint, --resume, --fail-cell,
+        --max-cells, --elide, --from-reset or --diff-pages)
      3  cell failures — some cells kept crashing and were recorded as
         structured failure rows
 
@@ -41,8 +43,16 @@ module Pass = Roload_passes.Pass
 
 let run seed count schemes jobs json checkpoint resume attempts fail_cell max_cells
     replay elide from_reset diff_pages server requests workers shards max_restarts
-    deadline checkpoint_batch =
+    deadline =
   match replay with
+  | Some _
+    when server || schemes <> [] || json <> None || checkpoint <> None || resume
+         || fail_cell <> None || max_cells <> None || elide || from_reset || diff_pages ->
+    prerr_endline
+      "--replay re-runs one reproducer and takes none of --server, --scheme, --json, \
+       --checkpoint, --resume, --fail-cell, --max-cells, --elide, --from-reset or \
+       --diff-pages";
+    exit 2
   | Some path ->
     let checks = Campaign.replay ~path in
     let bad =
@@ -109,7 +119,6 @@ let run seed count schemes jobs json checkpoint resume attempts fail_cell max_ce
             sv_deadline_cycles = deadline;
             sv_checkpoint = checkpoint;
             sv_resume = resume;
-            sv_checkpoint_batch = checkpoint_batch;
             sv_sabotage = sabotage;
             sv_max_cells = max_cells;
           }
@@ -133,7 +142,6 @@ let run seed count schemes jobs json checkpoint resume attempts fail_cell max_ce
           attempts;
           checkpoint;
           resume;
-          checkpoint_batch;
           sabotage;
           max_cells;
           elide;
@@ -280,13 +288,6 @@ let deadline_arg =
        & info [ "deadline" ] ~docv:"CYCLES"
            ~doc:"Per-request deadline in simulated cycles (0 disables the watchdog).")
 
-let checkpoint_batch_arg =
-  Arg.(value
-       & opt int 1
-       & info [ "checkpoint-batch" ] ~docv:"N"
-           ~doc:"Buffer N settled rows per checkpoint write (flushed on exit and on \
-                 crash; resume stays byte-identical).")
-
 let cmd =
   Cmd.v
     (Cmd.info "roload_chaos"
@@ -294,7 +295,6 @@ let cmd =
     Term.(const run $ seed_arg $ count_arg $ scheme_arg $ jobs_arg $ json_arg
           $ checkpoint_arg $ resume_arg $ attempts_arg $ fail_cell_arg $ max_cells_arg
           $ replay_arg $ elide_arg $ from_reset_arg $ diff_pages_arg $ server_arg
-          $ requests_arg $ workers_arg $ shards_arg $ max_restarts_arg $ deadline_arg
-          $ checkpoint_batch_arg)
+          $ requests_arg $ workers_arg $ shards_arg $ max_restarts_arg $ deadline_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -75,7 +75,6 @@ type config = {
   budget_factor : int;  (** watchdog = factor x baseline instructions *)
   checkpoint : string option;  (** incremental persistence file *)
   resume : bool;  (** skip cells already in the checkpoint *)
-  checkpoint_batch : int;  (** rows buffered per checkpoint flush *)
   sabotage : (index:int -> scheme:Pass.scheme -> attempt:int -> unit) option;
       (** test hook: raise from inside a chosen cell *)
   max_cells : int option;  (** test hook: simulate a mid-run kill *)
@@ -95,7 +94,6 @@ let default_config =
     budget_factor = 8;
     checkpoint = None;
     resume = false;
-    checkpoint_batch = 1;
     sabotage = None;
     max_cells = None;
     elide = false;
@@ -316,10 +314,46 @@ let build_ladder ?template ~triggers exe =
         (t, Snapshot.capture ~machine ~kernel ~process))
       triggers
 
-(* ---------- checkpoint rows ---------- *)
+(* ---------- the row format ----------
+
+   One column list per row type is that row's whole format: a
+   checkpoint line is rendered from it and parsed back through it, and
+   the JSON report's row objects are rendered from it.  Column order is
+   both the TSV field order and the JSON key order.  Each field's parser
+   accepts only what its encoder writes, so a malformed checkpoint row
+   is dropped and its cell runs again. *)
+
+type 'r column = {
+  key : string;  (* the JSON key *)
+  json : 'r -> string;
+  tsv : 'r -> string;
+  parse : string -> 'r -> 'r option;  (* set this field from its TSV text *)
+}
+
+let column key ~json ~tsv ~parse get set =
+  {
+    key;
+    json = (fun r -> json (get r));
+    tsv = (fun r -> tsv (get r));
+    parse = (fun field r -> Option.map (set r) (parse field));
+  }
 
 let sanitize s =
   String.map (fun c -> match c with '\t' | '\n' | '\r' -> ' ' | c -> c) s
+
+let int_col key = column key ~json:Json.int ~tsv:string_of_int ~parse:int_of_string_opt
+let bool_col key = column key ~json:Json.bool ~tsv:string_of_bool ~parse:bool_of_string_opt
+let str_col key = column key ~json:Json.str ~tsv:sanitize ~parse:Option.some
+let to_line columns r = String.concat "\t" (List.map (fun c -> c.tsv r) columns)
+let row_json columns r = Json.obj (List.map (fun c -> (c.key, c.json r)) columns)
+
+(* every column sets its field, so nothing of [blank] survives a parse *)
+let of_line columns ~blank line =
+  let fields = String.split_on_char '\t' line in
+  if List.compare_lengths fields columns <> 0 then None
+  else
+    List.fold_left2 (fun r c field -> Option.bind r (c.parse field)) (Some blank) columns
+      fields
 
 let outcome_tag = function Verdict v -> Fault.verdict_name v | Failed -> "failed"
 
@@ -327,24 +361,24 @@ let outcome_of_tag = function
   | "failed" -> Some Failed
   | t -> Option.map (fun v -> Verdict v) (Fault.verdict_of_string t)
 
-let row_to_line (r : row) =
-  Printf.sprintf "%d\t%s\t%s\t%s\t%Ld\t%b\t%d\t%s\t%s" r.index r.scheme r.cls r.label
-    r.trigger r.applied r.attempts (outcome_tag r.outcome) (sanitize r.detail)
+let row_columns =
+  [
+    int_col "index" (fun (r : row) -> r.index) (fun r index -> { r with index });
+    str_col "scheme" (fun r -> r.scheme) (fun r scheme -> { r with scheme });
+    str_col "class" (fun r -> r.cls) (fun r cls -> { r with cls });
+    str_col "label" (fun r -> r.label) (fun r label -> { r with label });
+    column "trigger" ~json:Json.int64 ~tsv:Int64.to_string ~parse:Int64.of_string_opt
+      (fun r -> r.trigger) (fun r trigger -> { r with trigger });
+    bool_col "applied" (fun r -> r.applied) (fun r applied -> { r with applied });
+    int_col "attempts" (fun r -> r.attempts) (fun r attempts -> { r with attempts });
+    column "verdict" ~json:(fun o -> Json.str (outcome_tag o)) ~tsv:outcome_tag
+      ~parse:outcome_of_tag (fun r -> r.outcome) (fun r outcome -> { r with outcome });
+    str_col "detail" (fun r -> r.detail) (fun r detail -> { r with detail });
+  ]
 
-let row_of_line line =
-  match String.split_on_char '\t' line with
-  | [ index; scheme; cls; label; trigger; applied; attempts; tag; detail ] -> (
-    match
-      ( int_of_string_opt index,
-        Int64.of_string_opt trigger,
-        bool_of_string_opt applied,
-        int_of_string_opt attempts,
-        outcome_of_tag tag )
-    with
-    | Some index, Some trigger, Some applied, Some attempts, Some outcome ->
-      Some { index; scheme; cls; label; trigger; applied; attempts; outcome; detail }
-    | _ -> None)
-  | _ -> None
+let blank_row =
+  { index = 0; scheme = ""; cls = ""; label = ""; trigger = 0L; applied = false;
+    attempts = 0; outcome = Failed; detail = "" }
 
 let read_lines path =
   let ic = open_in path in
@@ -357,52 +391,40 @@ let read_lines path =
   close_in ic;
   List.rev !lines
 
-(* ---------- batched checkpoint writer ----------
+(* ---------- the checkpoint writer ----------
 
-   Campaigns append one TSV row per settled cell; with fast cells and a
-   wide -j pool the per-row open/write/close dominates the checkpoint
-   cost.  The writer buffers [batch] rows per flush (batch=1 keeps the
-   historical row-at-a-time behavior) and the [Fun.protect] wrapper
-   flushes the tail on ANY exit — normal return or an exception escaping
-   mid-campaign — so a later --resume always sees every settled cell.
-   Whole rows are the flush unit, so a resumed file never holds a torn
-   line, and resume's sorted-rows property makes the final report
-   byte-identical no matter how rows were grouped into flushes. *)
-let with_appender ?(batch = 1) checkpoint f =
+   One channel per campaign.  A checkpoint without usable prior rows
+   starts over under [header]; otherwise settled rows are appended to
+   it.  Each row is written whole under the mutex and flushed at once,
+   so a killed campaign leaves every settled cell on disk and no two
+   rows interleave.  Without a checkpoint no line is rendered. *)
+let with_appender checkpoint ~header ~columns ~append f =
   match checkpoint with
   | None -> f (fun _ -> ())
   | Some path ->
+    let oc =
+      if append then open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path
+      else open_out path
+    in
     let m = Mutex.create () in
-    let buf = Buffer.create 4096 in
-    let pending = ref 0 in
-    let flush_locked () =
-      if !pending > 0 then begin
-        let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-        output_string oc (Buffer.contents buf);
-        close_out oc;
-        Buffer.clear buf;
-        pending := 0
-      end
+    let write line =
+      Mutex.protect m (fun () ->
+          output_string oc line;
+          output_char oc '\n';
+          flush oc)
     in
-    let locked g =
-      Mutex.lock m;
-      Fun.protect ~finally:(fun () -> Mutex.unlock m) g
-    in
-    let append line =
-      locked (fun () ->
-          Buffer.add_string buf line;
-          Buffer.add_char buf '\n';
-          incr pending;
-          if !pending >= max 1 batch then flush_locked ())
-    in
-    Fun.protect ~finally:(fun () -> locked flush_locked) (fun () -> f append)
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () ->
+        if not append then write header;
+        f (fun row -> write (to_line columns row)))
 
 (* ---------- the cell runner ----------
 
    A cell is (plan entry, scheme, victim exe).  Each campaign describes
    its cells with a spec; the runner owns the rest: enumerating the
    applicable cells, the checkpoint header, resume (prior rows, done
-   keys), the [max_cells] cut, batched appends, contained fan-out with
+   keys), the [max_cells] cut, row appends, contained fan-out with
    bounded retry, the sabotage hook and the final sort by (plan index,
    scheme position).  A cell returns its row plus an optional extra
    ['x] that never reaches the checkpoint (the classic campaign's
@@ -413,8 +435,8 @@ type ('inj, 'row, 'x) cell_spec = {
   applies : Pass.scheme -> 'inj -> bool;
   index_of : 'inj -> int;
   key_of_row : 'row -> int * string;  (** (plan index, scheme name) *)
-  to_line : 'row -> string;
-  of_line : string -> 'row option;
+  columns : 'row column list;  (** the checkpoint and JSON row format *)
+  blank : 'row;  (** what a checkpoint line is parsed into *)
   failed_row : 'inj -> Pass.scheme -> error:string -> attempts:int -> 'row;
   revisit : 'row -> bool;
       (** prior rows whose cell is re-run once (not re-recorded) to
@@ -428,8 +450,7 @@ type ('inj, 'row, 'x) cell_spec = {
           revisits); returns the cell function *)
 }
 
-let run_cells spec ~checkpoint ~resume ~batch ~attempts ~jobs ~sabotage ~max_cells ~plan
-    exes =
+let run_cells spec ~checkpoint ~resume ~attempts ~jobs ~sabotage ~max_cells ~plan exes =
   let cells =
     List.concat_map
       (fun inj ->
@@ -445,7 +466,8 @@ let run_cells spec ~checkpoint ~resume ~batch ~attempts ~jobs ~sabotage ~max_cel
     match checkpoint with
     | Some path when resume && Sys.file_exists path -> (
       match read_lines path with
-      | h :: rest when String.equal h spec.header -> List.filter_map spec.of_line rest
+      | h :: rest when String.equal h spec.header ->
+        List.filter_map (of_line spec.columns ~blank:spec.blank) rest
       | _ -> [])
     | _ -> []
   in
@@ -463,12 +485,6 @@ let run_cells spec ~checkpoint ~resume ~batch ~attempts ~jobs ~sabotage ~max_cel
         | None -> false)
       cells
   in
-  (match (checkpoint, prior) with
-  | Some path, [] ->
-    let oc = open_out path in
-    output_string oc (spec.header ^ "\n");
-    close_out oc
-  | _ -> ());
   let cell = spec.prepare ~todo:(todo @ revisits) in
   let todo_arr = Array.of_list todo in
   let settle idx = function
@@ -478,9 +494,11 @@ let run_cells spec ~checkpoint ~resume ~batch ~attempts ~jobs ~sabotage ~max_cel
       (spec.failed_row inj scheme ~error:(sanitize error) ~attempts, None)
   in
   let outcomes =
-    with_appender ~batch checkpoint @@ fun append_row ->
+    with_appender checkpoint ~header:spec.header ~columns:spec.columns
+      ~append:(prior <> [])
+    @@ fun append_row ->
     Experiments.run_cells_contained ~attempts ?jobs
-      ~on_cell:(fun idx o -> append_row (spec.to_line (fst (settle idx o))))
+      ~on_cell:(fun idx o -> append_row (fst (settle idx o)))
       ~f:(fun ~attempt ((inj, scheme, _) as c) ->
         Option.iter (fun f -> f ~index:(spec.index_of inj) ~scheme ~attempt) sabotage;
         cell ~attempt c)
@@ -600,8 +618,8 @@ let run (cfg : config) =
       applies = (fun s (inj : Fault.injection) -> applicable s inj.Fault.kind);
       index_of = (fun (inj : Fault.injection) -> inj.Fault.index);
       key_of_row = (fun (r : row) -> (r.index, r.scheme));
-      to_line = row_to_line;
-      of_line = row_of_line;
+      columns = row_columns;
+      blank = blank_row;
       failed_row =
         (fun (inj : Fault.injection) scheme ~error ~attempts ->
           {
@@ -626,9 +644,8 @@ let run (cfg : config) =
     }
   in
   let rows, corruption_diffs =
-    run_cells spec ~checkpoint:cfg.checkpoint ~resume:cfg.resume
-      ~batch:cfg.checkpoint_batch ~attempts:cfg.attempts ~jobs:cfg.jobs
-      ~sabotage:cfg.sabotage ~max_cells:cfg.max_cells
+    run_cells spec ~checkpoint:cfg.checkpoint ~resume:cfg.resume ~attempts:cfg.attempts
+      ~jobs:cfg.jobs ~sabotage:cfg.sabotage ~max_cells:cfg.max_cells
       ~plan:(Plan.build ~seed:cfg.seed ~count:cfg.count)
       exes
   in
@@ -729,20 +746,6 @@ let render (rp : report) =
        else "DIVERGED")
 
 let to_json (rp : report) =
-  let row_json (r : row) =
-    Json.obj
-      [
-        ("index", Json.int r.index);
-        ("scheme", Json.str r.scheme);
-        ("class", Json.str r.cls);
-        ("label", Json.str r.label);
-        ("trigger", Json.int64 r.trigger);
-        ("applied", Json.bool r.applied);
-        ("attempts", Json.int r.attempts);
-        ("verdict", Json.str (outcome_tag r.outcome));
-        ("detail", Json.str r.detail);
-      ]
-  in
   let diff_json ((index, scheme), (ds : Phys_mem.page_diff list)) =
     Json.obj
       [
@@ -771,7 +774,7 @@ let to_json (rp : report) =
       ("silent_under_roload", Json.int g.silent_under_roload);
       ("undetected_tamper", Json.int g.undetected_tamper);
       ("cell_failures", Json.int g.cell_failures);
-      ("rows", Json.arr (List.map row_json rp.rows));
+      ("rows", Json.arr (List.map (row_json row_columns) rp.rows));
       ("corruption_diffs", Json.arr (List.map diff_json rp.corruption_diffs));
     ]
 
@@ -867,7 +870,6 @@ type server_config = {
   sv_budget_factor : int;  (** cell fuel = factor x baseline instructions *)
   sv_checkpoint : string option;
   sv_resume : bool;
-  sv_checkpoint_batch : int;
   sv_sabotage : (index:int -> scheme:Pass.scheme -> attempt:int -> unit) option;
   sv_max_cells : int option;
 }
@@ -889,7 +891,6 @@ let default_server_config =
     sv_budget_factor = 8;
     sv_checkpoint = None;
     sv_resume = false;
-    sv_checkpoint_batch = 1;
     sv_sabotage = None;
     sv_max_cells = None;
   }
@@ -1000,59 +1001,38 @@ let run_server_cell (cfg : server_config) ~attempt ~(baseline_results : int64 op
 
 (* ---------- server checkpoint rows ---------- *)
 
-let server_row_to_line (r : server_row) =
-  Printf.sprintf "%d\t%s\t%s\t%s\t%d\t%d\t%b\t%d\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%s"
-    r.sv_index r.sv_scheme r.sv_cls r.sv_label r.sv_worker r.sv_trigger r.sv_applied
-    r.sv_cell_attempts
-    (if r.sv_failed then "failed" else "ok")
-    r.sv_tally.Server_fault.served r.sv_tally.Server_fault.retried
-    r.sv_tally.Server_fault.duplicated r.sv_tally.Server_fault.corrupted
-    r.sv_tally.Server_fault.lost r.sv_restarts (sanitize r.sv_detail)
+let tally_col key get set =
+  int_col key (fun r -> get r.sv_tally) (fun r v -> { r with sv_tally = set r.sv_tally v })
 
-let server_row_of_line line =
-  match String.split_on_char '\t' line with
-  | [
-      index; scheme; cls; label; worker; trigger; applied; attempts; tag; served;
-      retried; duplicated; corrupted; lost; restarts; detail;
-    ] -> (
-    match
-      ( int_of_string_opt index,
-        int_of_string_opt worker,
-        int_of_string_opt trigger,
-        bool_of_string_opt applied,
-        int_of_string_opt attempts,
-        ( int_of_string_opt served,
-          int_of_string_opt retried,
-          int_of_string_opt duplicated,
-          int_of_string_opt corrupted,
-          int_of_string_opt lost ),
-        int_of_string_opt restarts )
-    with
-    | ( Some sv_index,
-        Some sv_worker,
-        Some sv_trigger,
-        Some sv_applied,
-        Some sv_cell_attempts,
-        (Some served, Some retried, Some duplicated, Some corrupted, Some lost),
-        Some sv_restarts ) ->
-      Some
-        {
-          sv_index;
-          sv_scheme = scheme;
-          sv_cls = cls;
-          sv_label = label;
-          sv_worker;
-          sv_trigger;
-          sv_applied;
-          sv_cell_attempts;
-          sv_failed = String.equal tag "failed";
-          sv_tally =
-            { Server_fault.served; retried; duplicated; corrupted; lost };
-          sv_restarts;
-          sv_detail = detail;
-        }
-    | _ -> None)
-  | _ -> None
+let server_row_columns =
+  [
+    int_col "index" (fun r -> r.sv_index) (fun r sv_index -> { r with sv_index });
+    str_col "scheme" (fun r -> r.sv_scheme) (fun r sv_scheme -> { r with sv_scheme });
+    str_col "class" (fun r -> r.sv_cls) (fun r sv_cls -> { r with sv_cls });
+    str_col "label" (fun r -> r.sv_label) (fun r sv_label -> { r with sv_label });
+    int_col "worker_slot" (fun r -> r.sv_worker) (fun r sv_worker -> { r with sv_worker });
+    int_col "trigger" (fun r -> r.sv_trigger) (fun r sv_trigger -> { r with sv_trigger });
+    bool_col "applied" (fun r -> r.sv_applied) (fun r sv_applied -> { r with sv_applied });
+    int_col "attempts"
+      (fun r -> r.sv_cell_attempts)
+      (fun r sv_cell_attempts -> { r with sv_cell_attempts });
+    column "failed" ~json:Json.bool
+      ~tsv:(fun failed -> if failed then "failed" else "ok")
+      ~parse:(function "ok" -> Some false | "failed" -> Some true | _ -> None)
+      (fun r -> r.sv_failed) (fun r sv_failed -> { r with sv_failed });
+    tally_col "served" (fun t -> t.Server_fault.served) (fun t served -> { t with served });
+    tally_col "retried" (fun t -> t.retried) (fun t retried -> { t with retried });
+    tally_col "duplicated" (fun t -> t.duplicated) (fun t duplicated -> { t with duplicated });
+    tally_col "corrupted" (fun t -> t.corrupted) (fun t corrupted -> { t with corrupted });
+    tally_col "lost" (fun t -> t.lost) (fun t lost -> { t with lost });
+    int_col "restarts" (fun r -> r.sv_restarts) (fun r sv_restarts -> { r with sv_restarts });
+    str_col "detail" (fun r -> r.sv_detail) (fun r sv_detail -> { r with sv_detail });
+  ]
+
+let blank_server_row =
+  { sv_index = 0; sv_scheme = ""; sv_cls = ""; sv_label = ""; sv_worker = 0;
+    sv_trigger = 0; sv_applied = false; sv_cell_attempts = 0; sv_failed = false;
+    sv_tally = Server_fault.empty_tally; sv_restarts = 0; sv_detail = "" }
 
 (* ---------- the server campaign ---------- *)
 
@@ -1133,8 +1113,8 @@ let run_server (cfg : server_config) =
         (fun s (inj : Server_fault.injection) -> server_applicable s inj.Server_fault.kind);
       index_of = (fun (inj : Server_fault.injection) -> inj.Server_fault.index);
       key_of_row = (fun (r : server_row) -> (r.sv_index, r.sv_scheme));
-      to_line = server_row_to_line;
-      of_line = server_row_of_line;
+      columns = server_row_columns;
+      blank = blank_server_row;
       failed_row =
         (fun (inj : Server_fault.injection) scheme ~error ~attempts ->
           {
@@ -1162,8 +1142,7 @@ let run_server (cfg : server_config) =
   in
   let rows, (_ : ((int * string) * unit) list) =
     run_cells spec ~checkpoint:cfg.sv_checkpoint ~resume:cfg.sv_resume
-      ~batch:cfg.sv_checkpoint_batch ~attempts:cfg.sv_attempts ~jobs:cfg.sv_jobs
-      ~sabotage:cfg.sv_sabotage ~max_cells:cfg.sv_max_cells
+      ~attempts:cfg.sv_attempts ~jobs:cfg.sv_jobs ~sabotage:cfg.sv_sabotage ~max_cells:cfg.sv_max_cells
       ~plan:(Plan.build_server ~seed:cfg.sv_seed ~count:cfg.sv_count)
       exes
   in
@@ -1247,27 +1226,6 @@ let render_server (rp : server_report) =
       g.sg_corrupted_under_roload g.sg_cell_failures
 
 let server_to_json (rp : server_report) =
-  let row_json (r : server_row) =
-    Json.obj
-      [
-        ("index", Json.int r.sv_index);
-        ("scheme", Json.str r.sv_scheme);
-        ("class", Json.str r.sv_cls);
-        ("label", Json.str r.sv_label);
-        ("worker_slot", Json.int r.sv_worker);
-        ("trigger", Json.int r.sv_trigger);
-        ("applied", Json.bool r.sv_applied);
-        ("attempts", Json.int r.sv_cell_attempts);
-        ("failed", Json.bool r.sv_failed);
-        ("served", Json.int r.sv_tally.Server_fault.served);
-        ("retried", Json.int r.sv_tally.Server_fault.retried);
-        ("duplicated", Json.int r.sv_tally.Server_fault.duplicated);
-        ("corrupted", Json.int r.sv_tally.Server_fault.corrupted);
-        ("lost", Json.int r.sv_tally.Server_fault.lost);
-        ("restarts", Json.int r.sv_restarts);
-        ("detail", Json.str r.sv_detail);
-      ]
-  in
   let g = server_gate rp in
   Json.obj
     [
@@ -1278,7 +1236,7 @@ let server_to_json (rp : server_report) =
       ("low_availability_under_roload", Json.int g.sg_low_availability);
       ("corrupted_under_roload", Json.int g.sg_corrupted_under_roload);
       ("cell_failures", Json.int g.sg_cell_failures);
-      ("rows", Json.arr (List.map row_json rp.sv_rows));
+      ("rows", Json.arr (List.map (row_json server_row_columns) rp.sv_rows));
     ]
 
 (* per-scheme availability over every non-failed cell — pinned exactly

@@ -17,13 +17,10 @@ type config = {
   attempts : int;  (** bounded deterministic retries per cell *)
   jobs : int option;
   budget_factor : int;  (** watchdog = factor x baseline instructions *)
-  checkpoint : string option;  (** incremental persistence file *)
+  checkpoint : string option;
+      (** incremental persistence file: each settled row is appended
+          and flushed the moment its cell settles *)
   resume : bool;  (** skip cells already in the checkpoint *)
-  checkpoint_batch : int;
-      (** rows buffered per checkpoint flush (1 = historical
-          row-at-a-time appends); the tail is flushed on any exit,
-          including an exception escaping mid-campaign, and whole rows
-          are the flush unit so resumed files never hold torn lines *)
   sabotage : (index:int -> scheme:Pass.scheme -> attempt:int -> unit) option;
       (** test hook: raise from inside a chosen cell *)
   max_cells : int option;  (** test hook: simulate a mid-run kill *)
@@ -149,7 +146,6 @@ type server_config = {
   sv_budget_factor : int;  (** cell fuel = factor x baseline instructions *)
   sv_checkpoint : string option;
   sv_resume : bool;
-  sv_checkpoint_batch : int;
   sv_sabotage : (index:int -> scheme:Pass.scheme -> attempt:int -> unit) option;
   sv_max_cells : int option;
 }

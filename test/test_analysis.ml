@@ -59,7 +59,7 @@ let test_clean_all_schemes () =
           let label = Printf.sprintf "%s/%s" (Pass.scheme_name scheme) name in
           check_clean label (compile ~scheme ~name src))
         toolchain_sources)
-    Pass.all_schemes
+    (Pass.all_schemes @ [ Pass.Retcall ])
 
 let test_clean_workloads () =
   let scale = Spec_suite.test_scale in

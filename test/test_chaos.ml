@@ -391,14 +391,11 @@ let test_server_engine_invariant () =
   in
   Alcotest.(check string) "traced equals single" single traced
 
-(* Server checkpoint/resume with batched writes: kill the campaign
-   mid-run, resume with a batch size that forces buffering, and require
-   byte-identity with an uninterrupted run. *)
-let test_server_resume_batched () =
+(* Server checkpoint/resume: kill the campaign mid-run, resume, and
+   require byte-identity with an uninterrupted run. *)
+let test_server_resume () =
   let ck = Filename.temp_file "roload-chaos-server" ".tsv" in
-  let cfg =
-    { server_config with Campaign.sv_checkpoint = Some ck; sv_checkpoint_batch = 4 }
-  in
+  let cfg = { server_config with Campaign.sv_checkpoint = Some ck } in
   let partial = Campaign.run_server { cfg with Campaign.sv_max_cells = Some 5 } in
   Alcotest.(check bool) "partial run stopped early" true
     (List.length partial.Campaign.sv_rows = 5);
@@ -412,24 +409,16 @@ let test_server_resume_batched () =
     (Campaign.server_to_json fresh)
     (Campaign.server_to_json resumed)
 
-(* The classic campaign with batched checkpointing resumes
-   byte-identically too (batch boundaries never tear rows). *)
-let test_classic_resume_batched () =
-  let ck = Filename.temp_file "roload-chaos-batched" ".tsv" in
-  let cfg =
-    {
-      small_config with
-      Campaign.count = 6;
-      seed = 7L;
-      checkpoint = Some ck;
-      checkpoint_batch = 5;
-    }
-  in
+(* The classic campaign cut at another point and resumed at -j4 is
+   byte-identical too. *)
+let test_classic_resume () =
+  let ck = Filename.temp_file "roload-chaos-cut" ".tsv" in
+  let cfg = { small_config with Campaign.count = 6; seed = 7L; checkpoint = Some ck } in
   ignore (Campaign.run { cfg with Campaign.max_cells = Some 9 });
   let resumed = Campaign.run { cfg with Campaign.resume = true } in
   let fresh = Campaign.run { cfg with Campaign.checkpoint = None } in
   Sys.remove ck;
-  Alcotest.(check string) "batched resume byte-identical to uninterrupted run"
+  Alcotest.(check string) "resume byte-identical to uninterrupted run"
     (Campaign.to_json fresh) (Campaign.to_json resumed)
 
 (* Server plans are seeded and prefix-stable. *)
@@ -622,7 +611,6 @@ let test_golden_server () =
               server_config with
               Campaign.sv_checkpoint = Some ck;
               sv_resume = true;
-              sv_checkpoint_batch = 4;
               sv_sabotage = Some sabotage;
             },
           fun rp -> List.length rp.Campaign.sv_rows ))
@@ -632,6 +620,35 @@ let test_golden_server () =
     (Campaign.render_server resumed);
   Alcotest.(check string) "resumed JSON byte-identical" (Campaign.server_to_json fresh)
     (Campaign.server_to_json resumed)
+
+(* A server row whose failed column reads neither "ok" nor "failed" is
+   malformed even when every other field parses: resume drops it and
+   re-runs that one cell, so the row's edited tally never reaches the
+   report. *)
+let test_server_bogus_tag () =
+  let ck = Filename.temp_file "roload-chaos-bogus" ".tsv" in
+  let _, fresh = server.run ~checkpoint:ck () in
+  let tamper i line =
+    if i <> 1 then line
+    else
+      String.concat "\t"
+        (List.mapi
+           (fun j field -> match j with 8 -> "bogus" | 9 -> "0" | _ -> field)
+           (String.split_on_char '\t' line))
+  in
+  let lines = List.mapi tamper (String.split_on_char '\n' (read_file ck)) in
+  Out_channel.with_open_bin ck (fun oc -> output_string oc (String.concat "\n" lines));
+  let ran = Atomic.make 0 in
+  let _, resumed =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove ck)
+      (fun () ->
+        server.run ~checkpoint:ck ~resume:true
+          ~sabotage:(fun ~index:_ ~scheme:_ ~attempt:_ -> Atomic.incr ran)
+          ())
+  in
+  Alcotest.(check int) "only the malformed row's cell ran again" 1 (Atomic.get ran);
+  Alcotest.(check string) "resumed JSON byte-identical" fresh resumed
 
 let suite =
   [
@@ -674,8 +691,8 @@ let suite =
       test_server_jobs_invariant;
     Alcotest.test_case "server campaign: engines agree byte-identically" `Slow
       test_server_engine_invariant;
-    Alcotest.test_case "server campaign: batched resume is byte-identical" `Slow
-      test_server_resume_batched;
+    Alcotest.test_case "server campaign: cut and resume is byte-identical" `Slow
+      test_server_resume;
     Alcotest.test_case "server campaign: cell failure contained" `Slow
       (test_cell_failure_contained server);
     Alcotest.test_case "server campaign: bounded retry recovers" `Slow
@@ -684,8 +701,10 @@ let suite =
       (test_header_mismatch server);
     Alcotest.test_case "server campaign: golden checkpoint resumes" `Slow
       test_golden_server;
-    Alcotest.test_case "classic campaign: batched resume is byte-identical" `Slow
-      test_classic_resume_batched;
+    Alcotest.test_case "server campaign: malformed tag re-runs its cell" `Slow
+      test_server_bogus_tag;
+    Alcotest.test_case "classic campaign: cut and resume is byte-identical" `Slow
+      test_classic_resume;
     Alcotest.test_case "server plans are seeded and prefix-stable" `Quick
       test_server_plan_determinism;
   ]

@@ -78,13 +78,18 @@ let test_corpus_entries_small () =
     (corpus_entries ())
 
 (* a short fixed-seed differential run: the generator, oracle, both
-   engines and all schemes agree on freshly generated programs *)
+   engines and all schemes agree on freshly generated programs (Retcall
+   too, which the fuzzer's default scheme matrix leaves out) *)
 let test_fixed_seed_agreement () =
   let rng = Prng.create 406L in
   for _ = 1 to 4 do
     let seed = Prng.next_int64 rng in
     let prog = Gen.generate ~seed ~size:2 in
-    match Diff.run_source ~name:"fixed-seed" (Gen.to_source prog) with
+    match
+      Diff.run_source
+        ~schemes:(Diff.schemes_under_test @ [ Pass.Retcall ])
+        ~name:"fixed-seed" (Gen.to_source prog)
+    with
     | Diff.Agree _ -> ()
     | Diff.Skipped r -> Alcotest.failf "seed %Ld: skipped (%s)" seed r
     | Diff.Divergent d ->

@@ -46,7 +46,7 @@ let test_clean_workloads () =
             Alcotest.failf "%s: fixpoint took %d rounds" label r.Prove.pr_rounds;
           Alcotest.(check int) (label ^ ": exit code") 0 (Prove.exit_code r))
         Suite.all)
-    Pass.all_schemes
+    (Pass.all_schemes @ [ Pass.Retcall ])
 
 (* ---------- the planted interprocedural violations ---------- *)
 
