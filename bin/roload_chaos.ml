@@ -16,9 +16,11 @@
      1  findings — silent corruption or undetected tampering under a
         ROLoad scheme (or a replayed reproducer's verdict changed)
      2  usage error (including --elide, --from-reset or --diff-pages
-        combined with --server, and --replay combined with --server,
-        --scheme, --json, --checkpoint, --resume, --fail-cell,
-        --max-cells, --elide, --from-reset or --diff-pages)
+        combined with --server, and --replay combined with any campaign
+        flag: --seed, --count, --scheme, -j, --json, --checkpoint,
+        --resume, --attempts, --fail-cell, --max-cells, --elide,
+        --from-reset, --diff-pages, --server, --requests, --workers,
+        --shards, --max-restarts or --deadline)
      3  cell failures — some cells kept crashing and were recorded as
         structured failure rows
 
@@ -46,12 +48,17 @@ let run seed count schemes jobs json checkpoint resume attempts fail_cell max_ce
     deadline =
   match replay with
   | Some _
-    when server || schemes <> [] || json <> None || checkpoint <> None || resume
-         || fail_cell <> None || max_cells <> None || elide || from_reset || diff_pages ->
+    when seed <> None || count <> None || schemes <> [] || jobs <> None || json <> None
+         || checkpoint <> None || resume || attempts <> None || fail_cell <> None
+         || max_cells <> None || elide || from_reset || diff_pages || server
+         || requests <> None || workers <> None || shards <> None
+         || max_restarts <> None || deadline <> None ->
     prerr_endline
-      "--replay re-runs one reproducer and takes none of --server, --scheme, --json, \
-       --checkpoint, --resume, --fail-cell, --max-cells, --elide, --from-reset or \
-       --diff-pages";
+      "--replay re-runs one reproducer (its own seed, entry and schemes) and takes no \
+       campaign flag: none of --seed, --count, --scheme, -j, --json, --checkpoint, \
+       --resume, --attempts, --fail-cell, --max-cells, --elide, --from-reset, \
+       --diff-pages, --server, --requests, --workers, --shards, --max-restarts or \
+       --deadline";
     exit 2
   | Some path ->
     let checks = Campaign.replay ~path in
@@ -68,6 +75,15 @@ let run seed count schemes jobs json checkpoint resume attempts fail_cell max_ce
       checks;
     if bad <> [] then exit 1
   | None ->
+    let cfg = Campaign.default_config and sv = Campaign.default_server_config in
+    let seed = Option.value seed ~default:cfg.Campaign.seed
+    and count = Option.value count ~default:cfg.Campaign.count
+    and attempts = Option.value attempts ~default:cfg.Campaign.attempts
+    and requests = Option.value requests ~default:sv.Campaign.sv_requests
+    and workers = Option.value workers ~default:sv.Campaign.sv_workers
+    and shards = Option.value shards ~default:sv.Campaign.sv_shards
+    and max_restarts = Option.value max_restarts ~default:sv.Campaign.sv_max_restarts
+    and deadline = Option.value deadline ~default:sv.Campaign.sv_deadline_cycles in
     let schemes =
       match schemes with
       | [] -> Campaign.default_schemes
@@ -157,12 +173,19 @@ let run seed count schemes jobs json checkpoint resume attempts fail_cell max_ce
       exit 1
     end
 
+(* Every campaign flag defaults to [None], so [--replay] can tell a flag
+   given on the command line from an unset one; the [~none] text is the
+   default [run] resolves it to. *)
+let defaulted conv default = Arg.some ~none:default conv
+
 let seed_arg =
-  Arg.(value & opt int64 1L & info [ "seed" ] ~doc:"Campaign plan seed (deterministic).")
+  Arg.(value
+       & opt (defaulted int64 (Int64.to_string Campaign.default_config.Campaign.seed)) None
+       & info [ "seed" ] ~doc:"Campaign plan seed (deterministic).")
 
 let count_arg =
   Arg.(value
-       & opt int Roload_inject.Campaign.default_config.Roload_inject.Campaign.count
+       & opt (defaulted int (string_of_int Campaign.default_config.Campaign.count)) None
        & info [ "count" ] ~doc:"Plan length (injections per scheme before filtering).")
 
 let scheme_arg =
@@ -200,7 +223,7 @@ let resume_arg =
 
 let attempts_arg =
   Arg.(value
-       & opt int Roload_inject.Campaign.default_config.Roload_inject.Campaign.attempts
+       & opt (defaulted int (string_of_int Campaign.default_config.Campaign.attempts)) None
        & info [ "attempts" ] ~doc:"Deterministic retries per crashing cell.")
 
 let fail_cell_arg =
@@ -257,34 +280,36 @@ let server_arg =
                  serving with mid-stream tamper/kill faults and a per-request \
                  serving-availability table.")
 
-let requests_arg =
+let server_int_arg name field ~doc =
   Arg.(value
-       & opt int Roload_inject.Campaign.default_server_config.Roload_inject.Campaign.sv_requests
-       & info [ "requests" ] ~doc:"Requests in the server stream per cell.")
+       & opt
+           (defaulted int (string_of_int (field Campaign.default_server_config)))
+           None
+       & info [ name ] ~doc)
+
+let requests_arg =
+  server_int_arg "requests" (fun c -> c.Campaign.sv_requests)
+    ~doc:"Requests in the server stream per cell."
 
 let workers_arg =
-  Arg.(value
-       & opt int Roload_inject.Campaign.default_server_config.Roload_inject.Campaign.sv_workers
-       & info [ "workers" ] ~doc:"Forked worker tasks in the server victim.")
+  server_int_arg "workers" (fun c -> c.Campaign.sv_workers)
+    ~doc:"Forked worker tasks in the server victim."
 
 let shards_arg =
-  Arg.(value
-       & opt int Roload_inject.Campaign.default_server_config.Roload_inject.Campaign.sv_shards
-       & info [ "shards" ]
-           ~doc:"Request-device shards (request id mod N; workers steal from dry \
-                 shards deterministically).")
+  server_int_arg "shards" (fun c -> c.Campaign.sv_shards)
+    ~doc:"Request-device shards (request id mod N; workers steal from dry shards \
+          deterministically)."
 
 let max_restarts_arg =
-  Arg.(value
-       & opt int
-           Roload_inject.Campaign.default_server_config.Roload_inject.Campaign.sv_max_restarts
-       & info [ "max-restarts" ] ~doc:"Per-worker reincarnation budget.")
+  server_int_arg "max-restarts" (fun c -> c.Campaign.sv_max_restarts)
+    ~doc:"Per-worker reincarnation budget."
 
 let deadline_arg =
   Arg.(value
-       & opt int64
-           Roload_inject.Campaign.default_server_config.Roload_inject.Campaign
-           .sv_deadline_cycles
+       & opt
+           (defaulted int64
+              (Int64.to_string Campaign.default_server_config.Campaign.sv_deadline_cycles))
+           None
        & info [ "deadline" ] ~docv:"CYCLES"
            ~doc:"Per-request deadline in simulated cycles (0 disables the watchdog).")
 

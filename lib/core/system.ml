@@ -158,12 +158,11 @@ let measure ~machine ~kernel ~process exe (outcome : Kernel.run_outcome) =
 
 let run ?(max_instructions = 500_000_000L) ?trace ?tracer ?(profile = false) ?engine
     ?template ~variant exe =
-  (* [template] is a pristine boot image: forking it is bit-identical to
-     [Machine.create] (the campaign-equivalence suite pins this) but
-     O(touched pages) instead of zeroing 64 MiB of physical memory, so
-     fan-out callers boot once per engine and fork per run.  The image
-     carries its own engine and hot-threshold; [engine] is ignored when a
-     template is supplied. *)
+  (* [template] is a boot image to fork instead of creating the machine:
+     forking a pristine one is bit-identical to [Machine.create] (the
+     campaign-equivalence suite pins this).  The image carries its own
+     engine and hot-threshold; [engine] is ignored when a template is
+     supplied. *)
   let machine =
     match template with
     | Some img -> Machine.fork img

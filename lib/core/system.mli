@@ -45,11 +45,10 @@ val run :
   measurement
 (** [engine] selects the execution engine for this run (defaults to
     [Machine.effective_engine ()]).
-    [template] seeds the run from a pristine boot image instead of
-    creating a machine from reset: [Machine.fork] of a just-created
-    machine is bit-identical to [Machine.create] but shares all untouched
-    pages copy-on-write, so campaign-style callers (fuzzing, chaos) pay
-    the physical-memory boot once per engine rather than once per run.
+    [template] seeds the run from a boot image instead of creating a
+    machine from reset; [Machine.fork] of a just-created machine is
+    bit-identical to [Machine.create].  It buys no memory: a fresh
+    machine's DRAM is already demand-zero (see {!Roload_mem.Phys_mem}).
     The image carries its own engine and hot-threshold; [engine] is
     ignored when [template] is supplied.
     [tracer] attaches the structured event tracer and [profile] enables

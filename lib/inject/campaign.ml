@@ -129,17 +129,9 @@ type report = {
 
 let baseline_budget = 50_000_000L
 
-let run_with_pause ?engine ?(variant = System.Processor_kernel_modified) ?template
+let run_with_pause ?engine ?(variant = System.Processor_kernel_modified)
     ~max_instructions ?pause_at ?inject exe =
-  (* [template]: fork the pristine boot image instead of building a fresh
-     machine — identical state, but the zeroed physical pages are shared
-     CoW across every lineage forked from it, so later memory diffs
-     compare untouched pages by pointer instead of byte-by-byte. *)
-  let machine =
-    match template with
-    | Some img -> Machine.fork img
-    | None -> Machine.create ?engine (System.machine_config variant)
-  in
+  let machine = Machine.create ?engine (System.machine_config variant) in
   let kernel = Kernel.create ~machine ~config:(System.kernel_config variant) in
   let process = Kernel.load kernel exe in
   Kernel.schedule kernel process;
@@ -207,10 +199,8 @@ let compile_victim ?(elide = false) scheme =
 
 (* The baseline keeps its final memory image: silent-corruption verdicts
    are localized by diffing the injected run's final memory against it. *)
-let baseline_run_full ?template exe =
-  let outcome, machine, _, _ =
-    run_with_pause ?template ~max_instructions:baseline_budget exe
-  in
+let baseline_run_full exe =
+  let outcome, machine, _, _ = run_with_pause ~max_instructions:baseline_budget exe in
   (outcome, Phys_mem.snapshot (Machine.mem machine))
 
 (* ---------- one cell ---------- *)
@@ -292,15 +282,13 @@ let run_one_seeded ?(budget_factor = default_config.budget_factor) ?baseline_mem
    distinct trigger frontiers, capturing a snapshot at each.  Run limits
    are cumulative retire counts, so the parent paused at each frontier
    is bit-identical to a from-reset run paused there. *)
-let build_ladder ?template ~triggers exe =
+let build_ladder ~triggers exe =
   let triggers = List.sort_uniq Int64.compare triggers in
   match triggers with
   | [] -> []
   | _ ->
     let machine =
-      match template with
-      | Some img -> Machine.fork img
-      | None -> Machine.create (System.machine_config System.Processor_kernel_modified)
+      Machine.create (System.machine_config System.Processor_kernel_modified)
     in
     let kernel =
       Kernel.create ~machine
@@ -391,20 +379,34 @@ let read_lines path =
   close_in ic;
   List.rev !lines
 
+(* The newline-terminated lines of a checkpoint and the bytes they span.
+   A last line cut mid-write has no newline and is no row, even when
+   what survived of it would still parse. *)
+let checkpoint_lines path =
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  match String.rindex_opt text '\n' with
+  | None -> ([], 0)
+  | Some i -> (String.split_on_char '\n' (String.sub text 0 i), i + 1)
+
 (* ---------- the checkpoint writer ----------
 
    One channel per campaign.  A checkpoint without usable prior rows
-   starts over under [header]; otherwise settled rows are appended to
-   it.  Each row is written whole under the mutex and flushed at once,
-   so a killed campaign leaves every settled cell on disk and no two
-   rows interleave.  Without a checkpoint no line is rendered. *)
-let with_appender checkpoint ~header ~columns ~append f =
+   ([keep = None]) starts over under [header]; otherwise the file is cut
+   back to its first [keep] bytes, dropping a torn last line, and
+   settled rows are appended to it.  Each row is written whole under the
+   mutex and flushed at once, so a killed campaign leaves every settled
+   cell on disk and no two rows interleave.  Without a checkpoint no line
+   is rendered. *)
+let with_appender checkpoint ~header ~columns ~keep f =
   match checkpoint with
   | None -> f (fun _ -> ())
   | Some path ->
     let oc =
-      if append then open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path
-      else open_out path
+      match keep with
+      | Some bytes ->
+        Unix.truncate path bytes;
+        open_out_gen [ Open_wronly; Open_append ] 0o644 path
+      | None -> open_out path
     in
     let m = Mutex.create () in
     let write line =
@@ -416,7 +418,7 @@ let with_appender checkpoint ~header ~columns ~append f =
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () ->
-        if not append then write header;
+        if keep = None then write header;
         f (fun row -> write (to_line columns row)))
 
 (* ---------- the cell runner ----------
@@ -462,14 +464,16 @@ let run_cells spec ~checkpoint ~resume ~attempts ~jobs ~sabotage ~max_cells ~pla
   let key (inj, s, _) = (spec.index_of inj, Pass.scheme_name s) in
   (* a checkpoint is the header plus one TSV row per settled cell; a
      different header (another campaign, or corrupt) starts over *)
-  let prior =
+  let prior, keep =
     match checkpoint with
     | Some path when resume && Sys.file_exists path -> (
-      match read_lines path with
-      | h :: rest when String.equal h spec.header ->
-        List.filter_map (of_line spec.columns ~blank:spec.blank) rest
-      | _ -> [])
-    | _ -> []
+      match checkpoint_lines path with
+      | h :: rest, bytes when String.equal h spec.header -> (
+        match List.filter_map (of_line spec.columns ~blank:spec.blank) rest with
+        | [] -> ([], None)
+        | rows -> (rows, Some bytes))
+      | _ -> ([], None))
+    | _ -> ([], None)
   in
   let done_rows = Hashtbl.create 64 in
   List.iter (fun r -> Hashtbl.replace done_rows (spec.key_of_row r) r) prior;
@@ -494,8 +498,7 @@ let run_cells spec ~checkpoint ~resume ~attempts ~jobs ~sabotage ~max_cells ~pla
       (spec.failed_row inj scheme ~error:(sanitize error) ~attempts, None)
   in
   let outcomes =
-    with_appender checkpoint ~header:spec.header ~columns:spec.columns
-      ~append:(prior <> [])
+    with_appender checkpoint ~header:spec.header ~columns:spec.columns ~keep
     @@ fun append_row ->
     Experiments.run_cells_contained ~attempts ?jobs
       ~on_cell:(fun idx o -> append_row (fst (settle idx o)))
@@ -533,16 +536,8 @@ let run (cfg : config) =
   let schemes = cfg.schemes in
   (* compile serially: the toolchain owns global state *)
   let exes = List.map (fun s -> (s, compile_victim ~elide:cfg.elide s)) schemes in
-  (* One pristine boot image shared by every baseline and ladder parent:
-     each lineage forks it CoW, so all of them (and every cell forked
-     from the ladders) share the untouched zero pages — making the
-     silent-corruption memory diffs O(touched pages), not O(DRAM). *)
-  let template =
-    Machine.snapshot
-      (Machine.create (System.machine_config System.Processor_kernel_modified))
-  in
   let baselines =
-    Parallel.map ?jobs:cfg.jobs (fun (s, exe) -> (s, baseline_run_full ~template exe)) exes
+    Parallel.map ?jobs:cfg.jobs (fun (s, exe) -> (s, baseline_run_full exe)) exes
   in
   List.iter
     (fun (s, ((b : Kernel.run_outcome), _)) ->
@@ -588,7 +583,7 @@ let run (cfg : config) =
                   else None)
                 todo
             in
-            (Pass.scheme_name s, build_ladder ~template ~triggers exe))
+            (Pass.scheme_name s, build_ladder ~triggers exe))
           exes
     in
     let snap_for scheme trigger =

@@ -429,17 +429,17 @@ let handle_mmap t process ~len ~prot ~key =
         Syscall.enomem)
   end
 
+(* A fresh frame holding a copy of frame [ppn], shared copy-on-write in
+   host memory until either side is written. *)
+let copy_frame t ppn =
+  let fresh = alloc_frame t in
+  Phys_mem.copy_page (Machine.mem t.machine) ~src:ppn ~dst:fresh;
+  fresh
+
 (* Copy-on-mprotect: a frame shared read-only across address spaces
    (fork) must be split before any process gains write access to it, or
    the writes would leak into the sibling address spaces.  Returns true
    when it installed a private copy (with the final perms/key). *)
-(* A fresh frame holding a copy of frame [ppn]. *)
-let copy_frame t ppn =
-  let mem = Machine.mem t.machine and ps = Page_table.page_size in
-  let fresh = alloc_frame t in
-  Phys_mem.write_string mem ~addr:(fresh * ps)
-    (Phys_mem.read_string mem ~addr:(ppn * ps) ~len:ps);
-  fresh
 
 let split_shared_frame t process ~va ~pte ~perms ~key =
   let ppn = Roload_mem.Pte.ppn pte in
@@ -663,9 +663,11 @@ let kill_task t ~pid ~info =
   | _ -> false
 
 (* Fork the parent's address space inside the same physical memory.
-   Writable pages are copied eagerly ("copy on fork" — cheap at these
-   address-space sizes); read-only pages — text, rodata, the GFPT —
-   share the parent's frame under a reference count, so the PA-keyed
+   Writable pages get their own frame at fork time ("copy on fork" in
+   the simulated kernel, charged per mapping), though in host memory the
+   copy is a copy-on-write share ([Phys_mem.copy_page]) until either
+   side stores to it; read-only pages — text, rodata, the GFPT — share
+   the parent's frame under a reference count, so the PA-keyed
    decode/block caches stay warm across the fork and a later
    mprotect-to-writable knows to split the frame first. *)
 let clone_address_space t parent =

@@ -33,6 +33,190 @@ let test_phys_mem () =
   Alcotest.check_raises "oob" (Phys_mem.Out_of_range 65536) (fun () ->
       ignore (Phys_mem.read_u8 mem 65536))
 
+(* Phys_mem against a flat [Bytes] model: random stores of every width
+   (aligned and page-straddling, through the accessors and through
+   [Phys_mem.page]), strings, whole-page and partial fills, page copies,
+   bit flips, snapshots, restores and forks, on a memory that ends
+   mid-chunk and mid-page.  Addresses cluster on pages next to chunk
+   boundaries so that copies, stores and snapshots collide. *)
+let prop_phys_mem_model =
+  let pb = Phys_mem.page_bytes in
+  let size = ((128 + 37) * pb) + 1234 in
+  let npages = (size + pb - 1) / pb in
+  let hot = [| 0; 1; 2; 126; 127; 128; 129; npages - 2; npages - 1 |] in
+  let page_gen =
+    QCheck.Gen.(
+      frequency
+        [ (4, map (fun i -> hot.(i)) (int_bound (Array.length hot - 1)));
+          (1, int_bound (npages - 1)) ])
+  in
+  (* an address in a hot page, often a few bytes short of its end *)
+  let addr_gen ~len =
+    QCheck.Gen.(
+      map3
+        (fun p near_end off ->
+          let a = (p * pb) + if near_end then pb - 1 - (off land 7) else off in
+          max 0 (min a (size - len)))
+        page_gen bool (int_bound (pb - 1)))
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ ( 8,
+            oneofl [ 1; 2; 4; 8 ] >>= fun w ->
+            map3 (fun a v via_page -> `Store (w, a, v, via_page)) (addr_gen ~len:w) ui64 bool );
+          ( 4,
+            oneofl [ 1; 2; 4; 8 ] >>= fun w -> map (fun a -> `Load (w, a)) (addr_gen ~len:w) );
+          ( 2,
+            int_bound (2 * pb) >>= fun n ->
+            map2 (fun a c -> `String (a, String.make n c)) (addr_gen ~len:n) printable );
+          ( 2,
+            map3 (fun p n zero -> `Fill_pages (p, n, if zero then '\000' else 'z'))
+              page_gen (int_range 1 3) bool );
+          ( 1,
+            int_bound 300 >>= fun n ->
+            map2 (fun a c -> `Fill (a, n, c)) (addr_gen ~len:n) (oneofl [ '\000'; 'f' ]) );
+          (3, map2 (fun src dst -> `Copy_page (src, dst)) page_gen page_gen);
+          (1, map2 (fun a bit -> `Flip (a, bit)) (addr_gen ~len:8) (int_bound 63));
+          (2, return `Snapshot);
+          (1, map (fun i -> `Restore i) nat);
+          (1, map (fun i -> `Fork i) nat) ])
+  in
+  let print_op = function
+    | `Store (w, a, v, via_page) ->
+      Printf.sprintf "st%d%s %#x=%Lx" w (if via_page then "p" else "") a v
+    | `Load (w, a) -> Printf.sprintf "ld%d %#x" w a
+    | `String (a, s) -> Printf.sprintf "str %#x+%d" a (String.length s)
+    | `Fill_pages (p, n, c) -> Printf.sprintf "fillpg %d+%d %C" p n c
+    | `Fill (a, n, c) -> Printf.sprintf "fill %#x+%d %C" a n c
+    | `Copy_page (s, d) -> Printf.sprintf "cp %d->%d" s d
+    | `Flip (a, b) -> Printf.sprintf "flip %#x.%d" a b
+    | `Snapshot -> "snap"
+    | `Restore i -> Printf.sprintf "restore %d" i
+    | `Fork i -> Printf.sprintf "fork %d" i
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+      QCheck.Gen.(list_size (int_range 1 50) op)
+  in
+  let model_read m a w =
+    let v = ref 0L in
+    for i = w - 1 downto 0 do
+      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Bytes.get_uint8 m (a + i)))
+    done;
+    !v
+  in
+  let model_write m a w v =
+    for i = 0 to w - 1 do
+      Bytes.set_uint8 m (a + i) (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF)
+    done
+  in
+  let mem_read mem a w =
+    match w with
+    | 1 -> Int64.of_int (Phys_mem.read_u8 mem a)
+    | 2 -> Int64.of_int (Phys_mem.read_u16 mem a)
+    | 4 -> Int64.of_int (Phys_mem.read_u32 mem a)
+    | _ -> Phys_mem.read_u64 mem a
+  in
+  let mem_write mem a w v ~via_page =
+    if via_page && (a land (pb - 1)) + w <= pb then begin
+      let pg = Phys_mem.page mem a ~len:w ~write:true and off = a land (pb - 1) in
+      match w with
+      | 1 -> Bytes.set_uint8 pg off (Int64.to_int v land 0xFF)
+      | 2 -> Bytes.set_uint16_le pg off (Int64.to_int v land 0xFFFF)
+      | 4 -> Bytes.set_int32_le pg off (Int64.to_int32 v)
+      | _ -> Bytes.set_int64_le pg off v
+    end
+    else
+      match w with
+      | 1 -> Phys_mem.write_u8 mem a (Int64.to_int v land 0xFF)
+      | 2 -> Phys_mem.write_u16 mem a (Int64.to_int v land 0xFFFF)
+      | 4 -> Phys_mem.write_u32 mem a (Int64.to_int v land 0xFFFFFFFF)
+      | _ -> Phys_mem.write_u64 mem a v
+  in
+  (* what [diff_images a b] must report for two images with models [ma], [mb] *)
+  let model_diff ma mb =
+    List.filter_map
+      (fun p ->
+        let len = min pb (size - (p * pb)) in
+        let rec first a =
+          if Bytes.get ma a = Bytes.get mb a then first (a + 1)
+          else
+            { Phys_mem.page = p; addr = a; a_byte = Bytes.get_uint8 ma a;
+              b_byte = Bytes.get_uint8 mb a }
+        in
+        if Bytes.equal (Bytes.sub ma (p * pb) len) (Bytes.sub mb (p * pb) len) then None
+        else Some (first (p * pb)))
+      (List.init npages Fun.id)
+  in
+  let contents mem = Phys_mem.read_string mem ~addr:0 ~len:size in
+  QCheck.Test.make ~count:200 ~name:"Phys_mem = flat Bytes model" arb (fun ops ->
+      let mem = ref (Phys_mem.create ~size) and m = ref (Bytes.make size '\000') in
+      let images = ref [] in
+      let nth i = List.nth !images (i mod List.length !images) in
+      let step = function
+        | `Store (w, a, v, via_page) ->
+          mem_write !mem a w v ~via_page;
+          model_write !m a w v;
+          true
+        | `Load (w, a) -> Int64.equal (mem_read !mem a w) (model_read !m a w)
+        | `String (a, s) ->
+          Phys_mem.write_string !mem ~addr:a s;
+          Bytes.blit_string s 0 !m a (String.length s);
+          String.equal (Phys_mem.read_string !mem ~addr:a ~len:(String.length s)) s
+        | `Fill_pages (p, n, c) ->
+          let a = p * pb in
+          let n = min (n * pb) (size - a) in
+          Phys_mem.fill !mem ~addr:a ~len:n c;
+          Bytes.fill !m a n c;
+          true
+        | `Fill (a, n, c) ->
+          Phys_mem.fill !mem ~addr:a ~len:n c;
+          Bytes.fill !m a n c;
+          true
+        | `Copy_page (src, dst) when (max src dst + 1) * pb > size -> (
+          (* the last page is partial: only whole pages are copied *)
+          match Phys_mem.copy_page !mem ~src ~dst with
+          | () -> false
+          | exception Phys_mem.Out_of_range _ -> true)
+        | `Copy_page (src, dst) ->
+          Phys_mem.copy_page !mem ~src ~dst;
+          Bytes.blit (Bytes.sub !m (src * pb) pb) 0 !m (dst * pb) pb;
+          true
+        | `Flip (a, bit) ->
+          Phys_mem.flip_bit !mem ~addr:a ~bit;
+          model_write !m a 8 (Int64.logxor (model_read !m a 8) (Int64.shift_left 1L bit));
+          true
+        | `Snapshot ->
+          images := !images @ [ (Phys_mem.snapshot !mem, Bytes.copy !m) ];
+          true
+        | `Restore i ->
+          if !images <> [] then begin
+            let img, mi = nth i in
+            Phys_mem.restore !mem img;
+            m := Bytes.copy mi
+          end;
+          true
+        | `Fork i ->
+          if !images <> [] then begin
+            let img, mi = nth i in
+            mem := Phys_mem.fork img;
+            m := Bytes.copy mi
+          end;
+          true
+      in
+      List.for_all step ops
+      && String.equal (contents !mem) (Bytes.to_string !m)
+      &&
+      let live = (Phys_mem.snapshot !mem, !m) in
+      List.for_all
+        (fun (img, mi) ->
+          String.equal (contents (Phys_mem.fork img)) (Bytes.to_string mi)
+          && Phys_mem.diff_images img (fst live) = model_diff mi (snd live))
+        !images
+      && String.equal (contents (Phys_mem.create ~size)) (String.make size '\000'))
+
 let test_pte_fields () =
   let pte = Pte.make ~ppn:0x1234 ~perms:Perm.ro ~user:true ~key:777 in
   Alcotest.(check bool) "valid" true (Pte.valid pte);
@@ -456,4 +640,5 @@ let suite =
     Seeded.to_alcotest prop_tlb_rehit_exact_accounting;
     Seeded.to_alcotest prop_tlb_rehit_many;
     Seeded.to_alcotest prop_mmu_core_agrees;
+    Seeded.to_alcotest prop_phys_mem_model;
   ]
