@@ -10,8 +10,6 @@ type config = {
 
 let kib n = n * 1024
 
-type line = { mutable tag : int; mutable valid : bool; mutable dirty : bool; mutable last_use : int }
-
 type stats = {
   mutable hits : int;
   mutable misses : int;
@@ -22,12 +20,16 @@ type stats = {
 
 type t = {
   config : config;
-  sets : line array array; (* sets.(index).(way) *)
+  ways : int;
+  (* The tag store, flat: line [set * ways + way] of every set. *)
+  tags : int array;
+  last_use : int array;
+  flags : Bytes.t; (* bit 0 valid, bit 1 dirty *)
   num_sets : int;
   index_bits : int;
   offset_bits : int;
   mutable clock : int;
-  mutable last_way : int; (* way of the line the last access left holding its address *)
+  mutable last_line : int; (* line the last access left holding its address *)
   stats : stats;
   name : string;
   (* Optional tracing tap, fired once per access with the outcome.  A
@@ -42,6 +44,14 @@ type t = {
   mutable wb_interceptor : (addr:int -> bool) option;
 }
 
+(* [create] and [of_image]: a cache over the given tag store. *)
+let build ~name config ~tags ~last_use ~flags ~clock ~stats =
+  let num_sets = config.size_bytes / (config.ways * config.line_bytes) in
+  let log2 = Roload_util.Bits.log2_exact in
+  { config; ways = config.ways; tags; last_use; flags; num_sets; index_bits = log2 num_sets;
+    offset_bits = log2 config.line_bytes; clock; last_line = 0; stats; name;
+    observer = None; wb_interceptor = None }
+
 let create ~name config =
   let { size_bytes; ways; line_bytes } = config in
   if size_bytes <= 0 || ways <= 0 || line_bytes <= 0 then invalid_arg "Cache.create";
@@ -52,21 +62,10 @@ let create ~name config =
     invalid_arg "Cache.create: size must be ways * lines * line_bytes";
   if not (Roload_util.Bits.is_power_of_two num_sets) then
     invalid_arg "Cache.create: number of sets must be a power of two";
-  {
-    config;
-    sets =
-      Array.init num_sets (fun _ ->
-          Array.init ways (fun _ -> { tag = 0; valid = false; dirty = false; last_use = 0 }));
-    num_sets;
-    index_bits = Roload_util.Bits.log2_exact num_sets;
-    offset_bits = Roload_util.Bits.log2_exact line_bytes;
-    clock = 0;
-    last_way = 0;
-    stats = { hits = 0; misses = 0; writebacks = 0; dropped_writebacks = 0 };
-    name;
-    observer = None;
-    wb_interceptor = None;
-  }
+  let lines = num_sets * ways in
+  build ~name config ~tags:(Array.make lines 0) ~last_use:(Array.make lines 0)
+    ~flags:(Bytes.make lines '\000') ~clock:0
+    ~stats:{ hits = 0; misses = 0; writebacks = 0; dropped_writebacks = 0 }
 
 let name t = t.name
 let config t = t.config
@@ -85,54 +84,56 @@ type outcome = Hit | Miss of { writeback : bool }
 let miss_clean = Miss { writeback = false }
 let miss_dirty = Miss { writeback = true }
 
-(* Victim: the first invalid way, else the least recently used one (the
-   first on a tie). *)
-let rec victim_way set i best =
-  if i >= Array.length set then best
-  else
-    let l = Array.unsafe_get set i in
-    if not l.valid then i
-    else
-      victim_way set (i + 1)
-        (if l.last_use < (Array.unsafe_get set best).last_use then i else best)
+let valid = 1
+let dirty = 2 (* only ever set together with [valid] *)
+let flag t i = Char.code (Bytes.unsafe_get t.flags i)
+let set_flag t i f = Bytes.unsafe_set t.flags i (Char.unsafe_chr f)
 
-(* One access; [t.last_way] is left naming the way of the line that now
-   holds [addr], for [access_into]. *)
+(* Victim among lines [i, stop) of one set: the first invalid line, else
+   the least recently used one (the first on a tie). *)
+let rec victim t i stop best =
+  if i >= stop then best
+  else if flag t i land valid = 0 then i
+  else
+    victim t (i + 1) stop
+      (if Array.unsafe_get t.last_use i < Array.unsafe_get t.last_use best then i else best)
+
+(* One access; [t.last_line] is left naming the line that now holds
+   [addr], for [access_into]. *)
 let access t ~addr ~write =
   t.clock <- t.clock + 1;
   let line_addr = addr lsr t.offset_bits in
   let index = line_addr land (t.num_sets - 1) in
   let tag = line_addr lsr t.index_bits in
-  let set = t.sets.(index) in
-  let way = ref (-1) and i = ref 0 in
-  while !way < 0 && !i < Array.length set do
-    let l = Array.unsafe_get set !i in
-    if l.valid && l.tag = tag then way := !i;
+  let base = index * t.ways in
+  let stop = base + t.ways in
+  let i = ref base in
+  while !i < stop && not (Array.unsafe_get t.tags !i = tag && flag t !i land valid <> 0) do
     incr i
   done;
-  let way = !way in
-  if way >= 0 then begin
-    let line = Array.unsafe_get set way in
-    t.last_way <- way;
-    line.last_use <- t.clock;
-    if write then line.dirty <- true;
+  let i = !i in
+  if i < stop then begin
+    t.last_line <- i;
+    Array.unsafe_set t.last_use i t.clock;
+    if write then set_flag t i (valid lor dirty);
     t.stats.hits <- t.stats.hits + 1;
     notify t ~addr ~write ~hit:true ~writeback:false;
     Hit
   end
   else begin
     t.stats.misses <- t.stats.misses + 1;
-    let way = victim_way set 0 0 in
-    let v = Array.unsafe_get set way in
-    t.last_way <- way;
+    let v = victim t base stop base in
+    t.last_line <- v;
     let writeback =
-      v.valid && v.dirty
+      flag t v = valid lor dirty
       &&
       match t.wb_interceptor with
       | None -> true
       | Some drop ->
         (* base address of the victim line being evicted *)
-        let victim_addr = ((v.tag lsl t.index_bits) lor index) lsl t.offset_bits in
+        let victim_addr =
+          ((Array.unsafe_get t.tags v lsl t.index_bits) lor index) lsl t.offset_bits
+        in
         if drop ~addr:victim_addr then begin
           t.stats.dropped_writebacks <- t.stats.dropped_writebacks + 1;
           false
@@ -140,41 +141,39 @@ let access t ~addr ~write =
         else true
     in
     if writeback then t.stats.writebacks <- t.stats.writebacks + 1;
-    v.tag <- tag;
-    v.valid <- true;
-    v.dirty <- write;
-    v.last_use <- t.clock;
+    Array.unsafe_set t.tags v tag;
+    set_flag t v (if write then valid lor dirty else valid);
+    Array.unsafe_set t.last_use v t.clock;
     notify t ~addr ~write ~hit:false ~writeback;
     if writeback then miss_dirty else miss_clean
   end
 
-(* Handles for the fetch fast paths.  A handle names the line that
-   serviced an access; [rehit] replays a read hit on it with the exact
-   accounting [access] would have performed (clock tick, recency, hit
-   counter) provided the line still holds the same tag.  Otherwise it
-   does no accounting and the caller falls back to [access], so
-   observable cache state is identical to always calling [access].  A
-   handle is a reusable mutable cell that [access_into] re-points, so the
-   fetch path allocates nothing; a fresh one names no line. *)
+(* Handles for the fetch fast paths.  A handle names the line (by index)
+   that serviced an access and the tag it then held; [rehit] replays a
+   read hit on it with the exact accounting [access] would have performed
+   (clock tick, recency, hit counter) provided that line is still valid
+   with the same tag.  Otherwise it does no accounting and the caller
+   falls back to [access], so observable cache state is identical to
+   always calling [access].  [access_into] re-points a handle in place,
+   so the fetch path allocates nothing; a fresh one carries tag -1,
+   which no line ever holds. *)
 
-type handle = { mutable h_line : line; mutable h_tag : int; mutable h_addr : int }
+type handle = { mutable h_line : int; mutable h_tag : int; mutable h_addr : int }
 
-let no_line = { tag = -1; valid = false; dirty = false; last_use = 0 }
-let handle () = { h_line = no_line; h_tag = -1; h_addr = 0 }
+let handle () = { h_line = 0; h_tag = -1; h_addr = 0 }
 
 let access_into t ~addr ~write h =
   let outcome = access t ~addr ~write in
-  let line_addr = addr lsr t.offset_bits in
-  h.h_line <- Array.unsafe_get t.sets.(line_addr land (t.num_sets - 1)) t.last_way;
-  h.h_tag <- line_addr lsr t.index_bits;
+  h.h_line <- t.last_line;
+  h.h_tag <- Array.unsafe_get t.tags t.last_line;
   h.h_addr <- addr;
   outcome
 
 let rehit t h =
-  let line = h.h_line in
-  if line.valid && line.tag = h.h_tag then begin
+  let i = h.h_line in
+  if t.tags.(i) = h.h_tag && flag t i land valid <> 0 then begin
     t.clock <- t.clock + 1;
-    line.last_use <- t.clock;
+    Array.unsafe_set t.last_use i t.clock;
     t.stats.hits <- t.stats.hits + 1;
     notify t ~addr:h.h_addr ~write:false ~hit:true ~writeback:false;
     true
@@ -187,11 +186,11 @@ let rehit t h =
    sequential [rehit]s leave behind.  The observer still fires once per
    accounted access. *)
 let rehit_many t h ~n =
-  let line = h.h_line in
+  let i = h.h_line in
   if n <= 0 then true
-  else if line.valid && line.tag = h.h_tag then begin
+  else if t.tags.(i) = h.h_tag && flag t i land valid <> 0 then begin
     t.clock <- t.clock + n;
-    line.last_use <- t.clock;
+    Array.unsafe_set t.last_use i t.clock;
     t.stats.hits <- t.stats.hits + n;
     (match t.observer with
     | None -> ()
@@ -203,66 +202,58 @@ let rehit_many t h ~n =
   end
   else false
 
-let flush t =
-  Array.iter (Array.iter (fun l -> l.valid <- false; l.dirty <- false)) t.sets
+let flush t = Bytes.fill t.flags 0 (Bytes.length t.flags) '\000'
 
-let reset_stats t =
-  t.stats.hits <- 0;
-  t.stats.misses <- 0;
-  t.stats.writebacks <- 0;
-  t.stats.dropped_writebacks <- 0
+let set_stats t s =
+  t.stats.hits <- s.hits;
+  t.stats.misses <- s.misses;
+  t.stats.writebacks <- s.writebacks;
+  t.stats.dropped_writebacks <- s.dropped_writebacks
+
+let reset_stats t = set_stats t { hits = 0; misses = 0; writebacks = 0; dropped_writebacks = 0 }
 
 let miss_rate t =
   let total = t.stats.hits + t.stats.misses in
   if total = 0 then 0.0 else float_of_int t.stats.misses /. float_of_int total
 
 (* ---- snapshots ----
-   Deep copy of every line (tags-only, so this is small) plus the clock
-   and the statistics.  Restore mutates the existing line records in
-   place, preserving handle identity: an outstanding handle revalidates
-   against the restored tag through [rehit]'s guard or falls back, the
-   same contract live eviction relies on.  The observer and the one-shot
-   writeback interceptor are per-run wiring and are not captured. *)
+   A copy of the three tag-store arrays (tags-only, so this is small)
+   plus the clock and the statistics.  Restore blits them back into the
+   live arrays; an outstanding handle revalidates by index and tag
+   through [rehit]'s guard or falls back, the same contract live
+   eviction relies on.  The observer and the one-shot writeback
+   interceptor are per-run wiring and are not captured. *)
 
 type image = {
-  i_lines : (int * bool * bool * int) array array; (* (tag, valid, dirty, last_use) *)
+  i_config : config;
+  i_tags : int array;
+  i_last_use : int array;
+  i_flags : Bytes.t;
   i_clock : int;
-  i_hits : int;
-  i_misses : int;
-  i_writebacks : int;
-  i_dropped_writebacks : int;
+  i_stats : stats; (* a private copy, never mutated *)
 }
+
+let copy_stats s = { s with hits = s.hits }
 
 let snapshot t =
   {
-    i_lines =
-      Array.map (Array.map (fun l -> (l.tag, l.valid, l.dirty, l.last_use))) t.sets;
+    i_config = t.config;
+    i_tags = Array.copy t.tags;
+    i_last_use = Array.copy t.last_use;
+    i_flags = Bytes.copy t.flags;
     i_clock = t.clock;
-    i_hits = t.stats.hits;
-    i_misses = t.stats.misses;
-    i_writebacks = t.stats.writebacks;
-    i_dropped_writebacks = t.stats.dropped_writebacks;
+    i_stats = copy_stats t.stats;
   }
 
 let restore t img =
-  if
-    Array.length img.i_lines <> Array.length t.sets
-    || (Array.length t.sets > 0
-       && Array.length img.i_lines.(0) <> Array.length t.sets.(0))
-  then invalid_arg "Cache.restore: geometry mismatch";
-  Array.iteri
-    (fun si ways ->
-      Array.iteri
-        (fun wi (tag, valid, dirty, last_use) ->
-          let l = t.sets.(si).(wi) in
-          l.tag <- tag;
-          l.valid <- valid;
-          l.dirty <- dirty;
-          l.last_use <- last_use)
-        ways)
-    img.i_lines;
+  if img.i_config <> t.config then invalid_arg "Cache.restore: geometry mismatch";
+  Array.blit img.i_tags 0 t.tags 0 (Array.length t.tags);
+  Array.blit img.i_last_use 0 t.last_use 0 (Array.length t.last_use);
+  Bytes.blit img.i_flags 0 t.flags 0 (Bytes.length t.flags);
   t.clock <- img.i_clock;
-  t.stats.hits <- img.i_hits;
-  t.stats.misses <- img.i_misses;
-  t.stats.writebacks <- img.i_writebacks;
-  t.stats.dropped_writebacks <- img.i_dropped_writebacks
+  set_stats t img.i_stats
+
+let of_image ~name img =
+  build ~name img.i_config ~tags:(Array.copy img.i_tags)
+    ~last_use:(Array.copy img.i_last_use) ~flags:(Bytes.copy img.i_flags) ~clock:img.i_clock
+    ~stats:(copy_stats img.i_stats)

@@ -41,8 +41,8 @@ val access : t -> addr:int -> write:bool -> outcome
 (** One access.  Never allocates (the outcomes are shared constants). *)
 
 type handle
-(** A reusable cell naming the line that serviced an access, for the
-    fetch fast paths. *)
+(** A reusable cell naming the line (by index) that serviced an access and
+    the tag it then held, for the fetch fast paths. *)
 
 val handle : unit -> handle
 (** A fresh handle naming no line ({!rehit} refuses it). *)
@@ -53,8 +53,8 @@ val access_into : t -> addr:int -> write:bool -> handle -> outcome
 
 val rehit : t -> handle -> bool
 (** Replay a read hit on the handled line with the exact accounting [access]
-    performs (clock tick, recency, hit counter) — provided the line still
-    holds the same tag.  Returns [false] with {i no} accounting otherwise;
+    performs (clock tick, recency, hit counter) — provided the line is still
+    valid with the same tag.  Returns [false] with {i no} accounting otherwise;
     the caller must then fall back to [access]. *)
 
 val rehit_many : t -> handle -> n:int -> bool
@@ -68,12 +68,15 @@ val reset_stats : t -> unit
 val miss_rate : t -> float
 
 type image
-(** Deep copy of lines + clock + statistics; immutable once taken. *)
+(** Copies of the tag store, clock and statistics; immutable once taken. *)
 
 val snapshot : t -> image
 
 val restore : t -> image -> unit
-(** Overwrite [t]'s lines/clock/stats with the image, in place (line
-    identity preserved; outstanding handles revalidate or fall back
-    through {!rehit}'s guard).  Observer and writeback interceptor are
-    untouched. *)
+(** Overwrite [t]'s tag store/clock/stats with the image, in place
+    (outstanding handles revalidate by index and tag through {!rehit}'s
+    guard or fall back).  Observer and writeback interceptor are
+    untouched.  Raises [Invalid_argument] unless the configs are equal. *)
+
+val of_image : name:string -> image -> t
+(** {!create} then {!restore}, in one pass. *)

@@ -51,17 +51,6 @@ let rehit_ifetch_many t h ~n = Cache.rehit_many t.icache h ~n
 let access_data t ~pa ~write =
   cost_of t (Cache.access t.dcache ~addr:pa ~write) ~hit_cost:t.lat.l1_hit
 
-(* Page-table-walker accesses go through the D-cache, as in Rocket. *)
-let access_ptw t ~pa = access_data t ~pa ~write:false
-
-let flush t =
-  Cache.flush t.icache;
-  Cache.flush t.dcache
-
-let reset_stats t =
-  Cache.reset_stats t.icache;
-  Cache.reset_stats t.dcache
-
 type image = { i_icache : Cache.image; i_dcache : Cache.image }
 
 let snapshot t = { i_icache = Cache.snapshot t.icache; i_dcache = Cache.snapshot t.dcache }
@@ -69,3 +58,10 @@ let snapshot t = { i_icache = Cache.snapshot t.icache; i_dcache = Cache.snapshot
 let restore t img =
   Cache.restore t.icache img.i_icache;
   Cache.restore t.dcache img.i_dcache
+
+let of_image ~latencies img =
+  {
+    icache = Cache.of_image ~name:"L1I" img.i_icache;
+    dcache = Cache.of_image ~name:"L1D" img.i_dcache;
+    lat = latencies;
+  }

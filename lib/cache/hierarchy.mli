@@ -36,13 +36,11 @@ val rehit_ifetch_many : t -> Cache.handle -> n:int -> bool
     cycles); [false] with no accounting when the line was evicted. *)
 
 val access_data : t -> pa:int -> write:bool -> int
-val access_ptw : t -> pa:int -> int
-(** Page-table-walker access (through the D-cache, as in Rocket). *)
-
-val flush : t -> unit
-val reset_stats : t -> unit
 
 type image
 
 val snapshot : t -> image
 val restore : t -> image -> unit
+
+val of_image : latencies:latencies -> image -> t
+(** {!create} then {!restore}, in one pass. *)

@@ -177,8 +177,9 @@ let create ?(costs = default_costs) ?engine (config : Config.t) =
     costs;
     engine;
     mmu = None;
-    decode_cache = Hashtbl.create 4096;
-    blocks = Hashtbl.create 1024;
+    (* small: images copy these tables; [Hashtbl] grows them on demand *)
+    decode_cache = Hashtbl.create 64;
+    blocks = Hashtbl.create 64;
     code_pages =
       Bytes.make ((config.Config.phys_mem_bytes lsr (Page_table.page_shift + 3)) + 1) '\000';
     code_gen = 0;
@@ -1003,7 +1004,10 @@ let run_steps ?stop_at_pc ~fuel t =
    MMU) are preserved, which is what lets compiled traces be restored
    too: their closures captured those identities at compile time.
 
-   [fork] builds a new, fully independent machine from the image.
+   [fork] builds a new, fully independent machine from the image, in
+   one pass per layer.  All three cost what the machine holds, not what
+   its tables could hold: pages are shared copy-on-write, the decode and
+   block tables start small, and each cache is three flat arrays.
    Compiled traces are dropped — their closures capture the *parent's*
    cpu/regs/mem, so running them in a fork would corrupt the parent.
    Block hotness rides along in the copied block cache, so a fork
@@ -1135,8 +1139,7 @@ let fork img =
       cpu = Cpu.create ();
       mem = Phys_mem.fork img.im_mem;
       hierarchy =
-        Roload_cache.Hierarchy.create ~icache_config:config.Config.icache
-          ~dcache_config:config.Config.dcache ~latencies:config.Config.latencies ();
+        Roload_cache.Hierarchy.of_image ~latencies:config.Config.latencies img.im_hier;
       costs = img.im_costs;
       engine = img.im_engine;
       mmu = None;
@@ -1165,7 +1168,6 @@ let fork img =
     }
   in
   Cpu.restore t.cpu img.im_cpu;
-  Roload_cache.Hierarchy.restore t.hierarchy img.im_hier;
   t
 
 (* Install a forked address space without the cache flush [set_mmu]

@@ -204,6 +204,232 @@ let prop_rehit_many =
       && Cache.snapshot a = Cache.snapshot b
       && !log_a = !log_b)
 
+(* Restoring an image checks the whole geometry, not just the line
+   count: 64 sets x 8 ways and 128 sets x 4 ways both hold 512 lines. *)
+let test_restore_geometry () =
+  let cache ~ways = Cache.create ~name:"g" { Cache.size_bytes = Cache.kib 32; ways; line_bytes = 64 } in
+  let mismatch = Invalid_argument "Cache.restore: geometry mismatch" in
+  Alcotest.check_raises "64x8 image into a 128x4 cache" mismatch (fun () ->
+      Cache.restore (cache ~ways:4) (Cache.snapshot (cache ~ways:8)));
+  Alcotest.check_raises "fewer lines" mismatch (fun () ->
+      Cache.restore (mk ()) (Cache.snapshot (cache ~ways:8)));
+  let c = cache ~ways:8 in
+  ignore (Cache.access c ~addr:0 ~write:true);
+  let img = Cache.snapshot c in
+  Cache.restore (cache ~ways:8) img;
+  Alcotest.(check bool) "same geometry restores" true (Cache.snapshot c = img)
+
+(* ---------- Cache = reference LRU model ----------
+
+   An independent reference: each set is a list of resident lines,
+   most recently used first, holding (line address, dirty).  A miss in a
+   full set evicts the list's last element.  Way placement and the clock
+   do not exist in the model: the clock gives every valid line of a set
+   its own recency stamp, so neither the LRU tie rule nor the choice
+   among invalid ways is observable here.  The cache must agree with
+   the model on every outcome, the statistics, the writeback interceptor's victim addresses
+   and the observer log.  Handle replays are compared as "rehit, else
+   fall back to access_into", the callers' contract: a rehit that
+   succeeds must find the line resident in the model. *)
+
+type model = {
+  m_sets : (int * bool) list array;
+  m_ways : int;
+  m_line : int;
+  mutable m_hits : int;
+  mutable m_misses : int;
+  mutable m_writebacks : int;
+  mutable m_dropped : int;
+}
+
+let model_copy m = { m with m_sets = Array.copy m.m_sets }
+
+let model_resident m addr =
+  let la = addr / m.m_line in
+  List.mem_assoc la m.m_sets.(la mod Array.length m.m_sets)
+
+(* One access; [drop] is the interceptor (None: none installed),
+   [victims] logs the addresses it was consulted with, [log] the
+   observer events. *)
+let model_access m ~drop ~victims ~log ~addr ~write =
+  let la = addr / m.m_line in
+  let si = la mod Array.length m.m_sets in
+  let lines = m.m_sets.(si) in
+  match List.assoc_opt la lines with
+  | Some d ->
+    m.m_hits <- m.m_hits + 1;
+    m.m_sets.(si) <- (la, d || write) :: List.remove_assoc la lines;
+    log := (addr, write, true, false) :: !log;
+    Cache.Hit
+  | None ->
+    m.m_misses <- m.m_misses + 1;
+    let kept, writeback =
+      if List.length lines < m.m_ways then (lines, false)
+      else
+        let rev = List.rev lines in
+        let victim_la, victim_dirty = List.hd rev in
+        let writeback =
+          victim_dirty
+          &&
+          match drop with
+          | None -> true
+          | Some chosen ->
+            let va = victim_la * m.m_line in
+            victims := va :: !victims;
+            if va = chosen then (m.m_dropped <- m.m_dropped + 1; false) else true
+        in
+        (List.rev (List.tl rev), writeback)
+    in
+    if writeback then m.m_writebacks <- m.m_writebacks + 1;
+    m.m_sets.(si) <- (la, write) :: kept;
+    log := (addr, write, false, writeback) :: !log;
+    Cache.Miss { writeback }
+
+let prop_reference_model =
+  let geometries = [ (256, 1, 32); (512, 2, 64); (1024, 4, 32); (2048, 8, 64) ] in
+  let gen_op (size, ways, line) =
+    let open QCheck.Gen in
+    (* two sets, each contended by [ways + 2] lines *)
+    let nsets = size / (ways * line) in
+    let addr =
+      map3
+        (fun set tag off -> ((((tag * nsets) + set) * line) + off))
+        (int_bound 1) (int_bound (ways + 1)) (int_bound (line - 1))
+    in
+    frequency
+      [
+        (8, map2 (fun a w -> `Access (a, w)) addr bool);
+        (3, map (fun a -> `Access_into a) addr);
+        (3, return `Rehit);
+        (3, map (fun n -> `Rehit_many n) (int_range (-1) 6));
+        (1, return `Fresh_handle);
+        (1, return `Flush);
+        (1, return `Reset_stats);
+        (2, return `Snapshot);
+        (2, return `Restore);
+        (1, map (fun a -> `Intercept (Some (a / line * line))) addr);
+        (1, return (`Intercept None));
+      ]
+  in
+  let show = function
+    | `Access (a, w) -> Printf.sprintf "%d%s" a (if w then "w" else "r")
+    | `Access_into a -> Printf.sprintf "into %d" a
+    | `Rehit -> "rehit"
+    | `Rehit_many n -> Printf.sprintf "rehit*%d" n
+    | `Fresh_handle -> "fresh"
+    | `Flush -> "flush"
+    | `Reset_stats -> "reset"
+    | `Snapshot -> "snap"
+    | `Restore -> "restore"
+    | `Intercept None -> "no-drop"
+    | `Intercept (Some a) -> Printf.sprintf "drop %d" a
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun ((size, ways, line), ops) ->
+        Printf.sprintf "%dB %d-way %dB lines: [%s]" size ways line
+          (String.concat "; " (List.map show ops)))
+      QCheck.Gen.(
+        oneofl geometries >>= fun g ->
+        map (fun ops -> (g, ops)) (list_size (int_range 1 120) (gen_op g)))
+  in
+  QCheck.Test.make ~count:500 ~name:"Cache = reference LRU model" arb
+    (fun ((size_bytes, ways, line_bytes), ops) ->
+      let c = Cache.create ~name:"c" { Cache.size_bytes; ways; line_bytes } in
+      let m =
+        ref
+          {
+            m_sets = Array.make (size_bytes / (ways * line_bytes)) [];
+            m_ways = ways;
+            m_line = line_bytes;
+            m_hits = 0;
+            m_misses = 0;
+            m_writebacks = 0;
+            m_dropped = 0;
+          }
+      in
+      let log_c = ref [] and log_m = ref [] in
+      let victims_c = ref [] and victims_m = ref [] in
+      Cache.set_observer c
+        (Some (fun ~addr ~write ~hit ~writeback -> log_c := (addr, write, hit, writeback) :: !log_c));
+      let drop = ref None in
+      let h = Cache.handle () and h_addr = ref None in
+      let saved = ref None in
+      let model_access ~addr ~write =
+        model_access !m ~drop:!drop ~victims:victims_m ~log:log_m ~addr ~write
+      in
+      (* [n] read replays of the handled line: batched when the line is
+         still there, else one [access_into] and the rest batched *)
+      let replay n addr =
+        let resident = model_resident !m addr in
+        let first = model_access ~addr ~write:false in
+        for _ = 2 to n do
+          ignore (model_access ~addr ~write:false)
+        done;
+        let ok = if n = 1 then Cache.rehit c h else Cache.rehit_many c h ~n in
+        ((not ok) || resident)
+        && (ok
+           || Cache.access_into c ~addr ~write:false h = first
+              && Cache.rehit_many c h ~n:(n - 1))
+      in
+      let step = function
+        | `Access (addr, write) -> Cache.access c ~addr ~write = model_access ~addr ~write
+        | `Access_into addr ->
+          h_addr := Some addr;
+          Cache.access_into c ~addr ~write:false h = model_access ~addr ~write:false
+        | `Rehit -> (
+          match !h_addr with
+          | None -> not (Cache.rehit c h)
+          | Some addr -> replay 1 addr)
+        | `Rehit_many n -> (
+          match !h_addr with
+          | None -> Cache.rehit_many c h ~n = (n <= 0)
+          | Some _ when n <= 0 -> Cache.rehit_many c h ~n
+          | Some addr -> replay n addr)
+        | `Fresh_handle ->
+          (* a handle never re-pointed names no line *)
+          let fresh = Cache.handle () in
+          (not (Cache.rehit c fresh)) && not (Cache.rehit_many c fresh ~n:3)
+        | `Flush ->
+          Cache.flush c;
+          Array.fill !m.m_sets 0 (Array.length !m.m_sets) [];
+          true
+        | `Reset_stats ->
+          Cache.reset_stats c;
+          !m.m_hits <- 0;
+          !m.m_misses <- 0;
+          !m.m_writebacks <- 0;
+          !m.m_dropped <- 0;
+          true
+        | `Snapshot ->
+          saved := Some (Cache.snapshot c, model_copy !m);
+          true
+        | `Restore ->
+          (match !saved with
+          | None -> ()
+          | Some (img, mm) ->
+            Cache.restore c img;
+            m := model_copy mm);
+          true
+        | `Intercept target ->
+          drop := target;
+          Cache.set_writeback_interceptor c
+            (Option.map
+               (fun chosen ~addr ->
+                 victims_c := addr :: !victims_c;
+                 addr = chosen)
+               target);
+          true
+      in
+      let stats_agree () =
+        let s = Cache.stats c in
+        s.Cache.hits = !m.m_hits && s.Cache.misses = !m.m_misses
+        && s.Cache.writebacks = !m.m_writebacks
+        && s.Cache.dropped_writebacks = !m.m_dropped
+      in
+      List.for_all (fun op -> step op && stats_agree ()) ops
+      && !log_c = !log_m && !victims_c = !victims_m)
+
 let suite =
   [
     Alcotest.test_case "geometry validation" `Quick test_geometry_validation;
@@ -212,9 +438,11 @@ let suite =
     Alcotest.test_case "write-back on dirty eviction" `Quick test_writeback;
     Alcotest.test_case "stats and flush" `Quick test_stats_and_flush;
     Alcotest.test_case "hierarchy costs" `Quick test_hierarchy_costs;
+    Alcotest.test_case "restore checks the geometry" `Quick test_restore_geometry;
     Seeded.to_alcotest prop_counters_consistent;
     Seeded.to_alcotest prop_repeat_hits;
     Seeded.to_alcotest prop_deterministic;
     Seeded.to_alcotest prop_rehit_exact_accounting;
     Seeded.to_alcotest prop_rehit_many;
+    Seeded.to_alcotest prop_reference_model;
   ]

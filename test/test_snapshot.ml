@@ -120,9 +120,17 @@ let check_fork_exact ~ctx snap (final1 : Kernel.run_outcome) (met1 : Metrics.t) 
     true
     (Metrics.core_equal met1 fmet)
 
-let check_fork_isolation ~ctx snap =
-  (* twin forks: run one to completion, the other must still hold the
-     captured memory bit-for-bit (CoW pages never leak between forks) *)
+(* The cache tag store and decode/block table sizes of a machine. *)
+let code_state m =
+  ( Roload_cache.Hierarchy.snapshot (Machine.hierarchy m),
+    Machine.cached_decodes m,
+    Machine.cached_blocks m )
+
+(* Twin forks: run one to completion; the other must still hold the
+   captured memory bit-for-bit (CoW pages never leak between forks) and
+   [fresh], the code state of a fork taken before any fork of [snap]
+   ran (no fork may alias the image's cache arrays or code tables). *)
+let check_fork_isolation ~ctx ~fresh snap =
   let am, ak, ap = Snapshot.fork snap in
   let bm, _bk, _bp = Snapshot.fork snap in
   ignore (run_to budget ak ap);
@@ -131,14 +139,19 @@ let check_fork_isolation ~ctx snap =
   Alcotest.(check int)
     (ctx ^ ": sibling fork unperturbed by a completed twin")
     0
-    (List.length (Phys_mem.diff_images (Snapshot.mem_image snap) untouched))
+    (List.length (Phys_mem.diff_images (Snapshot.mem_image snap) untouched));
+  Alcotest.(check bool)
+    (ctx ^ ": sibling caches and code tables unperturbed by a completed twin")
+    true
+    (code_state bm = fresh)
 
 let check_roundtrip ((_, scheme, engine, _) as case) =
   let ctx = Printf.sprintf "%s/%s" (Pass.scheme_name scheme) (Machine.engine_name engine) in
   Test_engine.with_hot_threshold 1 (fun () ->
       let final1, met1, snap = check_restore_exact ~ctx case in
+      let fresh = code_state (let m, _, _ = Snapshot.fork snap in m) in
       check_fork_exact ~ctx snap final1 met1;
-      check_fork_isolation ~ctx snap)
+      check_fork_isolation ~ctx ~fresh snap)
 
 let prop_snapshot_roundtrip =
   QCheck.Test.make ~count:12
@@ -289,9 +302,54 @@ let test_snapshot_ladder () =
   Alcotest.(check string) "early image replays" from_early from_early2;
   Alcotest.(check string) "both frontiers reach the same end" from_late from_early
 
+(* ---------- the ladder's chaos victim ---------- *)
+
+(* The ICall chaos victim paused mid-run (it exits at about 3,900
+   instructions), as a campaign's snapshot ladder holds it. *)
+let paused_chaos_victim () =
+  let exe = Roload_inject.Campaign.compile_victim Pass.Icall in
+  let machine, kernel, process = boot ~engine:Machine.Traced exe in
+  let paused = run_to 1_500L kernel process in
+  Alcotest.(check bool) "victim paused mid-run" true
+    (paused.Kernel.status = Process.Running);
+  (machine, kernel, process)
+
+(* The random programs of the round-trip property often end before
+   their pause; this twin run is guaranteed to decode new code. *)
+let test_victim_fork_isolation () =
+  let machine, kernel, process = paused_chaos_victim () in
+  let snap = Snapshot.capture ~machine ~kernel ~process in
+  let fresh = code_state (let m, _, _ = Snapshot.fork snap in m) in
+  check_fork_isolation ~ctx:"chaos victim" ~fresh snap
+
+(* Host words one capture plus one fork allocate: the deterministic
+   proxy for what a campaign cell pays to leave the snapshot ladder.
+   Images cost what the machine holds (touched pages, memoized decodes,
+   a flat cache tag store), not what its tables could hold. *)
+let test_image_allocation () =
+  let machine, kernel, process = paused_chaos_victim () in
+  let words () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  (* settle the major GC first: a cycle that ends inside the measured
+     region charges it several thousand words of the runtime's own *)
+  Gc.full_major ();
+  let before = words () in
+  let snap = Snapshot.capture ~machine ~kernel ~process in
+  let forked = Snapshot.fork snap in
+  let used = words () -. before in
+  ignore (Sys.opaque_identity forked);
+  if used > 12_000. then
+    Alcotest.failf "capture + fork allocated %.0f words (gate: 12000)" used
+
 let suite =
   [
     Seeded.to_alcotest prop_snapshot_roundtrip;
+    Alcotest.test_case "capture + fork allocation gate" `Quick test_image_allocation;
+    Alcotest.test_case "paused victim: forks share no cache or code table" `Quick
+      test_victim_fork_isolation;
     Alcotest.test_case "diff localizes a planted bit flip" `Quick test_diff_localization;
     Alcotest.test_case "snapshot ladder: hop between frontiers" `Quick
       test_snapshot_ladder;
