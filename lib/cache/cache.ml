@@ -31,7 +31,6 @@ type t = {
   mutable clock : int;
   mutable last_line : int; (* line the last access left holding its address *)
   stats : stats;
-  name : string;
   (* Optional tracing tap, fired once per access with the outcome.  A
      generic closure (not an obs type) keeps this library free of an
      observability dependency; observers must not touch cache state. *)
@@ -45,14 +44,14 @@ type t = {
 }
 
 (* [create] and [of_image]: a cache over the given tag store. *)
-let build ~name config ~tags ~last_use ~flags ~clock ~stats =
+let build config ~tags ~last_use ~flags ~clock ~stats =
   let num_sets = config.size_bytes / (config.ways * config.line_bytes) in
   let log2 = Roload_util.Bits.log2_exact in
   { config; ways = config.ways; tags; last_use; flags; num_sets; index_bits = log2 num_sets;
-    offset_bits = log2 config.line_bytes; clock; last_line = 0; stats; name;
+    offset_bits = log2 config.line_bytes; clock; last_line = 0; stats;
     observer = None; wb_interceptor = None }
 
-let create ~name config =
+let create config =
   let { size_bytes; ways; line_bytes } = config in
   if size_bytes <= 0 || ways <= 0 || line_bytes <= 0 then invalid_arg "Cache.create";
   if not (Roload_util.Bits.is_power_of_two line_bytes) then
@@ -63,12 +62,10 @@ let create ~name config =
   if not (Roload_util.Bits.is_power_of_two num_sets) then
     invalid_arg "Cache.create: number of sets must be a power of two";
   let lines = num_sets * ways in
-  build ~name config ~tags:(Array.make lines 0) ~last_use:(Array.make lines 0)
+  build config ~tags:(Array.make lines 0) ~last_use:(Array.make lines 0)
     ~flags:(Bytes.make lines '\000') ~clock:0
     ~stats:{ hits = 0; misses = 0; writebacks = 0; dropped_writebacks = 0 }
 
-let name t = t.name
-let config t = t.config
 let stats t = t.stats
 let set_observer t obs = t.observer <- obs
 let set_writeback_interceptor t f = t.wb_interceptor <- f
@@ -253,7 +250,7 @@ let restore t img =
   t.clock <- img.i_clock;
   set_stats t img.i_stats
 
-let of_image ~name img =
-  build ~name img.i_config ~tags:(Array.copy img.i_tags)
+let of_image img =
+  build img.i_config ~tags:(Array.copy img.i_tags)
     ~last_use:(Array.copy img.i_last_use) ~flags:(Bytes.copy img.i_flags) ~clock:img.i_clock
     ~stats:(copy_stats img.i_stats)

@@ -15,11 +15,9 @@ type stats = {
 
 type t
 
-val create : name:string -> config -> t
+val create : config -> t
 (** Raises [Invalid_argument] on non-power-of-two geometry. *)
 
-val name : t -> string
-val config : t -> config
 val stats : t -> stats
 
 val set_observer :
@@ -78,5 +76,5 @@ val restore : t -> image -> unit
     guard or fall back).  Observer and writeback interceptor are
     untouched.  Raises [Invalid_argument] unless the configs are equal. *)
 
-val of_image : name:string -> image -> t
+val of_image : image -> t
 (** {!create} then {!restore}, in one pass. *)

@@ -21,8 +21,8 @@ let default_l1_config = { Cache.size_bytes = Cache.kib 32; ways = 8; line_bytes 
 let create ?(icache_config = default_l1_config) ?(dcache_config = default_l1_config)
     ?(latencies = default_latencies) () =
   {
-    icache = Cache.create ~name:"L1I" icache_config;
-    dcache = Cache.create ~name:"L1D" dcache_config;
+    icache = Cache.create icache_config;
+    dcache = Cache.create dcache_config;
     lat = latencies;
   }
 
@@ -61,7 +61,7 @@ let restore t img =
 
 let of_image ~latencies img =
   {
-    icache = Cache.of_image ~name:"L1I" img.i_icache;
-    dcache = Cache.of_image ~name:"L1D" img.i_dcache;
+    icache = Cache.of_image img.i_icache;
+    dcache = Cache.of_image img.i_dcache;
     lat = latencies;
   }

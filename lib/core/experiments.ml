@@ -22,21 +22,23 @@ type run = {
   measurement : System.measurement;
 }
 
-let compile_cache : (string, Roload_obj.Exe.t) Hashtbl.t = Hashtbl.create 64
+(* Compiled executables, keyed on everything a compile depends on.  The
+   toolchain is reentrant, so cells compile in the worker domains that
+   run them: look up under the lock, compile outside it, store under it.
+   Two cells racing on one key both compile the same bytes. *)
+let compile_cache : (string * int * Toolchain.options, Roload_obj.Exe.t) Hashtbl.t =
+  Hashtbl.create 64
+
+let compile_lock = Mutex.create ()
 
 let compile_benchmark ?(options = Toolchain.default_options) ~scale
     (b : Suite.benchmark) =
-  let key =
-    Printf.sprintf "%s/%d/%s/%b/%b/%b" b.Suite.name scale
-      (Pass.scheme_name options.Toolchain.scheme)
-      options.Toolchain.compress options.Toolchain.separate_code
-      options.Toolchain.elide
-  in
-  match Hashtbl.find_opt compile_cache key with
+  let key = (b.Suite.name, scale, options) in
+  match Mutex.protect compile_lock (fun () -> Hashtbl.find_opt compile_cache key) with
   | Some exe -> exe
   | None ->
     let exe = Toolchain.compile_exe ~options ~name:b.Suite.name (b.Suite.source ~scale) in
-    Hashtbl.add compile_cache key exe;
+    Mutex.protect compile_lock (fun () -> Hashtbl.replace compile_cache key exe);
     exe
 
 let run_benchmark ?(scheme = Pass.Unprotected)
@@ -46,11 +48,9 @@ let run_benchmark ?(scheme = Pass.Unprotected)
   let measurement = System.run ~variant exe in
   { benchmark = b.Suite.name; scheme; variant; measurement }
 
-(* Domain-parallel measurement fan-out.  The toolchain (key allocator,
-   fresh-name counters) is global mutable state, so every distinct cell is
-   compiled serially up front — after which [compile_cache] is only read —
-   and then the independent simulations run on the {!Parallel} pool.  Each
-   cell owns a fresh machine/kernel/address space, so the measurements are
+(* Domain-parallel measurement fan-out: each cell compiles (through
+   [compile_cache]) and simulates on the {!Parallel} pool.  Each cell
+   owns a fresh machine/kernel/address space, so the measurements are
    bit-identical to a serial run, and [Parallel.map] returns them in input
    order. *)
 (* Metrics collection across experiment cells.  Recording happens on the
@@ -82,11 +82,6 @@ let record_metrics rs =
       rs
 
 let run_cells ~scale cells =
-  List.iter
-    (fun (b, scheme, _variant) ->
-      ignore
-        (compile_benchmark ~options:{ Toolchain.default_options with scheme } ~scale b))
-    cells;
   let rs =
     Parallel.map (fun (b, scheme, variant) -> run_benchmark ~scheme ~variant ~scale b) cells
   in
@@ -472,19 +467,13 @@ type security_result = {
 }
 
 let security () =
-  (* compile serially (global toolchain state), attack in parallel *)
-  let exes =
-    List.map
-      (fun scheme ->
-        let options = { Toolchain.default_options with scheme } in
-        ( scheme,
-          Toolchain.compile_exe ~options ~name:"victim" Roload_security.Victim.source ))
-      Pass.all_schemes
-  in
   let matrix =
     Parallel.map
-      (fun (scheme, exe) -> (scheme, Roload_security.Eval.run_corpus ~exe ()))
-      exes
+      (fun scheme ->
+        let options = { Toolchain.default_options with scheme } in
+        let exe = Toolchain.compile_exe ~options ~name:"victim" Roload_security.Victim.source in
+        (scheme, Roload_security.Eval.run_corpus ~exe ()))
+      Pass.all_schemes
   in
   let table =
     Table.create ~title:"Section V-C2: attack outcomes per hardening scheme"
@@ -662,12 +651,6 @@ let experiment_elide ?(scale = default_scale) ?(scheme = Pass.Icall)
     ?(benchmarks = Suite.all) () =
   let plain = { Toolchain.default_options with scheme } in
   let elided = { Toolchain.default_options with scheme; elide = true } in
-  (* compile serially (global toolchain state), simulate in parallel *)
-  List.iter
-    (fun b ->
-      ignore (compile_benchmark ~options:plain ~scale b);
-      ignore (compile_benchmark ~options:elided ~scale b))
-    benchmarks;
   let cells = List.concat_map (fun b -> [ (b, plain); (b, elided) ]) benchmarks in
   let results =
     Parallel.map
@@ -785,27 +768,22 @@ let experiment_server ?(requests = 100_000) ?(seed = 42L) ?time_slice
     ?(schemes = [ Pass.Unprotected; Pass.Vcall; Pass.Icall ]) () =
   let module Server = Roload_workloads.Server_like in
   let stream = Server.requests ~seed ~count:requests in
-  (* compile serially (global toolchain state), simulate in parallel *)
-  let exes =
-    List.map
+  let cells =
+    Parallel.map
       (fun scheme ->
-        ( scheme,
+        let exe =
           Toolchain.compile_exe
             ~options:{ Toolchain.default_options with scheme }
             ~name:Server.name
-            (Server.source ~scale:1) ))
-      schemes
-  in
-  let cells =
-    Parallel.map
-      (fun (scheme, exe) ->
+            (Server.source ~scale:1)
+        in
         let t0 = Unix.gettimeofday () in
         let m, stats =
           System.run_server ?time_slice ~variant:System.Processor_kernel_modified
             ~requests:stream exe
         in
         (scheme, m, stats, Unix.gettimeofday () -. t0))
-      exes
+      schemes
   in
   let console =
     match cells with
@@ -904,20 +882,13 @@ let ablation_tlb ?(scale = 1) ?(entries = [ 8; 16; 32; 64 ]) () =
       ()
   in
   let schemes = [ Pass.Unprotected; Pass.Vcall; Pass.Icall ] in
-  (* compile serially, then fan the (entries × scheme) sweep out *)
-  let cells =
-    List.concat_map
-      (fun n ->
-        List.map
-          (fun scheme ->
-            let options = { Toolchain.default_options with scheme } in
-            (n, scheme, compile_benchmark ~options ~scale b))
-          schemes)
-      entries
-  in
+  let cells = List.concat_map (fun n -> List.map (fun scheme -> (n, scheme)) schemes) entries in
   let rows =
     Parallel.map
-      (fun (n, scheme, exe) ->
+      (fun (n, scheme) ->
+        let exe =
+          compile_benchmark ~options:{ Toolchain.default_options with scheme } ~scale b
+        in
         let machine_config = { Roload_machine.Config.default with dtlb_entries = n } in
         let machine = Roload_machine.Machine.create machine_config in
         let kernel =

@@ -19,7 +19,8 @@ type run = {
 
 val compile_benchmark :
   ?options:Toolchain.options -> scale:int -> Suite.benchmark -> Roload_obj.Exe.t
-(** Memoized across experiments. *)
+(** Memoized across experiments on (benchmark, scale, whole options
+    record); safe to call from worker domains. *)
 
 val run_benchmark :
   ?scheme:Pass.scheme -> ?variant:System.variant -> scale:int -> Suite.benchmark -> run

@@ -49,9 +49,20 @@ let wrap_errors f =
   | Roload_codegen.Codegen.Error m -> raise (Compile_error ("codegen: " ^ m))
   | Failure m -> raise (Compile_error m)
 
-let runtime_object ~compress =
-  let items = Roload_asm.Asm_parser.parse Runtime.source in
+let assemble ~compress items =
   Roload_asm.Assemble.assemble ~options:{ Roload_asm.Assemble.compress } items
+
+(* The runtime objects are assembled once, at module initialisation, for
+   both compression settings.  Objects are immutable values and the
+   linker copies their section bytes into buffers of its own, so one
+   object serves every link, from any domain.  (A [Lazy.t] would not do:
+   forcing one lazy from two domains at once raises.) *)
+let prebuilt source =
+  let build compress = assemble ~compress (Roload_asm.Asm_parser.parse source) in
+  let compressed = build true and plain = build false in
+  fun ~compress -> if compress then compressed else plain
+
+let runtime_object = prebuilt Runtime.source
 
 (* The multi-process stubs live in a separate object linked only when the
    program references them: appending an object to a link shifts no
@@ -59,9 +70,7 @@ let runtime_object ~compress =
 let ext_runtime_symbols =
   [ "fork"; "wait"; "read_request"; "complete_request"; "server_checksum" ]
 
-let runtime_ext_object ~compress =
-  let items = Roload_asm.Asm_parser.parse Runtime.ext_source in
-  Roload_asm.Assemble.assemble ~options:{ Roload_asm.Assemble.compress } items
+let runtime_ext_object = prebuilt Runtime.ext_source
 
 let calls_ext_runtime (m : Ir.modul) =
   List.exists
@@ -76,9 +85,8 @@ let calls_ext_runtime (m : Ir.modul) =
         f.Ir.f_blocks)
     m.Ir.m_funcs
 
-let compile ?(options = default_options) ~name source =
+let compile_ast ?(options = default_options) ?after_pass ~name ast =
   wrap_errors (fun () ->
-      let ast = Roload_front.Parser.parse source in
       let m = Roload_front.Lower.lower ast ~module_name:name in
       Roload_ir.Verify.check_module_exn m;
       if options.optimize then begin
@@ -108,12 +116,9 @@ let compile ?(options = default_options) ~name source =
           Some stats
         end
       in
+      Option.iter (fun f -> f options.scheme m) after_pass;
       let asm_items = Roload_codegen.Codegen.emit_module m in
-      let program_object =
-        Roload_asm.Assemble.assemble
-          ~options:{ Roload_asm.Assemble.compress = options.compress }
-          asm_items
-      in
+      let program_object = assemble ~compress:options.compress asm_items in
       let objects =
         [ program_object; runtime_object ~compress:options.compress ]
         @
@@ -128,6 +133,9 @@ let compile ?(options = default_options) ~name source =
           objects
       in
       { ir_module = m; pass_report; asm_items; program_object; exe; elide_stats })
+
+let compile ?options ~name source =
+  compile_ast ?options ~name (wrap_errors (fun () -> Roload_front.Parser.parse source))
 
 let compile_exe ?options ~name source = (compile ?options ~name source).exe
 

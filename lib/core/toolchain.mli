@@ -33,16 +33,30 @@ type artifacts = {
 exception Compile_error of string
 
 val runtime_object : compress:bool -> Roload_obj.Objfile.t
-(** The assembled runtime (startup, print helpers, allocator). *)
+(** The assembled runtime (startup, print helpers, allocator), built once
+    per compression setting at module initialisation and shared by every
+    link. *)
 
 val wrap_errors : (unit -> 'a) -> 'a
 (** Run a pipeline fragment, converting front-end / assembler / linker
-    failures into {!Compile_error}.  Exposed so roload-fuzz can rebuild
-    the pipeline with a planted miscompile between pass and codegen. *)
+    failures into {!Compile_error}. *)
+
+val compile_ast :
+  ?options:options ->
+  ?after_pass:(Roload_passes.Pass.scheme -> Roload_ir.Ir.modul -> unit) ->
+  name:string ->
+  Roload_front.Ast.program ->
+  artifacts
+(** The pipeline from a parsed program: lower → optimize → hardening pass
+    → elision → codegen → assemble → link.  The AST is not mutated, so
+    one parse can feed any number of compiles.  [after_pass] sees the
+    module after hardening and elision, immediately before codegen — the
+    exact IR codegen gets — and may mutate it (roload-fuzz plants its
+    miscompile there).  Raises {!Compile_error} like {!compile}. *)
 
 val compile : ?options:options -> name:string -> string -> artifacts
-(** Raises {!Compile_error} with a located message on any front-end,
-    assembler or linker failure. *)
+(** Parse, then {!compile_ast}.  Raises {!Compile_error} with a located
+    message on any front-end, assembler or linker failure. *)
 
 val compile_exe : ?options:options -> name:string -> string -> Roload_obj.Exe.t
 val asm_text : artifacts -> string

@@ -1,16 +1,17 @@
 (* The differential runner.
 
-   For each scheme: the oracle interprets the freshly-lowered, unhardened
-   IR; the compiled pipeline (parse → lower → optimize → pass → codegen →
-   assemble → link) runs on both execution engines (single-step
-   reference, trace-compiled) under the full ROLoad system variant.  All
-   observations must agree on the stop class (exit code / ROLoad fault /
-   check abort / plain segfault) and on the exact output bytes; the
-   engines must additionally agree on cycle and instruction
-   counts (they are documented cycle-exact).  The trace hotness threshold
-   is lowered to 1 for the machine runs, so even short generated programs
-   exercise the trace compiler rather than skating by on its per-slot
-   tier.
+   The source is parsed once.  The oracle interprets one unhardened
+   lowering of it; for each scheme, [Toolchain.compile_ast] lowers it
+   afresh and runs the one compile pipeline (lower → optimize → pass →
+   elide → codegen → assemble → link), and the executable runs on both
+   execution engines (single-step reference, trace-compiled) under the
+   full ROLoad system variant.  All observations must agree on the stop
+   class (exit code / ROLoad fault / check abort / plain segfault) and on
+   the exact output bytes; the engines must additionally agree on cycle
+   and instruction counts (they are documented cycle-exact).  The trace
+   hotness threshold is lowered to 1 for the machine runs, so even short
+   generated programs exercise the trace compiler rather than skating by
+   on its per-slot tier.
 
    The oracle's fuel and the machines' instruction budget are deliberately
    far apart (200k IR steps vs 50M machine instructions) so a program the
@@ -40,38 +41,9 @@ let schemes_under_test = Pass.all_schemes
 
 let engines_under_test = [ Machine.Single_step; Machine.Traced ]
 
-let lower_fresh ~name source =
-  let ast = Roload_front.Parser.parse source in
-  Roload_front.Lower.lower ast ~module_name:name
-
 let oracle_behaviors ?(schemes = schemes_under_test) source =
-  let m = lower_fresh ~name:"oracle" source in
+  let m = Roload_front.Lower.lower (Roload_front.Parser.parse source) ~module_name:"oracle" in
   List.map (fun scheme -> (scheme, Ir_eval.run ~scheme m)) schemes
-
-(* the toolchain pipeline with a post-pass hook, for --check-oracle *)
-let compile_sabotaged ~scheme ~sabotage ~name source =
-  Toolchain.(
-    wrap_errors (fun () ->
-        let m = lower_fresh ~name source in
-        Roload_ir.Verify.check_module_exn m;
-        ignore (Roload_passes.Constfold.run m);
-        ignore (Roload_passes.Dce.run m);
-        Roload_ir.Verify.check_module_exn m;
-        ignore (Pass.apply scheme m);
-        let bit = sabotage scheme m in
-        let asm_items = Roload_codegen.Codegen.emit_module m in
-        let obj =
-          Roload_asm.Assemble.assemble
-            ~options:{ Roload_asm.Assemble.compress = true }
-            asm_items
-        in
-        let exe =
-          Roload_link.Linker.link
-            ~options:
-              { Roload_link.Linker.default_options with separate_code = true }
-            [ obj; runtime_object ~compress:true ]
-        in
-        (exe, bit)))
 
 (* Disable the GFPT redirect on the first protected indirect call: the
    ICall pass rewrites every function-pointer value to a GFPT slot
@@ -109,11 +81,13 @@ let run_source ?(schemes = schemes_under_test) ?(engines = engines_under_test)
     ?(max_instructions = 50_000_000L) ?(fuel = 200_000) ?(elide = false) ?sabotage
     ~name source =
   let engines = if engines = [] then engines_under_test else engines in
-  (* one unhardened lowering for the oracle; each scheme re-enters the
-     full pipeline from source, parser included *)
+  let after_pass = Option.map (fun hook scheme m -> ignore (hook scheme m)) sabotage in
+  (* one parse: the oracle interprets one unhardened lowering of the AST,
+     and each scheme compiles its own fresh lowering of it *)
   match
-    let m = lower_fresh ~name source in
-    List.map (fun scheme -> (scheme, Ir_eval.run ~fuel ~scheme m)) schemes
+    let ast = Roload_front.Parser.parse source in
+    let m = Roload_front.Lower.lower ast ~module_name:name in
+    (ast, List.map (fun scheme -> (scheme, Ir_eval.run ~fuel ~scheme m)) schemes)
   with
   | exception Ir_eval.Unsupported r -> Skipped ("oracle: " ^ r)
   | exception Toolchain.Compile_error e -> Skipped ("compile: " ^ e)
@@ -121,7 +95,7 @@ let run_source ?(schemes = schemes_under_test) ?(engines = engines_under_test)
     Skipped (Printf.sprintf "parse (line %d): %s" line message)
   | exception Roload_front.Lower.Sema_error { line; message } ->
     Skipped (Printf.sprintf "sema (line %d): %s" line message)
-  | oracle -> (
+  | ast, oracle -> (
     let divergence = ref None in
     let check scheme stage ~expected ~actual =
       if !divergence = None && expected <> actual then
@@ -137,14 +111,17 @@ let run_source ?(schemes = schemes_under_test) ?(engines = engines_under_test)
           List.iter
             (fun (scheme, expect) ->
               if !divergence = None then begin
+                (* One scheme's compile and runs allocate well under a
+                   minor heap of short-lived data.  Starting each from an
+                   empty minor heap keeps a collection from landing
+                   mid-run and promoting that data, which otherwise lifts
+                   the runner's peak heap by about a quarter. *)
+                Gc.minor ();
                 let exe =
-                  match sabotage with
-                  | None ->
-                    Toolchain.compile_exe
-                      ~options:{ Toolchain.default_options with scheme; elide }
-                      ~name source
-                  | Some hook ->
-                    fst (compile_sabotaged ~scheme ~sabotage:hook ~name source)
+                  (Toolchain.compile_ast
+                     ~options:{ Toolchain.default_options with scheme; elide }
+                     ?after_pass ~name ast)
+                    .Toolchain.exe
                 in
                 let run engine =
                   ( engine,

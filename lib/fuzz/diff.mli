@@ -54,14 +54,17 @@ val run_source :
     traced]); the first listed engine anchors the cycle-exactness
     comparison.  The machine runs force the trace hotness threshold to 1
     so short programs still compile traces.
-    [sabotage] is the mutation-self-check hook: it runs after the
-    hardening pass and before code generation for each scheme and may
-    plant a miscompile, returning whether it changed anything (the
-    oracle still predicts the *correct* behavior, so a working fuzzer
-    must flag the case as divergent).  [elide] (default false) compiles
-    every scheme with proof-guided ld.ro check elision; the oracle still
-    interprets the unhardened IR, so elision is invisible to it and any
-    behavioral effect of the rewrite surfaces as a divergence. *)
+    [sabotage] is the mutation-self-check hook, passed to
+    [Toolchain.compile_ast] as its [after_pass]: it runs after hardening
+    and elision, immediately before code generation, for each scheme and
+    may plant a miscompile, returning whether it changed anything (the
+    runner ignores the answer; the oracle still predicts the *correct*
+    behavior, so a working fuzzer must flag the case as divergent).
+    [elide] (default false) compiles every scheme, sabotaged or not,
+    with proof-guided ld.ro check elision; the oracle still interprets
+    the unhardened IR, so elision is invisible to it and any behavioral
+    effect of the rewrite surfaces as a divergence.  The source is
+    parsed once for the oracle and every scheme. *)
 
 val sabotage_drop_gfpt : Pass.scheme -> Ir.modul -> bool
 (** The canonical planted miscompile: under ICall, revert the GFPT

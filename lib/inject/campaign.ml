@@ -534,11 +534,14 @@ exception Broken_victim of string
 
 let run (cfg : config) =
   let schemes = cfg.schemes in
-  (* compile serially: the toolchain owns global state *)
-  let exes = List.map (fun s -> (s, compile_victim ~elide:cfg.elide s)) schemes in
-  let baselines =
-    Parallel.map ?jobs:cfg.jobs (fun (s, exe) -> (s, baseline_run_full exe)) exes
+  let compiled =
+    Parallel.map ?jobs:cfg.jobs
+      (fun s ->
+        let exe = compile_victim ~elide:cfg.elide s in
+        ((s, exe), (s, baseline_run_full exe)))
+      schemes
   in
+  let exes, baselines = List.split compiled in
   List.iter
     (fun (s, ((b : Kernel.run_outcome), _)) ->
       match b.Kernel.status with
@@ -1036,19 +1039,17 @@ let run_server (cfg : server_config) =
   let stream =
     Roload_workloads.Server_like.requests ~seed:cfg.sv_seed ~count:cfg.sv_requests
   in
-  (* compile serially: the toolchain owns global state *)
-  let exes =
-    List.map (fun s -> (s, compile_server_victim ~workers:cfg.sv_workers s)) schemes
-  in
   (* per-scheme uninjected baselines: the correct committed result for
      every request id, plus the fuel yardstick for the cell watchdog *)
-  let baselines =
+  let compiled =
     Parallel.map ?jobs:cfg.sv_jobs
-      (fun (s, exe) ->
+      (fun s ->
+        let exe = compile_server_victim ~workers:cfg.sv_workers s in
         let m, stats = run_server_once cfg ~max_instructions:2_000_000_000L exe stream in
-        (s, (m, stats)))
-      exes
+        ((s, exe), (s, (m, stats))))
+      schemes
   in
+  let exes, baselines = List.split compiled in
   List.iter
     (fun (s, ((m : System.measurement), (stats : System.server_stats))) ->
       let name = Pass.scheme_name s in

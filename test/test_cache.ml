@@ -4,12 +4,12 @@ module Cache = Roload_cache.Cache
 module Hierarchy = Roload_cache.Hierarchy
 
 let mk ?(size = 1024) ?(ways = 2) ?(line = 64) () =
-  Cache.create ~name:"t" { Cache.size_bytes = size; ways; line_bytes = line }
+  Cache.create { Cache.size_bytes = size; ways; line_bytes = line }
 
 let test_geometry_validation () =
   Alcotest.check_raises "non-pow2 line"
     (Invalid_argument "Cache.create: line size must be a power of two") (fun () ->
-      ignore (Cache.create ~name:"x" { Cache.size_bytes = 1024; ways = 2; line_bytes = 48 }))
+      ignore (Cache.create { Cache.size_bytes = 1024; ways = 2; line_bytes = 48 }))
 
 let test_hit_miss () =
   let c = mk () in
@@ -207,7 +207,7 @@ let prop_rehit_many =
 (* Restoring an image checks the whole geometry, not just the line
    count: 64 sets x 8 ways and 128 sets x 4 ways both hold 512 lines. *)
 let test_restore_geometry () =
-  let cache ~ways = Cache.create ~name:"g" { Cache.size_bytes = Cache.kib 32; ways; line_bytes = 64 } in
+  let cache ~ways = Cache.create { Cache.size_bytes = Cache.kib 32; ways; line_bytes = 64 } in
   let mismatch = Invalid_argument "Cache.restore: geometry mismatch" in
   Alcotest.check_raises "64x8 image into a 128x4 cache" mismatch (fun () ->
       Cache.restore (cache ~ways:4) (Cache.snapshot (cache ~ways:8)));
@@ -335,7 +335,7 @@ let prop_reference_model =
   in
   QCheck.Test.make ~count:500 ~name:"Cache = reference LRU model" arb
     (fun ((size_bytes, ways, line_bytes), ops) ->
-      let c = Cache.create ~name:"c" { Cache.size_bytes; ways; line_bytes } in
+      let c = Cache.create { Cache.size_bytes; ways; line_bytes } in
       let m =
         ref
           {

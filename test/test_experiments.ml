@@ -105,6 +105,20 @@ let test_map_result_barrier () =
     Alcotest.(check string) "error in its slot" "boom from worker" m
   | _ -> Alcotest.fail "unexpected map_result shape"
 
+(* the compile cache keys on every option: an unoptimised compile after an
+   optimised one of the same benchmark must not get the optimised exe *)
+let test_compile_cache_keys_optimize () =
+  let b = Option.get (Suite.find "mcf") in
+  let compile optimize =
+    Roload_obj.Exe.to_bytes
+      (Exp.compile_benchmark
+         ~options:{ Core.Toolchain.default_options with optimize }
+         ~scale:1 b)
+  in
+  let optimised = compile true in
+  Alcotest.(check bool) "optimize=false compiles different bytes" false
+    (String.equal optimised (compile false))
+
 let suite =
   [
     Alcotest.test_case "tables 1 & 2" `Quick test_table1_table2;
@@ -116,4 +130,6 @@ let suite =
     Alcotest.test_case "parallel map preserves backtraces" `Quick
       test_parallel_backtrace_preserved;
     Alcotest.test_case "map_result exception barrier" `Quick test_map_result_barrier;
+    Alcotest.test_case "compile cache keys on optimize" `Quick
+      test_compile_cache_keys_optimize;
   ]

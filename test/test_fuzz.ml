@@ -118,10 +118,58 @@ let test_planted_miscompile_caught () =
   if not !caught then
     Alcotest.failf "planted GFPT miscompile not caught within %d cases" !i
 
+(* the sabotage hook sees the IR codegen gets: under --elide that is the
+   elided module, so an indirect call in a loop over a loop-invariant
+   pointer (a prove-clean, elidable site) arrives with [ic_elided] set *)
+let elidable_src =
+  {|
+typedef int (*op_t)(int, int);
+int add(int a, int b) { return a + b; }
+int main() {
+  op_t f = add;
+  int s = 0;
+  int i;
+  for (i = 0; i < 10; i = i + 1) {
+    s = f(s, i);
+  }
+  print_int(s);
+  print_char('\n');
+  return 0;
+}
+|}
+
+let test_sabotage_sees_elision () =
+  let seen = ref false in
+  let hook _scheme (m : Roload_ir.Ir.modul) =
+    List.iter
+      (fun (f : Roload_ir.Ir.func) ->
+        List.iter
+          (fun (b : Roload_ir.Ir.block) ->
+            List.iter
+              (function
+                | Roload_ir.Ir.Call_indirect { md; _ } when md.Roload_ir.Ir.ic_elided ->
+                  seen := true
+                | Roload_ir.Ir.Load { md; _ } when md.Roload_ir.Ir.ro_elided -> seen := true
+                | _ -> ())
+              b.Roload_ir.Ir.b_instrs)
+          f.Roload_ir.Ir.f_blocks)
+      m.Roload_ir.Ir.m_funcs;
+    false
+  in
+  (match
+     Diff.run_source ~elide:true ~schemes:[ Pass.Icall ] ~sabotage:hook ~name:"elidable"
+       elidable_src
+   with
+  | Diff.Agree _ -> ()
+  | Diff.Skipped r -> Alcotest.failf "skipped: %s" r
+  | Diff.Divergent d -> Alcotest.failf "divergent at %s" d.Diff.dv_stage);
+  Alcotest.(check bool) "hook saw an elided site" true !seen
+
 let suite =
   [
     Alcotest.test_case "corpus replay (pinned behaviors)" `Quick test_corpus_replay;
     Alcotest.test_case "corpus entries stay small" `Quick test_corpus_entries_small;
     Alcotest.test_case "fixed-seed differential agreement" `Slow test_fixed_seed_agreement;
     Alcotest.test_case "planted miscompile caught" `Slow test_planted_miscompile_caught;
+    Alcotest.test_case "sabotage hook sees the elided IR" `Quick test_sabotage_sees_elision;
   ]

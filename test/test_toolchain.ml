@@ -342,6 +342,48 @@ let test_print_int_min_int () =
         ~expected min_int_src)
     Pass.all_schemes
 
+(* the hook path is the plain pipeline: a no-op [after_pass] on a parsed
+   multi-process program still links the extension runtime and yields the
+   same image as [compile] *)
+let test_hook_path_matches_compile () =
+  let module T = Core.Toolchain in
+  let src = Roload_workloads.Server_like.source ~scale:1 in
+  List.iter
+    (fun scheme ->
+      let options = { T.default_options with scheme } in
+      let hooked =
+        T.compile_ast ~options ~after_pass:(fun _ _ -> ()) ~name:"server"
+          (Roload_front.Parser.parse src)
+      in
+      Alcotest.(check string)
+        ("hook path = compile under " ^ Pass.scheme_name scheme)
+        (Roload_obj.Exe.to_bytes (T.compile_exe ~options ~name:"server" src))
+        (Roload_obj.Exe.to_bytes hooked.T.exe))
+    [ Pass.Unprotected; Pass.Icall ]
+
+(* The toolchain is reentrant: generated programs compiled under every
+   scheme, with and without elision, give the same bytes whether
+   compiled serially or from four worker domains at once. *)
+let prop_parallel_compile_identical =
+  QCheck.Test.make ~count:8 ~name:"parallel compiles are byte-identical to serial"
+    QCheck.(map Int64.of_int small_int)
+    (fun seed ->
+      let src = Roload_fuzz.Gen.to_source (Roload_fuzz.Gen.generate ~seed ~size:3) in
+      let jobs =
+        List.concat_map
+          (fun scheme -> List.map (fun elide -> (scheme, elide)) [ false; true ])
+          (Pass.Retcall :: Pass.all_schemes)
+      in
+      let compile (scheme, elide) =
+        let options = { Core.Toolchain.default_options with scheme; elide } in
+        match Core.Toolchain.compile_exe ~options ~name:"par" src with
+        | exe -> Roload_obj.Exe.to_bytes exe
+        | exception Core.Toolchain.Compile_error e -> "error: " ^ e
+      in
+      (* four rounds, so every job also overlaps with its own scheme *)
+      let rounds xs = List.concat [ xs; xs; xs; xs ] in
+      rounds (List.map compile jobs) = Core.Parallel.map ~jobs:4 compile (rounds jobs))
+
 let suite =
   [
     Alcotest.test_case "fib" `Quick test_fib;
@@ -358,4 +400,7 @@ let suite =
     Alcotest.test_case "retcall scheme (§IV-C)" `Quick test_retcall_scheme;
     Alcotest.test_case "three systems compatible" `Quick test_systems_compatible;
     Seeded.to_alcotest prop_schemes_equivalent_random;
+    Alcotest.test_case "hook path = compile (ext runtime linked)" `Quick
+      test_hook_path_matches_compile;
+    Seeded.to_alcotest prop_parallel_compile_identical;
   ]
