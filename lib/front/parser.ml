@@ -532,8 +532,16 @@ let parse_topdecl st =
       Ast.Global_def { ty = t; name; array; init }
     end
 
+(* Statically allocated, so the token array below starts out pointing
+   at no young value.  [Array.of_list] would fill it with the first
+   (young) token, and a young initial value for an array too large for
+   the minor heap forces a minor collection. *)
+let eof_sentinel = { Lexer.tok = Lexer.EOF; line = 0 }
+
 let parse source =
-  let toks = Array.of_list (Lexer.tokenize source) in
+  let lexed = Lexer.tokenize source in
+  let toks = Array.make (List.length lexed) eof_sentinel in
+  List.iteri (fun i tok -> toks.(i) <- tok) lexed;
   let st = { toks; pos = 0; typedefs = [] } in
   let rec go acc = if peek st = Lexer.EOF then List.rev acc else go (parse_topdecl st :: acc) in
   go []

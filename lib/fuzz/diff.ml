@@ -23,6 +23,7 @@ module Pass = Roload_passes.Pass
 module Toolchain = Core.Toolchain
 module System = Core.System
 module Machine = Roload_machine.Machine
+module Metrics = Roload_obs.Metrics
 module Trapclass = Roload_security.Trapclass
 
 type divergence = {
@@ -137,20 +138,19 @@ let run_source ?(schemes = schemes_under_test) ?(engines = engines_under_test)
                       ~expected:exp_s
                       ~actual:(Ir_eval.behavior_to_string (behavior_of_measurement ms)))
                   runs;
-                (* engines are documented cycle-exact: pin every engine's
-                   counters to the first one's *)
-                let counters (ms : System.measurement) =
-                  Printf.sprintf "cycles=%Ld instructions=%Ld" ms.System.cycles
-                    ms.System.instructions
-                in
+                (* engines are documented exact on every architectural
+                   counter: pin each engine's to the first one's *)
                 match runs with
                 | [] -> ()
                 | (e0, m0) :: rest ->
                   List.iter
-                    (fun (e, m) ->
-                      check scheme
-                        (Machine.engine_name e0 ^ "-vs-" ^ Machine.engine_name e)
-                        ~expected:(counters m0) ~actual:(counters m))
+                    (fun (e, (m : System.measurement)) ->
+                      match Metrics.core_diff m0.System.metrics m.System.metrics with
+                      | None -> ()
+                      | Some (field, x, y) ->
+                        check scheme
+                          (Machine.engine_name e0 ^ "-vs-" ^ Machine.engine_name e)
+                          ~expected:(field ^ "=" ^ x) ~actual:(field ^ "=" ^ y))
                     rest
               end)
             oracle;

@@ -11,9 +11,11 @@ type divergence = {
   dv_scheme : Pass.scheme;
   dv_stage : string;
       (** which pair disagreed: ["oracle-vs-<engine>"] on behavior, or
-          ["<engine0>-vs-<engine>"] on cycle/instruction counters *)
+          ["<engine0>-vs-<engine>"] on an architectural counter
+          ({!Roload_obs.Metrics.core_diff}) *)
   dv_expected : string;
   dv_actual : string;
+      (** for a counter divergence, ["<field>=<value>"] of each engine *)
 }
 
 type case_result =

@@ -81,10 +81,6 @@ type task = {
   mutable t_state : task_state;
   mutable t_inflight : int; (* request id being served; -1 when none *)
   mutable t_req_start : int64; (* cycle stamp when the request was handed out *)
-  mutable t_asid : int;
-      (* trace-table owner; starts as pid, refreshed on reincarnation
-         because compiled traces capture the MMU of the address space
-         they were compiled under and ASIDs must never be reused *)
   mutable t_restarts : int; (* reincarnations consumed by this pid *)
   mutable t_birth : birth option; (* present iff forked under supervision *)
 }
@@ -256,7 +252,6 @@ let new_task t ~pid ~parent proc ~regs ~pc =
       t_state = Task_ready;
       t_inflight = -1;
       t_req_start = 0L;
-      t_asid = pid;
       t_restarts = 0;
       t_birth = None;
     }
@@ -266,22 +261,19 @@ let new_task t ~pid ~parent proc ~regs ~pc =
 
 (* Every run is a task-table run; a single-process run is the one-task
    case.  The root task is already on the CPU: its registers are the
-   live CPU's, no context-switch cycles are charged, and it keeps the
-   machine's current ASID, so a system forked from a snapshot reuses the
-   compiled traces of the address space it captured. *)
+   live CPU's and no context-switch cycles are charged. *)
 let register_root t process =
   if t.tasks <> [] then invalid_arg "Kernel: a root task is already registered";
   let cpu = Machine.cpu t.machine in
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
   let tk = new_task t ~pid ~parent:0 process ~regs:(Cpu.regs cpu) ~pc:(Cpu.pc cpu) in
-  tk.t_asid <- Machine.asid t.machine;
   t.scheduled <- Some tk
 
 (* Install the process on the machine, initialize its CPU state and
    register it as the root task. *)
 let schedule t process =
-  Machine.set_mmu t.machine (Some (Process.mmu process));
+  Machine.set_mmu t.machine (Process.mmu process);
   let cpu = Machine.cpu t.machine in
   Cpu.set_pc cpu (Process.exe process).Exe.entry;
   Cpu.set cpu Reg.sp (Int64.of_int (Process.stack_top - 64));
@@ -341,15 +333,12 @@ let install t img =
   Buffer.clear t.console;
   Buffer.add_string t.console img.ik_console
 
-(* Also puts the root's address space and trace table back on the
-   machine, which must happen before the machine restores the MMU it
-   runs: a child may hold the CPU at restore time. *)
+(* Also puts the root's address space back on the machine, which must
+   happen before the machine restores the MMU it runs: a child may hold
+   the CPU at restore time. *)
 let restore t img =
   install t img;
-  Option.iter
-    (fun root ->
-      Machine.switch_context t.machine ~asid:root.t_asid ~mmu:(Process.mmu root.proc))
-    t.scheduled
+  Option.iter (fun root -> Machine.attach_mmu t.machine (Process.mmu root.proc)) t.scheduled
 
 let fork img ~machine ~config =
   let t = create ~machine ~config in
@@ -359,9 +348,7 @@ let fork img ~machine ~config =
 let adopt t process =
   Machine.attach_mmu t.machine (Process.mmu process);
   match t.tasks with
-  | root :: _ ->
-    root.proc <- process;
-    root.t_asid <- Machine.asid t.machine
+  | root :: _ -> root.proc <- process
   | [] -> register_root t process
 
 (* ---------- syscalls ---------- *)
@@ -714,7 +701,7 @@ let context_switch t tk =
     | None -> ());
     Cpu.load_regs cpu tk.t_regs;
     Cpu.set_pc cpu tk.t_pc;
-    Machine.switch_context t.machine ~asid:tk.t_asid ~mmu:(Process.mmu tk.proc);
+    Machine.attach_mmu t.machine (Process.mmu tk.proc);
     t.scheduled <- Some tk;
     charge t t.config.context_switch_cycles
 
@@ -794,9 +781,8 @@ let finish_task t tk status_code =
 (* Reincarnate a supervised worker in place: fresh address space cloned
    from the birth template, registers/pc reset to the birth record, same
    pid (the parent's wait() accounting and the pid-ascending task order
-   are untouched).  The ASID is refreshed — compiled traces capture the
-   MMU they were lowered under, and the dead incarnation's table must
-   never run against the new address space. *)
+   are untouched).  Each reincarnation still consumes a fresh pid number,
+   so the pids of later forks stay what they always were. *)
 let reincarnate t tk b =
   tk.t_restarts <- tk.t_restarts + 1;
   t.restart_count <- t.restart_count + 1;
@@ -805,7 +791,6 @@ let reincarnate t tk b =
   tk.t_pc <- b.b_pc;
   tk.t_state <- Task_ready;
   tk.t_inflight <- -1;
-  tk.t_asid <- t.next_pid;
   t.next_pid <- t.next_pid + 1;
   (* defeat [context_switch]'s same-task short-circuit: the next dispatch
      of this task must install the fresh MMU, not the dead one *)

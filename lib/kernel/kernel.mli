@@ -154,7 +154,7 @@ val set_supervision : t -> supervision option -> unit
     pristine birth template of the child; a worker that dies from a
     signal — ld.ro trap, segv, check abort, deadline or chaos kill — has
     its un-acked request redelivered and is reincarnated in place from
-    the template (same pid, fresh address space and ASID) while budget
+    the template (same pid, fresh address space) while budget
     remains, after which it zombifies normally through the wait ABI.
     [None] (the default) preserves the unsupervised PR-9 semantics. *)
 

@@ -47,5 +47,6 @@ type image
 val snapshot : t -> image
 
 val restore : t -> image -> unit
-(** Blits into the existing register file (identity preserved — trace
-    closures capture it) and resets pc/instret/cycles to the image. *)
+(** Blits into the existing register file (identity preserved — the
+    machine's run-time record names it) and resets pc/instret/cycles to
+    the image. *)

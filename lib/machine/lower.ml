@@ -38,6 +38,27 @@
    dispatcher with their translation already paid ([T_enter_block]), so
    accounting is identical whether or not a chain happens.
 
+   One trace serves every machine and address space that shares its
+   statics.  A compiled trace depends only on its plan and on [statics]
+   (costs and the I-cache line size), which a machine's forks and
+   restores share; the running machine arrives at run time as the [env]
+   argument, with the MMU of whichever process it runs now.  So each
+   machine keeps one trace table for all its processes, and forks and
+   restores copy it instead of re-compiling.  This is exact because:
+
+   - every seam re-translates its VA through the running MMU, accounting
+     the fetch as the dispatch loop would, and checks the PA the plan
+     assumed; any other placement leaves the trace ([T_enter_block]);
+   - the dispatcher and [chain_exit] enter a trace only at the PA that
+     keys it and only when [c_entry_va = pc], so segment 0 runs at its
+     planned VA and PA too;
+   - every data access translates through [env.mmu], so the ROLoad check
+     (the PTE key and read-only bit, paper §II-E1) reads the running
+     process's page table, exactly as the reference engine does;
+   - a compiled trace closes over nothing that is written after
+     [compile] returns (decoded operands, fetch plans, other closures),
+     so machines in any number of domains may run it at once.
+
    Traces only run when no instruction-trace hook and no obs tracer are
    attached (the dispatch loop guarantees this), so the lowered slots
    omit the per-retire tracer checks the reference engine performs.
@@ -83,16 +104,22 @@ type texit =
           end in a trace entry (unplanned physical page at a seam, or a
           chained exit whose target has no usable trace); the dispatcher
           must run the block at [eb_pa] without re-translating *)
+  | T_code_written
+      (** a store hit a page holding decoded code: the dispatcher flushes
+          every code cache (this trace included), then continues at
+          [Cpu.pc] *)
 
-(* Per-trace scratch: cycle/retire accumulators, the remaining fuel as
-   of the last flush (the loop-back and chain guards compare against
-   it), and the I-cache line handle threaded between fetch batches (a
-   segment's first fetch always re-points it, so it needs no reset). *)
-type scratch = {
-  mutable k_cycles : int;
-  mutable k_retired : int;
-  mutable k_fuel : int;
-  k_line : Cache.handle;
+(* Config-fixed values a trace bakes in at compile time: the cost model
+   and the I-cache line size.  Forks and restores of a machine share
+   them, so they share its traces too. *)
+type statics = {
+  line_shift : int;
+  c_base : int;
+  c_mispredict : int;
+  c_jalr_indirect : int;
+  c_mul : int;
+  c_div : int;
+  c_ptw : int;
 }
 
 type compiled = {
@@ -101,48 +128,62 @@ type compiled = {
   c_max_retire : int; (* slots retired by one front-to-back pass *)
   c_n_segs : int;
   c_n_slots : int;
-  c_run : fuel:int -> Tlb.handle -> texit;
+  c_run : env -> fuel:int -> Tlb.handle -> texit;
       (* [fuel] must be >= [c_max_retire]; the dispatch loop checks *)
 }
 
-(* Everything a lowered closure needs from the machine, captured once at
-   compile time.  Costs are split into individual ints so closures read
-   immediate fields, not a nested record. *)
-type env = {
+(* The run-time record of one machine, passed to every lowered closure:
+   its state, the address space it runs now, its one trace table, and
+   the trace scratch — cycle/retire accumulators, the remaining fuel as
+   of the last flush (the loop-back and chain guards compare against
+   it), and the I-cache line handle threaded between fetch batches (a
+   segment's first fetch always re-points it, so it needs no reset).
+   One scratch serves every trace: a trace hands over only through
+   [chain_exit], which flushes first. *)
+and env = {
   cpu : Cpu.t;
   regs : Bytes.t; (* Cpu.regs cpu; bytes 0..7 are x0 and stay 0 *)
   mem : Phys_mem.t;
   hier : Hierarchy.t;
-  mmu : Mmu.t;
-  itlb : Tlb.t;
+  mutable mmu : Mmu.t;
+  mutable itlb : Tlb.t;
   counts : exec_counts;
   key_counts : int array;
-  line_shift : int;
-  c_base : int;
-  c_mispredict : int;
-  c_jalr_indirect : int;
-  c_mul : int;
-  c_div : int;
-  c_ptw : int;
-  page_holds_code : int -> bool;
-  flush_code : unit -> unit;
-  find_trace : int -> compiled option;
-      (* live view of the machine's trace table, keyed by entry PA *)
+      (* ld.ro retirements per requested key (one slot per 10-bit key),
+         always maintained, so metrics work with tracing off *)
+  code_pages : Bytes.t; (* see [register_code_page] *)
+  traces : (int, compiled) Hashtbl.t;
+  mutable k_cycles : int;
+  mutable k_retired : int;
+  mutable k_fuel : int;
+  k_line : Cache.handle;
 }
 
-let flush env st =
-  if st.k_cycles <> 0 then begin
-    Cpu.add_cycles env.cpu st.k_cycles;
-    st.k_cycles <- 0
+(* The code-page bitmap over PPNs: pages holding bytes of a memoized
+   decoded instruction.  A store into one flushes every code cache. *)
+let register_code_page code_pages pa =
+  let ppn = pa lsr Page_table.page_shift in
+  let i = ppn lsr 3 in
+  Bytes.unsafe_set code_pages i
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get code_pages i) lor (1 lsl (ppn land 7))))
+
+let page_holds_code code_pages pa =
+  let ppn = pa lsr Page_table.page_shift in
+  Char.code (Bytes.unsafe_get code_pages (ppn lsr 3)) land (1 lsl (ppn land 7)) <> 0
+
+let flush env =
+  if env.k_cycles <> 0 then begin
+    Cpu.add_cycles env.cpu env.k_cycles;
+    env.k_cycles <- 0
   end;
-  if st.k_retired <> 0 then begin
-    Cpu.retire_n env.cpu st.k_retired;
-    st.k_fuel <- st.k_fuel - st.k_retired;
-    st.k_retired <- 0
+  if env.k_retired <> 0 then begin
+    Cpu.retire_n env.cpu env.k_retired;
+    env.k_fuel <- env.k_fuel - env.k_retired;
+    env.k_retired <- 0
   end
 
-let side_exit env st ~pc =
-  flush env st;
+let side_exit env ~pc =
+  flush env;
   Cpu.set_pc env.cpu pc;
   T_redispatch
 
@@ -156,18 +197,19 @@ let side_exit env st ~pc =
    there without translating again.  Every chained hop retires at least
    one instruction (the first chunk's statics are charged before any
    exit can chain), so fuel strictly decreases and chains terminate. *)
-let chain_exit env st ~pc =
-  flush env st;
+let chain_exit st env ~pc =
+  flush env;
   Cpu.set_pc env.cpu pc;
-  if st.k_fuel <= 0 || pc land 1 <> 0 then T_redispatch
+  if env.k_fuel <= 0 || pc land 1 <> 0 then T_redispatch
   else begin
-    let pa = Mmu.translate_pa env.mmu ~access:Perm.Fetch pc in
-    if pa < 0 then T_trap (Trap.of_mmu_fault ~pc (Mmu.last_fault env.mmu))
+    let mmu = env.mmu in
+    let pa = Mmu.translate_pa mmu ~access:Perm.Fetch pc in
+    if pa < 0 then T_trap (Trap.of_mmu_fault ~pc (Mmu.last_fault mmu))
     else begin
-      Cpu.add_cycles env.cpu (Mmu.walk_steps env.mmu * env.c_ptw);
-      match env.find_trace pa with
-      | Some c when c.c_entry_va = pc && c.c_max_retire <= st.k_fuel ->
-        c.c_run ~fuel:st.k_fuel (Mmu.fetch_handle env.mmu pc)
+      Cpu.add_cycles env.cpu (Mmu.walk_steps mmu * st.c_ptw);
+      match Hashtbl.find_opt env.traces pa with
+      | Some c when c.c_entry_va = pc && c.c_max_retire <= env.k_fuel ->
+        c.c_run env ~fuel:env.k_fuel (Mmu.fetch_handle mmu pc)
       | _ -> T_enter_block { eb_pc = pc; eb_pa = pa }
     end
   end
@@ -252,34 +294,35 @@ let[@inline] store_value (width : Inst.width) pg off v =
 (* The shared front of every memory op: alignment check, translation,
    and the walk + D-cache cycle charge.  Returns the physical address,
    or -1 when the access traps — [mem_trap] then builds the trap. *)
-let data_pa env st ~access ~amask ~write va_d =
+let data_pa st env ~access ~amask ~write va_d =
   if va_d land amask <> 0 then -1
   else begin
-    let pa = Mmu.translate_pa env.mmu ~access va_d in
+    let mmu = env.mmu in
+    let pa = Mmu.translate_pa mmu ~access va_d in
     if pa >= 0 then
-      st.k_cycles <-
-        st.k_cycles + (Mmu.walk_steps env.mmu * env.c_ptw)
+      env.k_cycles <-
+        env.k_cycles + (Mmu.walk_steps mmu * st.c_ptw)
         + Hierarchy.access_data env.hier ~pa ~write;
     pa
   end
 
-let mem_trap env st ~va ~access ~amask va_d =
-  flush env st;
+let mem_trap env ~va ~access ~amask va_d =
+  flush env;
   Cpu.set_pc env.cpu va;
   if va_d land amask <> 0 then T_trap (Trap.Misaligned_access { pc = va; va = va_d; access })
   else T_trap (Trap.of_mmu_fault ~pc:va (Mmu.last_fault env.mmu))
 
 (* Static extra cycles an instruction always pays on top of base. *)
-let static_extra env (i : Inst.t) =
+let static_extra st (i : Inst.t) =
   match i with
   | Inst.Mulop (op, _, _, _) -> (
     match op with
-    | Inst.Mul | Inst.Mulh | Inst.Mulhsu | Inst.Mulhu -> env.c_mul
-    | Inst.Div | Inst.Divu | Inst.Rem | Inst.Remu -> env.c_div)
+    | Inst.Mul | Inst.Mulh | Inst.Mulhsu | Inst.Mulhu -> st.c_mul
+    | Inst.Div | Inst.Divu | Inst.Rem | Inst.Remu -> st.c_div)
   | Inst.Mulop_w (op, _, _, _) -> (
     match op with
-    | Inst.Mulw -> env.c_mul
-    | Inst.Divw | Inst.Divuw | Inst.Remw | Inst.Remuw -> env.c_div / 2)
+    | Inst.Mulw -> st.c_mul
+    | Inst.Divw | Inst.Divuw | Inst.Remw | Inst.Remuw -> st.c_div / 2)
   | _ -> 0
 
 (* Per-chunk instruction-fetch plan, resolved at compile time: a full
@@ -291,37 +334,37 @@ type fop =
   | F_acc of int (* pa *)
   | F_rehit of { n : int; pas : int array }
 
-let exec_fops env st fops =
+let exec_fops env fops =
   for i = 0 to Array.length fops - 1 do
     match Array.unsafe_get fops i with
-    | F_acc pa -> st.k_cycles <- st.k_cycles + Hierarchy.ifetch_into env.hier ~pa st.k_line
+    | F_acc pa -> env.k_cycles <- env.k_cycles + Hierarchy.ifetch_into env.hier ~pa env.k_line
     | F_rehit { n; pas } ->
-      if not (Hierarchy.rehit_ifetch_many env.hier st.k_line ~n) then
+      if not (Hierarchy.rehit_ifetch_many env.hier env.k_line ~n) then
         (* the line was evicted across a seam (cannot happen within a
            segment: a page's lines map to distinct sets) — replay each
            fetch individually, exactly like the reference engine *)
         Array.iter
           (fun pa ->
-            if not (Hierarchy.rehit_ifetch env.hier st.k_line) then
-              st.k_cycles <- st.k_cycles + Hierarchy.ifetch_into env.hier ~pa st.k_line)
+            if not (Hierarchy.rehit_ifetch env.hier env.k_line) then
+              env.k_cycles <- env.k_cycles + Hierarchy.ifetch_into env.hier ~pa env.k_line)
           pas
   done
 
 (* ---- slot lowering ---- *)
 
+type slot = env -> Tlb.handle -> texit
+
 (* Lower one non-terminator slot at virtual address [va] into a closure
    chaining to [next].  Slots with no dynamic work (writes to x0, fence)
    lower to [next] itself — their base cycle and retirement are already
    in the chunk statics. *)
-let lower_slot env st ~va ~next_va (s : Block.slot) (next : Tlb.handle -> texit) :
-    Tlb.handle -> texit =
-  let regs = env.regs in
+let lower_slot st ~va ~next_va (s : Block.slot) (next : slot) : slot =
   let const rd v =
     let d = 8 * Reg.to_int rd in
     if d = 0 then next
-    else fun h ->
-      set regs d v;
-      next h
+    else fun env h ->
+      set env.regs d v;
+      next env h
   in
   match s.Block.s_inst with
   | Inst.Lui (rd, imm) ->
@@ -334,27 +377,27 @@ let lower_slot env st ~va ~next_va (s : Block.slot) (next : Tlb.handle -> texit)
   | Inst.Op_imm (op, rd, rs1, imm) ->
     let d = 8 * Reg.to_int rd and a = 8 * Reg.to_int rs1 in
     if d = 0 then next
-    else fun h ->
-      set regs d (alu op (get regs a) imm);
-      next h
+    else fun env h ->
+      set env.regs d (alu op (get env.regs a) imm);
+      next env h
   | Inst.Op_imm_w (op, rd, rs1, imm) ->
     let d = 8 * Reg.to_int rd and a = 8 * Reg.to_int rs1 in
     if d = 0 then next
-    else fun h ->
-      set regs d (alu_w op (get regs a) imm);
-      next h
+    else fun env h ->
+      set env.regs d (alu_w op (get env.regs a) imm);
+      next env h
   | Inst.Op (op, rd, rs1, rs2) ->
     let d = 8 * Reg.to_int rd and a = 8 * Reg.to_int rs1 and b = 8 * Reg.to_int rs2 in
     if d = 0 then next
-    else fun h ->
-      set regs d (alu op (get regs a) (get regs b));
-      next h
+    else fun env h ->
+      set env.regs d (alu op (get env.regs a) (get env.regs b));
+      next env h
   | Inst.Op_w (op, rd, rs1, rs2) ->
     let d = 8 * Reg.to_int rd and a = 8 * Reg.to_int rs1 and b = 8 * Reg.to_int rs2 in
     if d = 0 then next
-    else fun h ->
-      set regs d (alu_w op (get regs a) (get regs b));
-      next h
+    else fun env h ->
+      set env.regs d (alu_w op (get env.regs a) (get env.regs b));
+      next env h
   | Inst.Mulop (op, rd, rs1, rs2) -> (
     (* mul/div latency is static, charged in the chunk; only [mul] is
        common enough to earn an unboxed closure *)
@@ -363,43 +406,44 @@ let lower_slot env st ~va ~next_va (s : Block.slot) (next : Tlb.handle -> texit)
     else
       match op with
       | Inst.Mul ->
-        fun h ->
-          set regs d (Int64.mul (get regs a) (get regs b));
-          next h
+        fun env h ->
+          set env.regs d (Int64.mul (get env.regs a) (get env.regs b));
+          next env h
       | Inst.Mulh | Inst.Mulhsu | Inst.Mulhu | Inst.Div | Inst.Divu | Inst.Rem | Inst.Remu ->
-        fun h ->
-          set regs d (Alu.mulop op (get regs a) (get regs b));
-          next h)
+        fun env h ->
+          set env.regs d (Alu.mulop op (get env.regs a) (get env.regs b));
+          next env h)
   | Inst.Mulop_w (op, rd, rs1, rs2) -> (
     let d = 8 * Reg.to_int rd and a = 8 * Reg.to_int rs1 and b = 8 * Reg.to_int rs2 in
     if d = 0 then next
     else
       match op with
       | Inst.Mulw ->
-        fun h ->
-          set regs d (sext32 (Int64.mul (sext32 (get regs a)) (sext32 (get regs b))));
-          next h
+        fun env h ->
+          set env.regs d (sext32 (Int64.mul (sext32 (get env.regs a)) (sext32 (get env.regs b))));
+          next env h
       | Inst.Divw | Inst.Divuw | Inst.Remw | Inst.Remuw ->
-        fun h ->
-          set regs d (Alu.mulop_w op (get regs a) (get regs b));
-          next h)
+        fun env h ->
+          set env.regs d (Alu.mulop_w op (get env.regs a) (get env.regs b));
+          next env h)
   | Inst.Fence -> next
   | Inst.Load { width; unsigned; rd; rs1; imm } ->
     let d = 8 * Reg.to_int rd and a = 8 * Reg.to_int rs1 in
     let len = Inst.width_bytes width in
-    let amask = len - 1 and mem = env.mem and counts = env.counts in
-    fun h ->
+    let amask = len - 1 in
+    fun env h ->
+      let regs = env.regs and counts = env.counts in
       counts.loads <- counts.loads + 1;
       let va_d = Int64.to_int (Int64.add (get regs a) imm) in
-      let pa = data_pa env st ~access:Perm.Load ~amask ~write:false va_d in
-      if pa < 0 then mem_trap env st ~va ~access:Perm.Load ~amask va_d
+      let pa = data_pa st env ~access:Perm.Load ~amask ~write:false va_d in
+      if pa < 0 then mem_trap env ~va ~access:Perm.Load ~amask va_d
       else begin
         if d <> 0 then
           set regs d
-            (load_value width ~unsigned (Phys_mem.page mem pa ~len ~write:false)
+            (load_value width ~unsigned (Phys_mem.page env.mem pa ~len ~write:false)
                (pa land page_mask));
-        st.k_retired <- st.k_retired + 1;
-        next h
+        env.k_retired <- env.k_retired + 1;
+        next env h
       end
   | Inst.Load_ro { width; unsigned; rd; rs1; key } ->
     (* only compiled on a ROLoad-enabled machine ([compilable]); the
@@ -407,47 +451,47 @@ let lower_slot env st ~va ~next_va (s : Block.slot) (next : Tlb.handle -> texit)
        traces never run with a tracer attached *)
     let d = 8 * Reg.to_int rd and a = 8 * Reg.to_int rs1 in
     let len = Inst.width_bytes width in
-    let amask = len - 1 and mem = env.mem in
+    let amask = len - 1 in
     let k = key land Roload_isa.Roload_ext.max_key in
     let access = Perm.Roload key in
-    let counts = env.counts and key_counts = env.key_counts in
-    fun h ->
+    fun env h ->
+      let regs = env.regs and counts = env.counts and key_counts = env.key_counts in
       counts.roloads <- counts.roloads + 1;
       key_counts.(k) <- key_counts.(k) + 1;
       let va_d = Int64.to_int (get regs a) in
-      let pa = data_pa env st ~access ~amask ~write:false va_d in
-      if pa < 0 then mem_trap env st ~va ~access ~amask va_d
+      let pa = data_pa st env ~access ~amask ~write:false va_d in
+      if pa < 0 then mem_trap env ~va ~access ~amask va_d
       else begin
         if d <> 0 then
           set regs d
-            (load_value width ~unsigned (Phys_mem.page mem pa ~len ~write:false)
+            (load_value width ~unsigned (Phys_mem.page env.mem pa ~len ~write:false)
                (pa land page_mask));
-        st.k_retired <- st.k_retired + 1;
-        next h
+        env.k_retired <- env.k_retired + 1;
+        next env h
       end
   | Inst.Store { width; rs2; rs1; imm } ->
     let a = 8 * Reg.to_int rs1 and b = 8 * Reg.to_int rs2 in
     let len = Inst.width_bytes width in
-    let amask = len - 1 and mem = env.mem and counts = env.counts in
-    fun h ->
+    let amask = len - 1 in
+    fun env h ->
+      let regs = env.regs and counts = env.counts in
       counts.stores <- counts.stores + 1;
       let va_d = Int64.to_int (Int64.add (get regs a) imm) in
-      let pa = data_pa env st ~access:Perm.Store ~amask ~write:true va_d in
-      if pa < 0 then mem_trap env st ~va ~access:Perm.Store ~amask va_d
+      let pa = data_pa st env ~access:Perm.Store ~amask ~write:true va_d in
+      if pa < 0 then mem_trap env ~va ~access:Perm.Store ~amask va_d
       else begin
         store_value width
-          (Phys_mem.page mem pa ~len ~write:true)
+          (Phys_mem.page env.mem pa ~len ~write:true)
           (pa land page_mask) (get regs b);
-        st.k_retired <- st.k_retired + 1;
-        if env.page_holds_code pa then begin
-          (* self-modifying code: the flush just destroyed this very
-             trace; leave immediately with the pc already advanced *)
-          env.flush_code ();
-          flush env st;
+        env.k_retired <- env.k_retired + 1;
+        if page_holds_code env.code_pages pa then begin
+          (* self-modifying code: the dispatcher's flush destroys this
+             very trace; leave immediately with the pc already advanced *)
+          flush env;
           Cpu.set_pc env.cpu next_va;
-          T_redispatch
+          T_code_written
         end
-        else next h
+        else next env h
       end
   | Inst.Jal _ | Inst.Jalr _ | Inst.Branch _ | Inst.Ecall | Inst.Ebreak ->
     (* terminators are lowered by [lower_term]; ecall/ebreak never pass
@@ -458,39 +502,38 @@ let lower_slot env st ~va ~next_va (s : Block.slot) (next : Tlb.handle -> texit)
 
 (* What the stitched edge expects, resolved at compile time. *)
 type cont_kind =
-  | Stitch of { expect_va : int; cont : unit -> texit }
+  | Stitch of { expect_va : int; cont : env -> texit }
   | Leave
 
-let lower_term env st ~end_va (term : Trace.term) (kind : cont_kind) :
-    Tlb.handle -> texit =
-  let regs = env.regs and counts = env.counts in
+let lower_term st ~end_va (term : Trace.term) (kind : cont_kind) : slot =
   match term with
   | Trace.K_fall { next_va } -> (
     (* no instruction: the block closed at the page boundary *)
     match kind with
-    | Stitch { cont; _ } -> fun _h -> cont ()
-    | Leave -> fun _h -> chain_exit env st ~pc:next_va)
+    | Stitch { cont; _ } -> fun env _h -> cont env
+    | Leave -> fun env _h -> chain_exit st env ~pc:next_va)
   | Trace.K_jal { rd; target_va } -> (
     let d = 8 * Reg.to_int rd in
     let link = Int64.of_int end_va in
     match kind with
     | Stitch { cont; _ } ->
       (* a jal's target is static: the stitched edge always holds *)
-      fun _h ->
-        counts.jumps <- counts.jumps + 1;
-        if d <> 0 then set regs d link;
-        cont ()
+      fun env _h ->
+        env.counts.jumps <- env.counts.jumps + 1;
+        if d <> 0 then set env.regs d link;
+        cont env
     | Leave ->
-      fun _h ->
-        counts.jumps <- counts.jumps + 1;
-        if d <> 0 then set regs d link;
-        chain_exit env st ~pc:target_va)
+      fun env _h ->
+        env.counts.jumps <- env.counts.jumps + 1;
+        if d <> 0 then set env.regs d link;
+        chain_exit st env ~pc:target_va)
   | Trace.K_jalr { rd; rs1; imm; is_return } ->
     (* the indirect penalty for non-returns is static, charged in the
        chunk *)
     let d = 8 * Reg.to_int rd and a = 8 * Reg.to_int rs1 in
     let link = Int64.of_int end_va in
-    fun _h ->
+    fun env _h ->
+      let regs = env.regs and counts = env.counts in
       counts.jumps <- counts.jumps + 1;
       if not is_return then counts.indirect_jumps <- counts.indirect_jumps + 1;
       (* target before link write: rs1 may equal rd *)
@@ -498,25 +541,26 @@ let lower_term env st ~end_va (term : Trace.term) (kind : cont_kind) :
       if d <> 0 then set regs d link;
       (match kind with
       | Stitch { expect_va; cont } ->
-        if tgt = expect_va then cont () else chain_exit env st ~pc:tgt
-      | Leave -> chain_exit env st ~pc:tgt)
+        if tgt = expect_va then cont env else chain_exit st env ~pc:tgt
+      | Leave -> chain_exit st env ~pc:tgt)
   | Trace.K_branch { cond; rs1; rs2; taken_va; fall_va; predicted_taken } -> (
     let a = 8 * Reg.to_int rs1 and b = 8 * Reg.to_int rs2 in
+    let c_mispredict = st.c_mispredict in
     match kind with
     | Stitch { expect_va; cont } ->
       let stitch_taken = expect_va = taken_va in
-      fun _h ->
-        counts.branches <- counts.branches + 1;
-        let taken = holds cond (get regs a) (get regs b) in
-        if taken <> predicted_taken then st.k_cycles <- st.k_cycles + env.c_mispredict;
-        if taken = stitch_taken then cont ()
-        else chain_exit env st ~pc:(if taken then taken_va else fall_va)
+      fun env _h ->
+        env.counts.branches <- env.counts.branches + 1;
+        let taken = holds cond (get env.regs a) (get env.regs b) in
+        if taken <> predicted_taken then env.k_cycles <- env.k_cycles + c_mispredict;
+        if taken = stitch_taken then cont env
+        else chain_exit st env ~pc:(if taken then taken_va else fall_va)
     | Leave ->
-      fun _h ->
-        counts.branches <- counts.branches + 1;
-        let taken = holds cond (get regs a) (get regs b) in
-        if taken <> predicted_taken then st.k_cycles <- st.k_cycles + env.c_mispredict;
-        chain_exit env st ~pc:(if taken then taken_va else fall_va))
+      fun env _h ->
+        env.counts.branches <- env.counts.branches + 1;
+        let taken = holds cond (get env.regs a) (get env.regs b) in
+        if taken <> predicted_taken then env.k_cycles <- env.k_cycles + c_mispredict;
+        chain_exit st env ~pc:(if taken then taken_va else fall_va))
 
 (* ---- segment lowering ---- *)
 
@@ -532,7 +576,7 @@ type chunk_plan = {
   cp_fops : fop array;
 }
 
-let lower_segment env st (sg : Trace.seg) ~(kind : cont_kind) : Tlb.handle -> texit =
+let lower_segment st (sg : Trace.seg) ~(kind : cont_kind) : slot =
   let b = sg.Trace.sg_block in
   let len = Block.length b in
   let vpn = sg.Trace.sg_va lsr Page_table.page_shift in
@@ -550,10 +594,10 @@ let lower_segment env st (sg : Trace.seg) ~(kind : cont_kind) : Tlb.handle -> te
     | _ -> false
   in
   let has_term_slot = match sg.Trace.sg_term with Trace.K_fall _ -> false | _ -> true in
-  let term_closure = lower_term env st ~end_va:sg.Trace.sg_end_va sg.Trace.sg_term kind in
+  let term_closure = lower_term st ~end_va:sg.Trace.sg_end_va sg.Trace.sg_term kind in
   let term_extra =
     match sg.Trace.sg_term with
-    | Trace.K_jalr { is_return = false; _ } -> env.c_jalr_indirect
+    | Trace.K_jalr { is_return = false; _ } -> st.c_jalr_indirect
     | _ -> 0
   in
   (* chunk boundaries, then per-chunk statics and fetch plans in forward
@@ -583,9 +627,9 @@ let lower_segment env st (sg : Trace.seg) ~(kind : cont_kind) : Tlb.handle -> te
     in
     for i = k0 to k1 do
       let s = Block.slot b i in
-      cycles := !cycles + env.c_base + static_extra env s.Block.s_inst;
+      cycles := !cycles + st.c_base + static_extra st s.Block.s_inst;
       if not (is_mem i) then incr retires;
-      let line = s.Block.s_pa lsr env.line_shift in
+      let line = s.Block.s_pa lsr st.line_shift in
       if line <> !cur_line then begin
         flush_pend ();
         ops := F_acc s.Block.s_pa :: !ops;
@@ -609,79 +653,80 @@ let lower_segment env st (sg : Trace.seg) ~(kind : cont_kind) : Tlb.handle -> te
   let plans = List.map plan_of bounds in
   (* closures, back-to-front; for K_fall the epilogue follows the last
      slot, otherwise the terminator slot itself ends the chain *)
-  let chunk_closure cp (next : Tlb.handle -> texit) : Tlb.handle -> texit =
+  let chunk_closure cp (next : slot) : slot =
     let chain = ref next in
     for i = cp.cp_k1 downto cp.cp_k0 do
       if has_term_slot && i = len - 1 then chain := term_closure
       else begin
         let s = Block.slot b i in
-        chain := lower_slot env st ~va:vas.(i) ~next_va:(vas.(i) + s.Block.s_size) s !chain
+        chain := lower_slot st ~va:vas.(i) ~next_va:(vas.(i) + s.Block.s_size) s !chain
       end
     done;
     let chain = !chain in
     let { cp_first_va; cp_tlb_n; cp_cycles; cp_retires; cp_fops; _ } = cp in
-    let itlb = env.itlb in
-    fun h ->
-      if cp_tlb_n > 0 && not (Tlb.rehit_many itlb ~vpn h ~n:cp_tlb_n) then
+    fun env h ->
+      if cp_tlb_n > 0 && not (Tlb.rehit_many env.itlb ~vpn h ~n:cp_tlb_n) then
         (* entry evicted mid-segment (unreachable in practice): nothing
            was accounted; the dispatch loop's full translate takes over *)
-        side_exit env st ~pc:cp_first_va
+        side_exit env ~pc:cp_first_va
       else begin
-        exec_fops env st cp_fops;
-        st.k_cycles <- st.k_cycles + cp_cycles;
-        st.k_retired <- st.k_retired + cp_retires;
-        chain h
+        exec_fops env cp_fops;
+        env.k_cycles <- env.k_cycles + cp_cycles;
+        env.k_retired <- env.k_retired + cp_retires;
+        chain env h
       end
   in
-  let tail : Tlb.handle -> texit =
-    if has_term_slot then fun _h -> assert false (* chain ends at the terminator *)
+  let tail : slot =
+    if has_term_slot then fun _env _h -> assert false (* chain ends at the terminator *)
     else term_closure
   in
   List.fold_left (fun next cp -> chunk_closure cp next) tail (List.rev plans)
 
 (* ---- trace compilation ---- *)
 
-let compile env (plan : Trace.plan) : compiled =
-  let st = { k_cycles = 0; k_retired = 0; k_fuel = 0; k_line = Cache.handle () } in
+let compile st (plan : Trace.plan) : compiled =
   let segs = plan.Trace.p_segs in
   let n = Array.length segs in
-  let body0_fwd = ref (fun (_ : Tlb.handle) -> T_redispatch) in
-  (* Segment seam: re-translate the static entry VA (accounting the
-     I-TLB access and any walk, exactly like the dispatch loop's block
-     entry), verify the physical placement the plan assumed, and fetch a
-     fresh TLB handle for the segment's batched rehits. *)
-  let seam (sg : Trace.seg) (body : Tlb.handle -> texit) =
+  let entry_va = plan.Trace.p_entry_va and max_retire = plan.Trace.p_max_retire in
+  (* written once, below, before [compile] returns *)
+  let body0_fwd = ref (fun (_ : env) (_ : Tlb.handle) -> T_redispatch) in
+  (* Segment seam: re-translate the static entry VA through the running
+     MMU (accounting the I-TLB access and any walk, exactly like the
+     dispatch loop's block entry), verify the physical placement the plan
+     assumed, and fetch a fresh TLB handle for the segment's batched
+     rehits. *)
+  let seam (sg : Trace.seg) (body : slot) =
     let va = sg.Trace.sg_va and planned_pa = sg.Trace.sg_pa in
-    fun () ->
-      let pa = Mmu.translate_pa env.mmu ~access:Perm.Fetch va in
+    fun env ->
+      let mmu = env.mmu in
+      let pa = Mmu.translate_pa mmu ~access:Perm.Fetch va in
       if pa < 0 then begin
-        flush env st;
+        flush env;
         Cpu.set_pc env.cpu va;
-        T_trap (Trap.of_mmu_fault ~pc:va (Mmu.last_fault env.mmu))
+        T_trap (Trap.of_mmu_fault ~pc:va (Mmu.last_fault mmu))
       end
       else begin
-        st.k_cycles <- st.k_cycles + (Mmu.walk_steps env.mmu * env.c_ptw);
+        env.k_cycles <- env.k_cycles + (Mmu.walk_steps mmu * st.c_ptw);
         if pa <> planned_pa then begin
           (* remapped since planning: the fetch is accounted, so hand the
              dispatcher the PA to run without a second translation *)
-          flush env st;
+          flush env;
           Cpu.set_pc env.cpu va;
           T_enter_block { eb_pc = va; eb_pa = pa }
         end
-        else body (Mmu.fetch_handle env.mmu va)
+        else body env (Mmu.fetch_handle mmu va)
       end
   in
   let loop_cont =
-    let s0 = segs.(0) in
-    let seam0 = seam s0 (fun h -> !body0_fwd h) in
-    fun () ->
+    let seam0 = seam segs.(0) (fun env h -> !body0_fwd env h) in
+    fun env ->
       (* another full pass must fit in the fuel captured at entry;
          otherwise leave with exact counters and let the dispatcher
          re-evaluate *)
-      if st.k_retired + plan.Trace.p_max_retire <= st.k_fuel then seam0 ()
-      else side_exit env st ~pc:plan.Trace.p_entry_va
+      if env.k_retired + max_retire <= env.k_fuel then seam0 env
+      else side_exit env ~pc:entry_va
   in
-  let bodies = Array.make n (fun (_ : Tlb.handle) -> T_redispatch) in
+  let bodies = Array.make n (fun (_ : env) (_ : Tlb.handle) -> T_redispatch) in
   for j = n - 1 downto 0 do
     let sg = segs.(j) in
     let kind =
@@ -690,22 +735,22 @@ let compile env (plan : Trace.plan) : compiled =
       | Trace.L_seg ->
         let nxt = segs.(j + 1) in
         Stitch { expect_va = nxt.Trace.sg_va; cont = seam nxt bodies.(j + 1) }
-      | Trace.L_loop -> Stitch { expect_va = plan.Trace.p_entry_va; cont = loop_cont }
+      | Trace.L_loop -> Stitch { expect_va = entry_va; cont = loop_cont }
     in
-    bodies.(j) <- lower_segment env st sg ~kind
+    bodies.(j) <- lower_segment st sg ~kind
   done;
   body0_fwd := bodies.(0);
   let body0 = bodies.(0) in
   {
-    c_entry_va = plan.Trace.p_entry_va;
+    c_entry_va = entry_va;
     c_entry_pa = plan.Trace.p_entry_pa;
-    c_max_retire = plan.Trace.p_max_retire;
+    c_max_retire = max_retire;
     c_n_segs = n;
-    c_n_slots = plan.Trace.p_max_retire;
+    c_n_slots = max_retire;
     c_run =
-      (fun ~fuel h ->
-        st.k_cycles <- 0;
-        st.k_retired <- 0;
-        st.k_fuel <- fuel;
-        body0 h);
+      (fun env ~fuel h ->
+        env.k_cycles <- 0;
+        env.k_retired <- 0;
+        env.k_fuel <- fuel;
+        body0 env h);
   }

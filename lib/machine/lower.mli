@@ -29,6 +29,21 @@ type texit =
           end in a trace entry (unplanned physical page at a seam, or a
           chained exit whose target has no usable trace); the dispatcher
           must run the block at [eb_pa] without re-translating *)
+  | T_code_written
+      (** a store hit a page holding decoded code: the dispatcher must
+          flush every code cache (this trace included), then continue at
+          [Cpu.pc] *)
+
+(** The config-fixed values a trace bakes in when it is compiled. *)
+type statics = {
+  line_shift : int;  (** log2 of the I-cache line size *)
+  c_base : int;
+  c_mispredict : int;
+  c_jalr_indirect : int;
+  c_mul : int;
+  c_div : int;
+  c_ptw : int;
+}
 
 type compiled = {
   c_entry_va : int;
@@ -36,39 +51,47 @@ type compiled = {
   c_max_retire : int;  (** slots retired by one front-to-back pass *)
   c_n_segs : int;
   c_n_slots : int;
-  c_run : fuel:int -> Roload_mem.Tlb.handle -> texit;
-      (** [h] is the I-TLB handle of the entry page, captured after the
-          dispatcher's entry translation; [fuel] must be at least
-          [c_max_retire] *)
+  c_run : env -> fuel:int -> Roload_mem.Tlb.handle -> texit;
+      (** runs on the machine [env] names; [h] is the I-TLB handle of the
+          entry page, captured after the dispatcher's entry translation;
+          [fuel] must be at least [c_max_retire] *)
 }
 
-(** Everything a lowered closure needs from the machine, captured once
-    at compile time. *)
-type env = {
+(** One machine's run-time record, passed to every lowered closure.  The
+    machine builds it once, when it is created or forked, and points
+    [mmu]/[itlb] at each address space it installs.  The [k_*] fields
+    are the trace scratch; they hold no state between trace runs. *)
+and env = {
   cpu : Cpu.t;
   regs : Bytes.t;  (** [Cpu.regs cpu]; bytes 0..7 are x0 and stay 0 *)
   mem : Roload_mem.Phys_mem.t;
   hier : Roload_cache.Hierarchy.t;
-  mmu : Roload_mem.Mmu.t;
-  itlb : Roload_mem.Tlb.t;
+  mutable mmu : Roload_mem.Mmu.t;
+  mutable itlb : Roload_mem.Tlb.t;  (** [Mmu.itlb mmu] *)
   counts : exec_counts;
   key_counts : int array;
-  line_shift : int;
-  c_base : int;
-  c_mispredict : int;
-  c_jalr_indirect : int;
-  c_mul : int;
-  c_div : int;
-  c_ptw : int;
-  page_holds_code : int -> bool;
-  flush_code : unit -> unit;
-  find_trace : int -> compiled option;
-      (** live view of the machine's trace table keyed by entry PA, for
+  code_pages : Bytes.t;  (** see {!page_holds_code} *)
+  traces : (int, compiled) Hashtbl.t;
+      (** the machine's one trace table, keyed by entry PA, for
           trace-to-trace chaining at dynamic exits *)
+  mutable k_cycles : int;
+  mutable k_retired : int;
+  mutable k_fuel : int;
+  k_line : Roload_cache.Cache.handle;
 }
+
+val register_code_page : Bytes.t -> int -> unit
+(** Mark the page holding [pa] in a code-page bitmap (one bit per PPN):
+    it holds bytes of a memoized decoded instruction. *)
+
+val page_holds_code : Bytes.t -> int -> bool
+(** Whether {!register_code_page} marked the page holding [pa]. *)
 
 val compilable : roload_enabled:bool -> Block.t -> bool
 (** Every slot of the block can be lowered: no ecall/ebreak, and no
     ld.ro on a baseline (non-ROLoad) machine. *)
 
-val compile : env -> Trace.plan -> compiled
+val compile : statics -> Trace.plan -> compiled
+(** Lower a plan.  The result captures no machine: it runs on whichever
+    [env] it is handed, under that machine's current address space (the
+    exactness argument is in the [lower.ml] header). *)

@@ -109,45 +109,25 @@ let effective_hot_threshold () =
 
 type t = {
   config : Config.t;
-  cpu : Cpu.t;
-  mem : Phys_mem.t;
-  hierarchy : Roload_cache.Hierarchy.t;
+  rt : Lower.env;
+      (* the state compiled traces read at run time — cpu, memory,
+         hierarchy, counters, code-page bitmap, installed MMU — and the
+         one trace table (keyed by entry-block start PA) every process of
+         the machine shares.  The table is flushed with the block cache,
+         so self-modifying code can never run a stale trace. *)
   costs : costs;
   engine : engine;
   mutable mmu : Mmu.t option;
   decode_cache : (int, Inst.t * int) Hashtbl.t;
   blocks : (int, Block.t) Hashtbl.t; (* keyed by block start PA *)
-  code_pages : Bytes.t;
-      (* bitmap over PPNs: pages holding bytes of a memoized decoded
-         instruction.  A store into such a page flushes the decode/block
-         caches, keeping both engines correct under self-modifying code. *)
   mutable code_gen : int; (* bumped on every decode/block flush *)
   line_shift : int; (* log2 of the I-cache line size *)
-  counts : exec_counts;
   mutable trace : (pc:int -> Inst.t -> unit) option;
   mutable tracer : Tracer.t option;
       (* the obs side channel; [None] costs one option check per retire *)
-  roload_key_counts : int array;
-      (* ld.ro retirements per requested key (1024 slots, one per 10-bit
-         key) — always maintained, so metrics work with tracing off *)
   mutable block_enters : int;
   mutable block_hits : int; (* entries that found a pre-decoded block *)
   mutable block_decodes : int; (* slots lazily decoded and appended *)
-  mutable traces : (int, Lower.compiled) Hashtbl.t;
-      (* compiled traces of the *current* address space, keyed by
-         entry-block start PA; flushed with the block cache so
-         self-modifying code can never run a stale trace.  The field is
-         mutable because each address space (ASID) owns its own table —
-         see [trace_tables] — and [switch_context] swaps the active one. *)
-  trace_tables : (int, (int, Lower.compiled) Hashtbl.t) Hashtbl.t;
-      (* per-ASID compiled-trace tables.  A compiled closure captures the
-         MMU (and I-TLB) of the address space it was compiled under
-         ([lower_env]), so a trace is only ever valid for that address
-         space even though the entry key is a physical address — two
-         processes sharing a read-only code frame still translate data
-         accesses through different page tables.  [t.traces] is always
-         the table registered here under [t.asid]. *)
-  mutable asid : int; (* owner of the active trace table; pid-stable *)
   hot_threshold : int; (* block entries before a trace is attempted *)
   mutable trace_enters : int; (* dispatches into a compiled trace *)
   mutable trace_retires : int; (* instructions retired inside traces *)
@@ -162,40 +142,51 @@ type step_result =
   | Continue
   | Trapped of Trap.t
 
-let create ?(costs = default_costs) ?engine (config : Config.t) =
-  let engine = match engine with Some e -> e | None -> effective_engine () in
-  let traces = Hashtbl.create 64 in
-  let trace_tables = Hashtbl.create 4 in
-  Hashtbl.add trace_tables 0 traces;
+(* The MMU a run-time record names until an address space is installed.
+   Nothing translates through it: every run starts at [mmu_exn]. *)
+let no_mmu =
+  let mem = Phys_mem.create ~size:Phys_mem.page_bytes in
+  Mmu.create
+    ~page_table:(Page_table.create ~mem ~alloc_frame:(fun () -> 0))
+    ~itlb_entries:1 ~dtlb_entries:1 ~roload_check_enabled:false
+
+(* One constructor for [create] and [fork]: memory, caches and code
+   tables come in; every counter starts at zero. *)
+let make ~costs ~engine ~hot_threshold (config : Config.t) ~mem ~hier ~decode_cache ~blocks
+    ~code_pages ~traces =
+  let cpu = Cpu.create () in
   {
     config;
-    cpu = Cpu.create ();
-    mem = Phys_mem.create ~size:config.Config.phys_mem_bytes;
-    hierarchy =
-      Roload_cache.Hierarchy.create ~icache_config:config.Config.icache
-        ~dcache_config:config.Config.dcache ~latencies:config.Config.latencies ();
+    rt =
+      {
+        Lower.cpu;
+        regs = Cpu.regs cpu;
+        mem;
+        hier;
+        mmu = no_mmu;
+        itlb = Mmu.itlb no_mmu;
+        counts = { loads = 0; stores = 0; roloads = 0; branches = 0; jumps = 0; indirect_jumps = 0 };
+        key_counts = Array.make (Roload_isa.Roload_ext.max_key + 1) 0;
+        code_pages;
+        traces;
+        k_cycles = 0;
+        k_retired = 0;
+        k_fuel = 0;
+        k_line = Roload_cache.Cache.handle ();
+      };
     costs;
     engine;
     mmu = None;
-    (* small: images copy these tables; [Hashtbl] grows them on demand *)
-    decode_cache = Hashtbl.create 64;
-    blocks = Hashtbl.create 64;
-    code_pages =
-      Bytes.make ((config.Config.phys_mem_bytes lsr (Page_table.page_shift + 3)) + 1) '\000';
+    decode_cache;
+    blocks;
     code_gen = 0;
     line_shift = Roload_util.Bits.log2_exact config.Config.icache.Roload_cache.Cache.line_bytes;
-    counts =
-      { loads = 0; stores = 0; roloads = 0; branches = 0; jumps = 0; indirect_jumps = 0 };
     trace = None;
     tracer = None;
-    roload_key_counts = Array.make (Roload_isa.Roload_ext.max_key + 1) 0;
     block_enters = 0;
     block_hits = 0;
     block_decodes = 0;
-    traces;
-    trace_tables;
-    asid = 0;
-    hot_threshold = effective_hot_threshold ();
+    hot_threshold;
     trace_enters = 0;
     trace_retires = 0;
     traces_compiled = 0;
@@ -203,11 +194,24 @@ let create ?(costs = default_costs) ?engine (config : Config.t) =
     profile = None;
   }
 
-let cpu t = t.cpu
-let mem t = t.mem
+let create ?(costs = default_costs) ?engine (config : Config.t) =
+  let engine = match engine with Some e -> e | None -> effective_engine () in
+  (* small tables: images copy them, and [Hashtbl] grows them on demand *)
+  make ~costs ~engine ~hot_threshold:(effective_hot_threshold ()) config
+    ~mem:(Phys_mem.create ~size:config.Config.phys_mem_bytes)
+    ~hier:
+      (Roload_cache.Hierarchy.create ~icache_config:config.Config.icache
+         ~dcache_config:config.Config.dcache ~latencies:config.Config.latencies ())
+    ~decode_cache:(Hashtbl.create 64) ~blocks:(Hashtbl.create 64)
+    ~code_pages:
+      (Bytes.make ((config.Config.phys_mem_bytes lsr (Page_table.page_shift + 3)) + 1) '\000')
+    ~traces:(Hashtbl.create 64)
+
+let cpu t = t.rt.cpu
+let mem t = t.rt.mem
 let config t = t.config
-let hierarchy t = t.hierarchy
-let counts t = t.counts
+let hierarchy t = t.rt.hier
+let counts t = t.rt.counts
 let engine t = t.engine
 
 (* Drop every memoized decode: pre-decoded blocks, compiled traces, the
@@ -216,34 +220,20 @@ let engine t = t.engine
 let flush_code_caches t =
   Hashtbl.reset t.decode_cache;
   Hashtbl.reset t.blocks;
-  (* every address space's traces, not just the active one: a store into a
-     code page shared read-only across processes (or a kernel-side rewrite)
-     invalidates traces compiled under any ASID *)
-  Hashtbl.iter (fun _ tbl -> Hashtbl.reset tbl) t.trace_tables;
-  Bytes.fill t.code_pages 0 (Bytes.length t.code_pages) '\000';
+  Hashtbl.reset t.rt.traces;
+  Bytes.fill t.rt.code_pages 0 (Bytes.length t.rt.code_pages) '\000';
   t.code_gen <- t.code_gen + 1
 
-let register_code_page t pa =
-  let ppn = pa lsr Page_table.page_shift in
-  let i = ppn lsr 3 in
-  Bytes.unsafe_set t.code_pages i
-    (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.code_pages i) lor (1 lsl (ppn land 7))))
-
-let page_holds_code t pa =
-  let ppn = pa lsr Page_table.page_shift in
-  Char.code (Bytes.unsafe_get t.code_pages (ppn lsr 3)) land (1 lsl (ppn land 7)) <> 0
-
+let register_code_page t pa = Lower.register_code_page t.rt.code_pages pa
 let cached_blocks t = Hashtbl.length t.blocks
 let cached_decodes t = Hashtbl.length t.decode_cache
-let cached_traces t = Hashtbl.length t.traces
-let asid t = t.asid
 
 (* (Re)point the generic cache/TLB observer closures at the current
    tracer.  The mem/cache libraries stay obs-free: they call a closure,
    and this layer is the one place that builds events from it. *)
 let wire_observers t =
-  let icache = Roload_cache.Hierarchy.icache t.hierarchy in
-  let dcache = Roload_cache.Hierarchy.dcache t.hierarchy in
+  let icache = Roload_cache.Hierarchy.icache t.rt.hier in
+  let dcache = Roload_cache.Hierarchy.dcache t.rt.hier in
   match t.tracer with
   | None ->
     Roload_cache.Cache.set_observer icache None;
@@ -270,9 +260,19 @@ let wire_observers t =
       Tlb.set_observer (Mmu.itlb m) (tlb_obs Event.I);
       Tlb.set_observer (Mmu.dtlb m) (tlb_obs Event.D))
 
+(* Install an address space.  The PA-keyed decode/block caches and the
+   trace table stay: they are exact under any page table (see the
+   [lower.ml] header), which is what makes this the context switch too. *)
+let attach_mmu t mmu =
+  t.mmu <- Some mmu;
+  t.rt.mmu <- mmu;
+  t.rt.itlb <- Mmu.itlb mmu;
+  wire_observers t
+
+(* Install a freshly loaded process: the loader wrote its code straight
+   into memory, past the stores that would have flushed stale decodes. *)
 let set_mmu t mmu =
-  t.mmu <- mmu;
-  wire_observers t;
+  attach_mmu t mmu;
   flush_code_caches t
 
 let set_trace t f = t.trace <- f
@@ -281,11 +281,11 @@ let set_tracer t tracer =
   t.tracer <- tracer;
   (match tracer with
   | None -> ()
-  | Some tr -> Tracer.set_clock tr (fun () -> Int64.of_int (Cpu.cycles t.cpu)));
+  | Some tr -> Tracer.set_clock tr (fun () -> Int64.of_int (Cpu.cycles t.rt.cpu)));
   wire_observers t
 
 let tracer t = t.tracer
-let roload_key_counts t = t.roload_key_counts
+let roload_key_counts t = t.rt.key_counts
 let block_enters t = t.block_enters
 let block_hits t = t.block_hits
 let block_decodes t = t.block_decodes
@@ -339,21 +339,21 @@ let mmu_exn t =
   | Some m -> m
   | None -> failwith "Machine: no address space installed"
 
-let charge_walk t steps = Cpu.add_cycles t.cpu (steps * t.costs.ptw_step)
+let charge_walk t steps = Cpu.add_cycles t.rt.cpu (steps * t.costs.ptw_step)
 
 (* ---- fetch ---- *)
 
 let fetch_halfword t va =
   let mmu = mmu_exn t in
   match Mmu.translate mmu ~access:Perm.Fetch va with
-  | Error f -> Error (Trap.of_mmu_fault ~pc:(Cpu.pc t.cpu) f)
+  | Error f -> Error (Trap.of_mmu_fault ~pc:(Cpu.pc t.rt.cpu) f)
   | Ok { pa; walk_steps; _ } ->
     charge_walk t walk_steps;
-    Cpu.add_cycles t.cpu (Roload_cache.Hierarchy.access_ifetch t.hierarchy ~pa);
-    Ok (pa, Phys_mem.read_u16 t.mem pa)
+    Cpu.add_cycles t.rt.cpu (Roload_cache.Hierarchy.access_ifetch t.rt.hier ~pa);
+    Ok (pa, Phys_mem.read_u16 t.rt.mem pa)
 
 let fetch_decode t =
-  let pc = Cpu.pc t.cpu in
+  let pc = Cpu.pc t.rt.cpu in
   if pc land 1 <> 0 then
     Error (Trap.Misaligned_access { pc; va = pc; access = Perm.Fetch })
   else
@@ -395,22 +395,22 @@ let check_alignment ~pc ~va ~width ~access =
 let read_phys t pa (width : Inst.width) ~unsigned =
   match width with
   | Inst.Byte ->
-    let v = Int64.of_int (Phys_mem.read_u8 t.mem pa) in
+    let v = Int64.of_int (Phys_mem.read_u8 t.rt.mem pa) in
     if unsigned then v else Roload_util.Bits.sign_extend v ~width:8
   | Inst.Half ->
-    let v = Int64.of_int (Phys_mem.read_u16 t.mem pa) in
+    let v = Int64.of_int (Phys_mem.read_u16 t.rt.mem pa) in
     if unsigned then v else Roload_util.Bits.sign_extend v ~width:16
   | Inst.Word ->
-    let v = Int64.of_int (Phys_mem.read_u32 t.mem pa) in
+    let v = Int64.of_int (Phys_mem.read_u32 t.rt.mem pa) in
     if unsigned then v else Roload_util.Bits.sign_extend v ~width:32
-  | Inst.Double -> Phys_mem.read_u64 t.mem pa
+  | Inst.Double -> Phys_mem.read_u64 t.rt.mem pa
 
 let write_phys t pa (width : Inst.width) v =
   match width with
-  | Inst.Byte -> Phys_mem.write_u8 t.mem pa (Int64.to_int (Int64.logand v 0xFFL))
-  | Inst.Half -> Phys_mem.write_u16 t.mem pa (Int64.to_int (Int64.logand v 0xFFFFL))
-  | Inst.Word -> Phys_mem.write_u32 t.mem pa (Int64.to_int (Int64.logand v 0xFFFFFFFFL))
-  | Inst.Double -> Phys_mem.write_u64 t.mem pa v
+  | Inst.Byte -> Phys_mem.write_u8 t.rt.mem pa (Int64.to_int (Int64.logand v 0xFFL))
+  | Inst.Half -> Phys_mem.write_u16 t.rt.mem pa (Int64.to_int (Int64.logand v 0xFFFFL))
+  | Inst.Word -> Phys_mem.write_u32 t.rt.mem pa (Int64.to_int (Int64.logand v 0xFFFFFFFFL))
+  | Inst.Double -> Phys_mem.write_u64 t.rt.mem pa v
 
 let data_access t ~pc ~va ~access ~width ~unsigned ~store_value =
   let write = match access with Perm.Store -> true | Perm.Fetch | Perm.Load | Perm.Roload _ -> false in
@@ -422,13 +422,13 @@ let data_access t ~pc ~va ~access ~width ~unsigned ~store_value =
     if pa < 0 then Error (Trap.of_mmu_fault ~pc (Mmu.last_fault mmu))
     else begin
       charge_walk t (Mmu.walk_steps mmu);
-      Cpu.add_cycles t.cpu (Roload_cache.Hierarchy.access_data t.hierarchy ~pa ~write);
+      Cpu.add_cycles t.rt.cpu (Roload_cache.Hierarchy.access_data t.rt.hier ~pa ~write);
       if write then begin
         write_phys t pa width (Option.get store_value);
         (* Self-modifying code: a store into a page holding memoized
            decoded instructions invalidates every decode/block memo, for
            both engines. *)
-        if page_holds_code t pa then flush_code_caches t;
+        if Lower.page_holds_code t.rt.code_pages pa then flush_code_caches t;
         Ok 0L
       end
       else Ok (read_phys t pa width ~unsigned)
@@ -468,7 +468,7 @@ let classify (inst : Inst.t) : Event.inst_class =
    fetch/decode.  Shared by the single-step engine and the traced
    engine's per-slot tier. *)
 let execute_inst t ~pc inst ~size =
-  let cpu = t.cpu in
+  let cpu = t.rt.cpu and counts = t.rt.counts in
   (match t.trace with Some f -> f ~pc inst | None -> ());
   let next = pc + size in
   let result =
@@ -491,28 +491,28 @@ let execute_inst t ~pc inst ~size =
       Cpu.set cpu rd v;
       continue_at next
     | Inst.Jal (rd, off) ->
-      t.counts.jumps <- t.counts.jumps + 1;
+      counts.jumps <- counts.jumps + 1;
       Cpu.set cpu rd (Int64.of_int next);
       continue_at (pc + Int64.to_int off)
     | Inst.Jalr (rd, rs1, imm) ->
-      t.counts.jumps <- t.counts.jumps + 1;
+      counts.jumps <- counts.jumps + 1;
       let target = Int64.logand (Int64.add (Cpu.get cpu rs1) imm) (-2L) in
       let is_return = Reg.to_int rd = 0 && Reg.to_int rs1 = 1 in
       if not is_return then begin
-        t.counts.indirect_jumps <- t.counts.indirect_jumps + 1;
+        counts.indirect_jumps <- counts.indirect_jumps + 1;
         Cpu.add_cycles cpu t.costs.jalr_indirect
       end;
       Cpu.set cpu rd (Int64.of_int next);
       continue_at (to_addr target)
     | Inst.Branch (c, rs1, rs2, off) ->
-      t.counts.branches <- t.counts.branches + 1;
+      counts.branches <- counts.branches + 1;
       let taken = branch_taken c (Cpu.get cpu rs1) (Cpu.get cpu rs2) in
       let backward = Int64.compare off 0L < 0 in
       let predicted_taken = backward in
       if taken <> predicted_taken then Cpu.add_cycles cpu t.costs.branch_mispredict;
       continue_at (if taken then pc + Int64.to_int off else next)
     | Inst.Load { width; unsigned; rd; rs1; imm } -> (
-      t.counts.loads <- t.counts.loads + 1;
+      counts.loads <- counts.loads + 1;
       let va = to_addr (Int64.add (Cpu.get cpu rs1) imm) in
       match
         data_access t ~pc ~va ~access:Perm.Load ~width ~unsigned ~store_value:None
@@ -526,9 +526,9 @@ let execute_inst t ~pc inst ~size =
         (* Baseline Rocket: the custom-0 opcode is not implemented. *)
         Trapped (Trap.Illegal_instruction { pc; info = "ld.ro: no ROLoad support" })
       else begin
-        t.counts.roloads <- t.counts.roloads + 1;
-        t.roload_key_counts.(key land Roload_isa.Roload_ext.max_key) <-
-          t.roload_key_counts.(key land Roload_isa.Roload_ext.max_key) + 1;
+        counts.roloads <- counts.roloads + 1;
+        t.rt.key_counts.(key land Roload_isa.Roload_ext.max_key) <-
+          t.rt.key_counts.(key land Roload_isa.Roload_ext.max_key) + 1;
         let va = to_addr (Cpu.get cpu rs1) in
         (match t.tracer with
         | None -> ()
@@ -551,7 +551,7 @@ let execute_inst t ~pc inst ~size =
           continue_at next
       end)
     | Inst.Store { width; rs2; rs1; imm } -> (
-      t.counts.stores <- t.counts.stores + 1;
+      counts.stores <- counts.stores + 1;
       let va = to_addr (Int64.add (Cpu.get cpu rs1) imm) in
       match
         data_access t ~pc ~va ~access:Perm.Store ~width ~unsigned:false
@@ -611,7 +611,7 @@ let execute_inst t ~pc inst ~size =
 let step t =
   match fetch_decode t with
   | Error tr -> Trapped tr
-  | Ok (inst, size) -> execute_inst t ~pc:(Cpu.pc t.cpu) inst ~size
+  | Ok (inst, size) -> execute_inst t ~pc:(Cpu.pc t.rt.cpu) inst ~size
 
 (* ---- the traced engine's per-slot tier ---- *)
 
@@ -664,10 +664,10 @@ let prof_charge tbl ~pa ~cycles ~insts =
    run.  This is the traced engine's per-slot tier: it runs cold blocks,
    blocks no trace covers, and every dispatch a trace cannot take. *)
 let exec_block t ~stop_at_pc ~(fuel : int ref) ~pc0 ~pa ~vpn ~tlb_handle ~block =
-  let cpu = t.cpu in
+  let cpu = t.rt.cpu in
   let mmu = mmu_exn t in
   let itlb = Mmu.itlb mmu in
-  let hier = t.hierarchy in
+  let hier = t.rt.hier in
   let page_pbase = pa land lnot page_mask in
   (
             let gen0 = t.code_gen in
@@ -731,7 +731,7 @@ let exec_block t ~stop_at_pc ~(fuel : int ref) ~pc0 ~pa ~vpn ~tlb_handle ~block 
                   match Hashtbl.find_opt t.decode_cache spa with
                   | Some (inst, size) -> Ok (inst, size)
                   | None -> (
-                    let hw = Phys_mem.read_u16 t.mem spa in
+                    let hw = Phys_mem.read_u16 t.rt.mem spa in
                     if Roload_isa.Decode.is_compressed_halfword hw then (
                       match Roload_isa.Compressed.decode hw with
                       | Ok inst ->
@@ -765,7 +765,7 @@ let exec_block t ~stop_at_pc ~(fuel : int ref) ~pc0 ~pa ~vpn ~tlb_handle ~block 
                       | Error tr -> Error tr
                       | Ok pa2 -> (
                         Cpu.add_cycles cpu (Roload_cache.Hierarchy.access_ifetch hier ~pa:pa2);
-                        let hw2 = Phys_mem.read_u16 t.mem pa2 in
+                        let hw2 = Phys_mem.read_u16 t.rt.mem pa2 in
                         let word = hw lor (hw2 lsl 16) in
                         match Roload_isa.Decode.decode word with
                         | Ok inst ->
@@ -809,27 +809,15 @@ let exec_block t ~stop_at_pc ~(fuel : int ref) ~pc0 ~pa ~vpn ~tlb_handle ~block 
 
 (* ---- trace-compiled engine ---- *)
 
-let lower_env t =
-  let mmu = mmu_exn t in
+let statics t =
   {
-    Lower.cpu = t.cpu;
-    regs = Cpu.regs t.cpu;
-    mem = t.mem;
-    hier = t.hierarchy;
-    mmu;
-    itlb = Mmu.itlb mmu;
-    counts = t.counts;
-    key_counts = t.roload_key_counts;
-    line_shift = t.line_shift;
+    Lower.line_shift = t.line_shift;
     c_base = t.costs.base;
     c_mispredict = t.costs.branch_mispredict;
     c_jalr_indirect = t.costs.jalr_indirect;
     c_mul = t.costs.mul;
     c_div = t.costs.div;
     c_ptw = t.costs.ptw_step;
-    page_holds_code = (fun pa -> page_holds_code t pa);
-    flush_code = (fun () -> flush_code_caches t);
-    find_trace = (fun pa -> Hashtbl.find_opt t.traces pa);
   }
 
 (* Try to stitch and compile a trace rooted at [block].  The static
@@ -857,7 +845,7 @@ let attempt_compile t ~entry_va ~entry_pa ~block =
   with
   | None -> Block.set_no_trace block
   | Some plan ->
-    Hashtbl.replace t.traces entry_pa (Lower.compile (lower_env t) plan);
+    Hashtbl.replace t.rt.traces entry_pa (Lower.compile (statics t) plan);
     t.traces_compiled <- t.traces_compiled + 1
 
 (* The traced engine: a dispatch loop over pre-decoded blocks, plus
@@ -873,7 +861,7 @@ let attempt_compile t ~entry_va ~entry_pa ~block =
    set huge) runs every dispatch on that tier, compiling nothing.  Correctness never depends on when or
    whether a trace runs. *)
 let run_traced t ~stop_at_pc ~fuel =
-  let cpu = t.cpu in
+  let cpu = t.rt.cpu in
   let mmu = mmu_exn t in
   let fuel = ref fuel in
   let finished = ref None in
@@ -915,11 +903,11 @@ let run_traced t ~stop_at_pc ~fuel =
             let ran_trace =
               usable
               &&
-              match Hashtbl.find_opt t.traces pa with
+              match Hashtbl.find_opt t.rt.traces pa with
               | Some c when c.Lower.c_entry_va = pc0 && !fuel >= c.Lower.c_max_retire ->
                 t.trace_enters <- t.trace_enters + 1;
                 let cyc0 = Cpu.cycles cpu and ins0 = Cpu.instret cpu in
-                let r = c.Lower.c_run ~fuel:!fuel tlb_handle in
+                let r = c.Lower.c_run t.rt ~fuel:!fuel tlb_handle in
                 let dins = Cpu.instret cpu - ins0 in
                 fuel := !fuel - dins;
                 t.trace_retires <- t.trace_retires + dins;
@@ -928,6 +916,7 @@ let run_traced t ~stop_at_pc ~fuel =
                 | Some tbl -> prof_charge tbl ~pa ~cycles:(Cpu.cycles cpu - cyc0) ~insts:dins);
                 (match r with
                 | Lower.T_redispatch -> ()
+                | Lower.T_code_written -> flush_code_caches t
                 | Lower.T_trap tr -> finished := Some (Trap tr)
                 | Lower.T_enter_block { eb_pc; eb_pa } ->
                   pending_pc := eb_pc;
@@ -954,7 +943,7 @@ let run_traced t ~stop_at_pc ~fuel =
                 usable && cached && Block.closed block
                 && (not (Block.no_trace block))
                 && Block.hot block >= t.hot_threshold
-                && not (Hashtbl.mem t.traces pa)
+                && not (Hashtbl.mem t.rt.traces pa)
               then attempt_compile t ~entry_va:pc0 ~entry_pa:pa ~block;
               match exec_block t ~stop_at_pc ~fuel ~pc0 ~pa ~vpn ~tlb_handle ~block with
               | Some r -> finished := Some r
@@ -967,7 +956,7 @@ let run_traced t ~stop_at_pc ~fuel =
   match !finished with Some r -> r | None -> assert false
 
 let run_single t ~stop_at_pc ~fuel =
-  let cpu = t.cpu in
+  let cpu = t.rt.cpu in
   let rec go fuel =
     if fuel <= 0 then Exhausted
     else
@@ -999,22 +988,15 @@ let run_steps ?stop_at_pc ~fuel t =
    charged — it must be captured for exactness), the code-page bitmap
    and generation, and every metrics-visible counter.
 
-   [restore] puts the same machine object back into the captured state.
-   Object identities (cpu, register array, physical memory, hierarchy,
-   MMU) are preserved, which is what lets compiled traces be restored
-   too: their closures captured those identities at compile time.
-
-   [fork] builds a new, fully independent machine from the image, in
-   one pass per layer.  All three cost what the machine holds, not what
-   its tables could hold: pages are shared copy-on-write, the decode and
-   block tables start small, and each cache is three flat arrays.
-   Compiled traces are dropped — their closures capture the *parent's*
-   cpu/regs/mem, so running them in a fork would corrupt the parent.
-   Block hotness rides along in the copied block cache, so a fork
-   re-compiles its traces on first re-dispatch of each hot block; traces
-   never change what is simulated, so the fork stays architecturally
-   bit-identical to a restored parent (trace-engine counters may
-   differ). *)
+   [restore] puts the same machine object back into the captured state,
+   in place.  [fork] builds a new, fully independent machine from the
+   image, in one pass per layer.  All three cost what the machine holds,
+   not what its tables could hold: pages are shared copy-on-write, the
+   decode and block tables start small, and each cache is three flat
+   arrays.  Both refill the trace table from the image: a compiled trace
+   captures no machine (it runs on the [Lower.env] it is handed), so a
+   fork runs its parent's hot traces and matches a restored parent on
+   every counter, trace-engine counters included. *)
 
 let copy_counts (c : exec_counts) =
   {
@@ -1045,8 +1027,7 @@ type image = {
   im_mmu : Mmu.image option;
   im_decode : (int, Inst.t * int) Hashtbl.t; (* values immutable: shallow copy *)
   im_blocks : (int, Block.t) Hashtbl.t; (* deep copies, frozen *)
-  im_traces : (int, Lower.compiled) Hashtbl.t;
-      (* closures bound to the parent's identities: restore-only *)
+  im_traces : (int, Lower.compiled) Hashtbl.t; (* values immutable: shallow copy *)
   im_code_pages : Bytes.t;
   im_code_gen : int;
   im_counts : exec_counts;
@@ -1071,17 +1052,17 @@ let snapshot t =
     im_costs = t.costs;
     im_engine = t.engine;
     im_hot_threshold = t.hot_threshold;
-    im_cpu = Cpu.snapshot t.cpu;
-    im_mem = Phys_mem.snapshot t.mem;
-    im_hier = Roload_cache.Hierarchy.snapshot t.hierarchy;
+    im_cpu = Cpu.snapshot t.rt.cpu;
+    im_mem = Phys_mem.snapshot t.rt.mem;
+    im_hier = Roload_cache.Hierarchy.snapshot t.rt.hier;
     im_mmu = Option.map Mmu.snapshot t.mmu;
     im_decode = Hashtbl.copy t.decode_cache;
     im_blocks = copy_blocks t.blocks;
-    im_traces = Hashtbl.copy t.traces;
-    im_code_pages = Bytes.copy t.code_pages;
+    im_traces = Hashtbl.copy t.rt.traces;
+    im_code_pages = Bytes.copy t.rt.code_pages;
     im_code_gen = t.code_gen;
-    im_counts = copy_counts t.counts;
-    im_key_counts = Array.copy t.roload_key_counts;
+    im_counts = copy_counts t.rt.counts;
+    im_key_counts = Array.copy t.rt.key_counts;
     im_block_enters = t.block_enters;
     im_block_hits = t.block_hits;
     im_block_decodes = t.block_decodes;
@@ -1096,29 +1077,17 @@ let mmu_image img = img.im_mmu
 let image_config img = img.im_config
 
 (* Refill a live hashtable from an image table without replacing it —
-   closures (trace chaining, lower_env) hold the table's identity. *)
+   the run-time record holds the trace table's identity. *)
 let refill ~copy dst src =
   Hashtbl.reset dst;
   Hashtbl.iter (fun k v -> Hashtbl.add dst k (copy v)) src
 
-let restore t img =
-  Cpu.restore t.cpu img.im_cpu;
-  Phys_mem.restore t.mem img.im_mem;
-  Roload_cache.Hierarchy.restore t.hierarchy img.im_hier;
-  (match (t.mmu, img.im_mmu) with
-  | Some m, Some im -> Mmu.restore m im
-  | (Some _ | None), _ -> ());
-  refill ~copy:Fun.id t.decode_cache img.im_decode;
-  refill ~copy:Block.copy t.blocks img.im_blocks;
-  refill ~copy:Fun.id t.traces img.im_traces;
-  (* snapshots capture the single scheduled address space; traces
-     compiled under any other ASID belong to processes whose state the
-     restore just discarded *)
-  Hashtbl.iter (fun asid tbl -> if asid <> t.asid then Hashtbl.reset tbl) t.trace_tables;
-  Bytes.blit img.im_code_pages 0 t.code_pages 0 (Bytes.length t.code_pages);
+(* Every counter of the image, into [t]'s own records ([restore] and
+   [fork]). *)
+let restore_counters t img =
   t.code_gen <- img.im_code_gen;
-  assign_counts ~dst:t.counts img.im_counts;
-  Array.blit img.im_key_counts 0 t.roload_key_counts 0 (Array.length t.roload_key_counts);
+  assign_counts ~dst:t.rt.counts img.im_counts;
+  Array.blit img.im_key_counts 0 t.rt.key_counts 0 (Array.length t.rt.key_counts);
   t.block_enters <- img.im_block_enters;
   t.block_hits <- img.im_block_hits;
   t.block_decodes <- img.im_block_decodes;
@@ -1127,77 +1096,28 @@ let restore t img =
   t.traces_compiled <- img.im_traces_compiled;
   t.injections <- img.im_injections
 
+let restore t img =
+  Cpu.restore t.rt.cpu img.im_cpu;
+  Phys_mem.restore t.rt.mem img.im_mem;
+  Roload_cache.Hierarchy.restore t.rt.hier img.im_hier;
+  (match (t.mmu, img.im_mmu) with
+  | Some m, Some im -> Mmu.restore m im
+  | (Some _ | None), _ -> ());
+  refill ~copy:Fun.id t.decode_cache img.im_decode;
+  refill ~copy:Block.copy t.blocks img.im_blocks;
+  refill ~copy:Fun.id t.rt.traces img.im_traces;
+  Bytes.blit img.im_code_pages 0 t.rt.code_pages 0 (Bytes.length t.rt.code_pages);
+  restore_counters t img
+
 let fork img =
   let config = img.im_config in
-  let traces = Hashtbl.create 64 in
-  (* parent-bound closures: never forked *)
-  let trace_tables = Hashtbl.create 4 in
-  Hashtbl.add trace_tables 0 traces;
   let t =
-    {
-      config;
-      cpu = Cpu.create ();
-      mem = Phys_mem.fork img.im_mem;
-      hierarchy =
-        Roload_cache.Hierarchy.of_image ~latencies:config.Config.latencies img.im_hier;
-      costs = img.im_costs;
-      engine = img.im_engine;
-      mmu = None;
-      decode_cache = Hashtbl.copy img.im_decode;
-      blocks = copy_blocks img.im_blocks;
-      code_pages = Bytes.copy img.im_code_pages;
-      code_gen = img.im_code_gen;
-      line_shift =
-        Roload_util.Bits.log2_exact config.Config.icache.Roload_cache.Cache.line_bytes;
-      counts = copy_counts img.im_counts;
-      trace = None;
-      tracer = None;
-      roload_key_counts = Array.copy img.im_key_counts;
-      block_enters = img.im_block_enters;
-      block_hits = img.im_block_hits;
-      block_decodes = img.im_block_decodes;
-      traces;
-      trace_tables;
-      asid = 0;
-      hot_threshold = img.im_hot_threshold;
-      trace_enters = img.im_trace_enters;
-      trace_retires = img.im_trace_retires;
-      traces_compiled = img.im_traces_compiled;
-      injections = img.im_injections;
-      profile = None;
-    }
+    make ~costs:img.im_costs ~engine:img.im_engine ~hot_threshold:img.im_hot_threshold config
+      ~mem:(Phys_mem.fork img.im_mem)
+      ~hier:(Roload_cache.Hierarchy.of_image ~latencies:config.Config.latencies img.im_hier)
+      ~decode_cache:(Hashtbl.copy img.im_decode) ~blocks:(copy_blocks img.im_blocks)
+      ~code_pages:(Bytes.copy img.im_code_pages) ~traces:(Hashtbl.copy img.im_traces)
   in
-  Cpu.restore t.cpu img.im_cpu;
+  Cpu.restore t.rt.cpu img.im_cpu;
+  restore_counters t img;
   t
-
-(* Install a forked address space without the cache flush [set_mmu]
-   performs: the fork's decode/block caches were copied from the image
-   and are exact for the forked memory contents. *)
-let attach_mmu t mmu =
-  t.mmu <- Some mmu;
-  wire_observers t
-
-(* Context switch between coresident address spaces (the multi-process
-   kernel's scheduler).  Unlike [set_mmu] this does NOT flush the
-   decode/block caches — they are keyed by physical address, so entries
-   for frames shared read-only between processes stay exact — but it
-   does swap the active compiled-trace table: trace closures capture the
-   MMU they were compiled under, so each ASID keeps its own table and a
-   process can never run a trace that translates through another
-   process's page table.  ASIDs are never reused within a machine's
-   lifetime (the kernel uses monotonic pids). *)
-let switch_context t ~asid ~mmu =
-  if asid <> t.asid then begin
-    let table =
-      match Hashtbl.find_opt t.trace_tables asid with
-      | Some tbl -> tbl
-      | None ->
-        let tbl = Hashtbl.create 64 in
-        Hashtbl.add t.trace_tables asid tbl;
-        tbl
-    in
-    t.traces <- table;
-    t.asid <- asid
-  end;
-  t.mmu <- Some mmu;
-  wire_observers t

@@ -94,9 +94,6 @@ val cached_blocks : t -> int
 val cached_decodes : t -> int
 (** Number of per-pa memoized decodes currently cached (introspection). *)
 
-val cached_traces : t -> int
-(** Number of compiled traces currently cached (introspection). *)
-
 val flush_code_caches : t -> unit
 (** Drop every pre-decoded block, compiled trace and decode memo.  Both
     engines share the decode memo, so a flush affects their cycle
@@ -104,9 +101,16 @@ val flush_code_caches : t -> unit
     execution).  Called automatically on [set_mmu] and on stores into
     pages holding decoded instructions. *)
 
-val set_mmu : t -> Roload_mem.Mmu.t option -> unit
-(** Install the scheduled process's address space (clears the decode
-    cache). *)
+val attach_mmu : t -> Roload_mem.Mmu.t -> unit
+(** Install an address space: a fork's, a restored root's, or the next
+    task's at a context switch.  The decode/block caches and the one
+    trace table stay — they are keyed by physical address, and a compiled
+    trace re-translates through whichever MMU is installed, so they are
+    exact for every process of the machine. *)
+
+val set_mmu : t -> Roload_mem.Mmu.t -> unit
+(** {!attach_mmu} for a freshly loaded process, then {!flush_code_caches}:
+    the loader wrote its code past the stores that flush stale decodes. *)
 
 val set_trace : t -> (pc:int -> Roload_isa.Inst.t -> unit) option -> unit
 (** Install an instruction-retirement hook (debugging/tracing). *)
@@ -191,40 +195,20 @@ val snapshot : t -> image
     copy-on-write with the live machine, only bookkeeping is copied. *)
 
 val restore : t -> image -> unit
-(** Put this machine back into the captured state, in place.  Object
-    identities (cpu, memory, hierarchy, MMU) are preserved, so compiled
-    traces — whose closures captured those identities — are restored
-    too.  Replay after restore is byte-identical to the original run:
-    architectural state, cycles, and every statistic. *)
+(** Put this machine back into the captured state, in place, the trace
+    table included (refilled with the image's compiled traces).  Object
+    identities (cpu, memory, hierarchy, MMU) are preserved.  Replay after
+    restore is byte-identical to the original run: architectural state,
+    cycles, and every statistic. *)
 
 val fork : image -> t
 (** A fresh, fully independent machine in the captured state.  Physical
     pages are shared copy-on-write with the image; mutating a fork never
     perturbs the image, the parent, or sibling forks.  The fork has no
-    MMU yet ({!attach_mmu}) and starts with an empty trace table — the
-    image's compiled closures are bound to the parent's state — so
-    trace-engine observability counters may diverge from a restored
-    parent while all architectural state, cycles and cache/TLB
-    statistics stay exact. *)
-
-val attach_mmu : t -> Roload_mem.Mmu.t -> unit
-(** Install a forked address space {e without} the cache flush
-    {!set_mmu} performs: the fork's decode/block caches were copied from
-    the image and remain exact for the forked memory contents. *)
-
-val asid : t -> int
-(** The ASID owning the active compiled-trace table (0 until the first
-    {!switch_context}); forks start under ASID 0. *)
-
-val switch_context : t -> asid:int -> mmu:Roload_mem.Mmu.t -> unit
-(** Context switch between coresident address spaces (the multi-process
-    kernel's scheduler).  Keeps the PA-keyed decode/block caches — exact
-    for frames shared read-only between processes — but swaps the active
-    compiled-trace table to the one owned by [asid]: trace closures
-    capture the MMU they were compiled under, so traces are per-address-
-    space even though their entry keys are physical addresses.  ASIDs
-    must not be reused for a different address space within a machine's
-    lifetime (the kernel uses monotonic pids). *)
+    MMU yet ({!attach_mmu}).  It copies the image's trace table, as
+    {!snapshot} does: compiled traces capture no machine, so a fork runs
+    the parent's hot traces and matches a restored parent on every
+    counter, trace-engine counters included. *)
 
 val mem_image : image -> Roload_mem.Phys_mem.image
 (** The captured physical memory, for {!Roload_mem.Phys_mem.diff_images}

@@ -8,11 +8,11 @@
    sampled from the trace ring, so metrics are exact even when the ring
    drops events, and they are available with tracing off.
 
-   [core_equal] deliberately ignores [engine] and the [block_*]/[trace_*]
-   fields: the single-step reference engine has no block cache and only
-   the traced engine compiles traces, but every architectural counter
-   must agree between engines — the qcheck property in test/test_obs.ml
-   holds all engines to that. *)
+   [core_diff]/[core_equal] deliberately ignore [engine] and the
+   [block_*]/[trace_*] fields: the single-step reference engine has no
+   block cache and only the traced engine compiles traces, but every
+   architectural counter must agree between engines — the qcheck
+   property in test/test_obs.ml holds all engines to that. *)
 
 type t = {
   engine : string; (* "single" or "traced" *)
@@ -111,29 +111,6 @@ let itlb_miss_pct m = pct m.itlb_misses m.itlb_hits
 let dcache_miss_pct m = pct m.dcache_misses m.dcache_hits
 let icache_miss_pct m = pct m.icache_misses m.icache_hits
 
-let core_equal a b =
-  Int64.equal a.instructions b.instructions
-  && Int64.equal a.cycles b.cycles
-  && a.loads = b.loads && a.stores = b.stores && a.roloads = b.roloads
-  && a.branches = b.branches && a.jumps = b.jumps
-  && a.indirect_jumps = b.indirect_jumps
-  && a.roload_key0 = b.roload_key0
-  && a.roload_vtable_unified = b.roload_vtable_unified
-  && a.roload_typed = b.roload_typed
-  && a.roload_return_sites = b.roload_return_sites
-  && a.icache_hits = b.icache_hits && a.icache_misses = b.icache_misses
-  && a.icache_writebacks = b.icache_writebacks
-  && a.dcache_hits = b.dcache_hits && a.dcache_misses = b.dcache_misses
-  && a.dcache_writebacks = b.dcache_writebacks
-  && a.itlb_hits = b.itlb_hits && a.itlb_misses = b.itlb_misses
-  && a.dtlb_hits = b.dtlb_hits && a.dtlb_misses = b.dtlb_misses
-  && a.page_faults = b.page_faults
-  && a.roload_faults_key = b.roload_faults_key
-  && a.roload_faults_ro = b.roload_faults_ro
-  && a.syscalls = b.syscalls
-  && a.injections = b.injections
-  && a.dropped_writebacks = b.dropped_writebacks
-
 let fields m =
   let module J = Roload_util.Json in
   [
@@ -175,6 +152,19 @@ let fields m =
   ]
 
 let to_json m = Roload_util.Json.obj (fields m)
+
+(* The engine-dependent fields; every other field is architectural. *)
+let engine_fields =
+  [ "engine"; "block_enters"; "block_hits"; "block_decodes"; "trace_enters"; "trace_retires";
+    "traces_compiled" ]
+
+let core_diff a b =
+  List.find_map
+    (fun ((name, x), (_, y)) ->
+      if x = y || List.mem name engine_fields then None else Some (name, x, y))
+    (List.combine (fields a) (fields b))
+
+let core_equal a b = core_diff a b = None
 
 (* ---------- the experiments metrics log ---------- *)
 

@@ -51,9 +51,14 @@ val itlb_miss_pct : t -> float
 val dcache_miss_pct : t -> float
 val icache_miss_pct : t -> float
 
+val core_diff : t -> t -> (string * string * string) option
+(** The first architectural field on which two snapshots differ, as
+    [(name, a's value, b's value)] in {!to_json}'s spelling; [None] when
+    they agree.  It ignores [engine] and the [block_*]/[trace_*] fields,
+    so the traced and single-step engines can be compared. *)
+
 val core_equal : t -> t -> bool
-(** Architectural equality: ignores [engine] and the [block_*]/[trace_*]
-    fields so the traced and single-step engines can be compared. *)
+(** [core_diff a b = None]. *)
 
 val to_json : t -> string
 

@@ -16,6 +16,7 @@ module Encode = Roload_isa.Encode
 module Pass = Roload_passes.Pass
 module Suite = Roload_workloads.Spec_suite
 module System = Core.System
+module Metrics = Roload_obs.Metrics
 module Exp = Core.Experiments
 
 (* ---------- measurement comparison ---------- *)
@@ -483,6 +484,63 @@ let test_no_compile_ablation () =
       Alcotest.(check string) (name ^ ": output") o.Kernel.output cold.Kernel.output)
     [ ("threshold 1", hot); ("single", stepped) ]
 
+(* ---------- one trace table across address spaces ---------- *)
+
+(* The child calls [work] three times, so every block of it is hot and
+   compiled before the parent calls it once, after [wait].  [work] writes
+   [data]: one VA in both processes, different frames after the fork, so
+   the parent runs the child's traces through its own page table.
+   [parent_calls] lives in .data, so both variants have the same code,
+   and they print the same digits. *)
+let shared_trace_src ~parent_calls =
+  Printf.sprintf
+    {|
+int data[64];
+int parent_calls = %d;
+int work(int seed) {
+  int s = 0;
+  int i = 0;
+  while (i < 64) { data[i] = data[i] + seed + i; s = s + data[i]; i = i + 1; }
+  return s;
+}
+int main() {
+  int pid = fork();
+  if (pid == 0) { exit((work(1) + work(1) + work(1)) %% 200); }
+  int st = wait();
+  int r = 2464;
+  if (parent_calls) { r = work(7); }
+  print_int(r);
+  print_char(' ');
+  print_int(st);
+  print_char('\n');
+  return 0;
+}
+|}
+    parent_calls
+
+let test_one_trace_across_address_spaces () =
+  let run ~parent_calls engine =
+    let exe =
+      Core.Toolchain.compile_exe ~name:"shared" (shared_trace_src ~parent_calls)
+    in
+    with_hot_threshold 1 (fun () ->
+        System.run ~engine ~variant:System.Processor_kernel_modified exe)
+  in
+  let traced = run ~parent_calls:1 Machine.Traced in
+  let stepped = run ~parent_calls:1 Machine.Single_step in
+  Alcotest.(check string) "output" stepped.System.output traced.System.output;
+  (* the child's sums are 2080 + 4160 + 6240 = 12480 (status 80); the
+     parent's 2464 is over its own zeroed frames, not the child's *)
+  Alcotest.(check string) "each process sums its own frames" "2464 80\n" traced.System.output;
+  (match Metrics.core_diff stepped.System.metrics traced.System.metrics with
+  | None -> ()
+  | Some (field, x, y) -> Alcotest.failf "traced differs from single on %s: %s vs %s" field x y);
+  let compiled m = m.System.metrics.Metrics.traces_compiled in
+  let child_only = run ~parent_calls:0 Machine.Traced in
+  Alcotest.(check bool) "the child compiles work's traces" true (compiled child_only > 0);
+  Alcotest.(check int) "the parent's call compiles nothing new" (compiled child_only)
+    (compiled traced)
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -569,4 +627,6 @@ let suite =
     Alcotest.test_case "set_default_engine beats ROLOAD_ENGINE" `Quick
       test_explicit_engine_beats_env;
     Alcotest.test_case "jobs determinism (-j1 == -j4)" `Slow test_jobs_determinism;
+    Alcotest.test_case "one trace serves parent and child" `Quick
+      test_one_trace_across_address_spaces;
   ]

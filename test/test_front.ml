@@ -273,6 +273,19 @@ int main() {
       let m = compile_run src in
       m.Core.System.output = Printf.sprintf "%Ld\n" expected)
 
+(* One parse forces no minor collection.  The first suite source lexes
+   to 682 tokens, so its token array is too large for the minor heap; it
+   is filled from a static sentinel, never from a young token, whose use
+   as the initial value would force a collection. *)
+let test_parse_no_minor_collection () =
+  let b = List.hd Roload_workloads.Spec_suite.all in
+  let source = b.Roload_workloads.Spec_suite.source ~scale:1 in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  ignore (Sys.opaque_identity (Parser.parse source));
+  Alcotest.(check int) "minor collections during one parse" 0
+    ((Gc.quick_stat ()).Gc.minor_collections - before)
+
 let suite =
   [
     Alcotest.test_case "unknown identifier" `Quick test_unknown_identifier;
@@ -293,4 +306,6 @@ let suite =
     Alcotest.test_case "recursion depth" `Quick test_recursion_depth;
     Alcotest.test_case "global initializers" `Quick test_globals_init;
     Seeded.to_alcotest prop_expression_differential;
+    Alcotest.test_case "parse forces no minor collection" `Quick
+      test_parse_no_minor_collection;
   ]
