@@ -61,7 +61,7 @@ let run path system_name engine_name verbose disasm_count trace_path trace_text_
     | Some _, _ | _, Some _ -> Some (Roload_obs.Tracer.create ())
   in
   let m = Core.System.run ?trace ?tracer ?engine ~profile ~variant exe in
-  print_string m.Core.System.output;
+  print_string m.Core.System.console;
   (match (tracer, trace_path) with
   | Some tr, Some p ->
     write_file p (Roload_obs.Tracer.to_chrome_json tr);

@@ -43,7 +43,8 @@ type measurement = {
       (* byte-granular memory footprint: static image + heap growth +
          stack — used for the paper's sub-percent memory overheads, which
          page-granular accounting cannot resolve *)
-  output : string;
+  output : string; (* the root process's write() output *)
+  console : string; (* interleaved write() output of every task *)
   icache : cache_stats;
   dcache : cache_stats;
   itlb : cache_stats;
@@ -123,8 +124,9 @@ let snapshot_metrics ~machine ~kernel ~mmu =
   }
 
 (* The measurement of a finished run: the root process's status, output
-   and memory, the machine-global counters, and the root's TLBs.  Also
-   adds the run's instructions to [instructions_simulated]. *)
+   and memory, the console of every task, the machine-global counters,
+   and the root's TLBs.  Also adds the run's instructions to
+   [instructions_simulated]. *)
 let measure ~machine ~kernel ~process exe (outcome : Kernel.run_outcome) =
   let h = Machine.hierarchy machine in
   let mmu = Process.mmu process in
@@ -147,6 +149,7 @@ let measure ~machine ~kernel ~process exe (outcome : Kernel.run_outcome) =
     peak_kib = outcome.Kernel.peak_kib;
     footprint_bytes;
     output = outcome.Kernel.output;
+    console = Kernel.console kernel;
     icache = stats_of_cache (Roload_cache.Hierarchy.icache h);
     dcache = stats_of_cache (Roload_cache.Hierarchy.dcache h);
     itlb = stats_of_tlb (Mmu.itlb mmu);
@@ -212,7 +215,7 @@ let run_server ?(max_instructions = 2_000_000_000L) ?time_slice ?tracer ?engine 
     {
       served = Kernel.requests_served kernel;
       latencies = Kernel.request_latencies kernel;
-      console = Kernel.console kernel;
+      console = measurement.console;
       task_statuses = Kernel.task_statuses kernel;
       records = Kernel.request_records kernel;
       restarts = Kernel.restarts_total kernel;

@@ -22,6 +22,10 @@ type measurement = {
   footprint_bytes : int;
       (** byte-granular footprint: static image + heap growth + stack *)
   output : string;
+      (** the root process's write() output; a forked child's is not in
+          it (the differential fuzzer compares it with the IR oracle,
+          which models one process) *)
+  console : string;  (** interleaved write() output of every task *)
   icache : cache_stats;
   dcache : cache_stats;
   itlb : cache_stats;

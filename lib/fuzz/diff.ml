@@ -9,9 +9,14 @@
    class (exit code / ROLoad fault / check abort / plain segfault) and on
    the exact output bytes; the engines must additionally agree on cycle
    and instruction counts (they are documented cycle-exact).  The trace
-   hotness threshold is lowered to 1 for the machine runs, so even short
+   hotness threshold alternates by scheme position, so even short
    generated programs exercise the trace compiler rather than skating by
-   on its per-slot tier.
+   on its per-slot tier: 1 on even positions compiles every block at its
+   second entry, before any successor is recorded, so those traces end at
+   their first dynamic edge; [Trace.stability_threshold + 1] on odd
+   positions (the process default) compiles once a block's own dynamic
+   edge can be stable, so those traces stitch conditional branches and
+   jalrs and run their side exits.
 
    The oracle's fuel and the machines' instruction budget are deliberately
    far apart (200k IR steps vs 50M machine instructions) so a program the
@@ -104,14 +109,15 @@ let run_source ?(schemes = schemes_under_test) ?(engines = engines_under_test)
           Some { dv_scheme = scheme; dv_stage = stage; dv_expected = expected; dv_actual = actual }
     in
     let prev_hot = Machine.default_hot_threshold () in
-    Machine.set_default_hot_threshold 1;
     Fun.protect
       ~finally:(fun () -> Machine.set_default_hot_threshold prev_hot)
       (fun () ->
         try
-          List.iter
-            (fun (scheme, expect) ->
+          List.iteri
+            (fun pos (scheme, expect) ->
               if !divergence = None then begin
+                Machine.set_default_hot_threshold
+                  (if pos mod 2 = 0 then 1 else Roload_machine.Trace.stability_threshold + 1);
                 (* One scheme's compile and runs allocate well under a
                    minor heap of short-lived data.  Starting each from an
                    empty minor heap keeps a collection from landing

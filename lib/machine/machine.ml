@@ -89,11 +89,18 @@ let effective_engine () =
     | Error msg -> failwith ("ROLOAD_ENGINE: " ^ msg))
 
 (* Dispatch-loop entries before a block is considered hot enough to seed
-   a trace; ROLOAD_TRACE_HOT overrides (tests use 1 to force immediate
+   a trace.  The default follows the trace former: the dispatcher notes
+   a block's successor at the dispatch after that block completes, so at
+   its k-th entry a block's own dynamic edge has been seen at most k-1
+   times in a row.  A trace compiled before entry
+   [Trace.stability_threshold + 1] therefore ends at its entry block's
+   branch, and it is never re-formed, because the table keeps it until a
+   flush.  Any later entry only runs slots on the per-slot tier for no
+   gain.  ROLOAD_TRACE_HOT overrides (tests use 1 to force immediate
    compilation, a huge value turns trace compilation off), and the
-   differential fuzzer lowers the process default so short generated
-   programs still exercise the trace compiler. *)
-let default_hot_threshold' = ref 64
+   differential fuzzer sets the process default per scheme so short
+   generated programs still exercise the trace compiler. *)
+let default_hot_threshold' = ref (Trace.stability_threshold + 1)
 let default_hot_threshold () = !default_hot_threshold'
 let set_default_hot_threshold n = default_hot_threshold' := max 1 n
 

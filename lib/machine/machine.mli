@@ -63,7 +63,12 @@ val effective_engine : unit -> engine
 
 val default_hot_threshold : unit -> int
 (** The process-default trace hotness threshold: dispatch-loop entries
-    before a block seeds a trace (initially 64). *)
+    before a block seeds a trace.  Initially
+    [Trace.stability_threshold + 1]: the first entry at which the
+    block's own dynamic edge can have been seen stable often enough to
+    be stitched (successors are noted one dispatch late), so an earlier
+    trace stops at the entry block's branch and a later one only leaves
+    slots on the per-slot tier longer. *)
 
 val set_default_hot_threshold : int -> unit
 (** Override the default hotness threshold (clamped to [>= 1]) for

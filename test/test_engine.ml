@@ -541,6 +541,83 @@ let test_one_trace_across_address_spaces () =
   Alcotest.(check int) "the parent's call compiles nothing new" (compiled child_only)
     (compiled traced)
 
+(* ---------- the hot threshold follows the trace former ---------- *)
+
+(* A closed block that branches back to its own start, recorded as the
+   dispatcher records it: the successor of an entry is noted at the
+   next dispatch, so [enters] entries come with [enters - 1] notes.  At
+   the default threshold the loop edge is stable enough to stitch; one
+   entry earlier it is not, and the trace would end at the branch. *)
+let self_loop_link ~enters =
+  let module Block = Roload_machine.Block in
+  let module Trace = Roload_machine.Trace in
+  let entry = 0x1000 in
+  let b = Block.create ~start_pa:entry in
+  Block.append b
+    { Block.s_inst = Inst.Op_imm (Inst.Add, Reg.a0, Reg.a0, 1L); s_size = 4; s_pa = entry };
+  Block.append b
+    { Block.s_inst = Inst.Branch (Inst.Blt, Reg.a0, Reg.a1, -4L); s_size = 4; s_pa = entry + 4 };
+  Block.close b;
+  for k = 1 to enters do
+    if k > 1 then Block.note_successor b entry;
+    Block.note_enter b
+  done;
+  match
+    Trace.build ~entry_va:entry ~entry_pa:entry ~entry_block:b
+      ~resolve:(fun va -> Some va)
+      ~block_at:(fun pa -> if pa = entry then Some b else None)
+      ~ok:(fun _ -> true)
+  with
+  | None -> Alcotest.fail "no trace for a closed self-loop"
+  | Some plan -> plan.Trace.p_segs.(0).Trace.sg_link
+
+let test_default_threshold_stitches_loops () =
+  let module Trace = Roload_machine.Trace in
+  let is_loop = function Trace.L_loop -> true | _ -> false in
+  Alcotest.(check bool) "the default threshold closes the loop" true
+    (is_loop (self_loop_link ~enters:(Machine.default_hot_threshold ())));
+  Alcotest.(check bool) "stability_threshold entries leave it" false
+    (is_loop (self_loop_link ~enters:Trace.stability_threshold))
+
+(* ---------- stitched dynamic edges against the reference ---------- *)
+
+(* Two stable ifs in a 200-iteration loop: at the default threshold the
+   trace stitches both branches and the loop edge, so every later pass
+   runs stitched conditional branches that take and fall through.  Hot
+   threshold 1 cannot show a miscounted stitched edge, because it
+   compiles before any successor is recorded. *)
+let stitched_branches_src =
+  {|
+int data[64];
+int main() {
+  int i = 0;
+  int s = 0;
+  int t = 0;
+  while (i < 200) {
+    int v = data[i % 64];
+    if (v >= 0) { s = s + v + i; }
+    if (i > 1000) { t = t + 3; } else { t = t + 1; }
+    data[i % 64] = v + 1;
+    i = i + 1;
+  }
+  print_int(s + t);
+  print_char('\n');
+  return 0;
+}
+|}
+
+let test_stitched_edges_match_reference () =
+  let exe = Core.Toolchain.compile_exe ~name:"stitched" stitched_branches_src in
+  let run engine = System.run ~engine ~variant:System.Processor_kernel_modified exe in
+  let traced = run Machine.Traced and stepped = run Machine.Single_step in
+  Alcotest.(check string) "output" stepped.System.output traced.System.output;
+  Alcotest.(check bool) "most instructions ran in traces" true
+    (2 * traced.System.metrics.Metrics.trace_retires
+    > Int64.to_int traced.System.instructions);
+  match Metrics.core_diff stepped.System.metrics traced.System.metrics with
+  | None -> ()
+  | Some (field, x, y) -> Alcotest.failf "traced differs from single on %s: %s vs %s" field x y
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -629,4 +706,8 @@ let suite =
     Alcotest.test_case "jobs determinism (-j1 == -j4)" `Slow test_jobs_determinism;
     Alcotest.test_case "one trace serves parent and child" `Quick
       test_one_trace_across_address_spaces;
+    Alcotest.test_case "default hot threshold stitches a self-loop" `Quick
+      test_default_threshold_stitches_loops;
+    Alcotest.test_case "stitched branches match the reference" `Quick
+      test_stitched_edges_match_reference;
   ]

@@ -335,17 +335,19 @@ let test_victim_fork_keeps_traces () =
       let final = run_to budget kernel process in
       check_fork_exact ~ctx:"chaos victim" snap final (metrics ~machine ~kernel ~process))
 
+(* Host words allocated so far, minor and direct major alike; each call
+   first empties the minor heap, so a difference of two calls is exact. *)
+let words () =
+  Gc.minor ();
+  let s = Gc.quick_stat () in
+  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+
 (* Host words one capture plus one fork allocate: the deterministic
    proxy for what a campaign cell pays to leave the snapshot ladder.
    Images cost what the machine holds (touched pages, memoized decodes,
    a flat cache tag store), not what its tables could hold. *)
 let test_image_allocation () =
   let machine, kernel, process = paused_chaos_victim () in
-  let words () =
-    Gc.minor ();
-    let s = Gc.quick_stat () in
-    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
-  in
   (* settle the major GC first: a cycle that ends inside the measured
      region charges it several thousand words of the runtime's own *)
   Gc.full_major ();
@@ -356,6 +358,30 @@ let test_image_allocation () =
   ignore (Sys.opaque_identity forked);
   if used > 12_000. then
     Alcotest.failf "capture + fork allocated %.0f words (gate: 12000)" used
+
+(* At the default hot threshold the victim's loop is compiled by the
+   pause, so a fork of the ladder snapshot inherits warm traces: most of
+   what it retires runs in them, and it compiles little or nothing of
+   its own.  A threshold that equals the loop count would compile the
+   loop's traces on its last iteration and enter none. *)
+let test_victim_fork_runs_warm () =
+  let machine, kernel, process = paused_chaos_victim () in
+  let snap = Snapshot.capture ~machine ~kernel ~process in
+  let fm, fk, fp = Snapshot.fork snap in
+  let retires0 = Machine.trace_retires fm in
+  let instret0 = Roload_machine.Cpu.instret (Machine.cpu fm) in
+  Gc.full_major ();
+  let before = words () in
+  let final = run_to budget fk fp in
+  let used = words () -. before in
+  Alcotest.(check bool) "fork ran to its end" true (final.Kernel.status = Process.Exited 0);
+  let retired = Roload_machine.Cpu.instret (Machine.cpu fm) - instret0 in
+  let in_traces = Machine.trace_retires fm - retires0 in
+  if 2 * in_traces <= retired then
+    Alcotest.failf "fork ran %d of %d instructions in traces (need more than half)"
+      in_traces retired;
+  if used > 12_000. then
+    Alcotest.failf "running the fork allocated %.0f words (gate: 12000)" used
 
 let suite =
   [
@@ -372,4 +398,6 @@ let suite =
       test_two_live_tasks_rejected;
     Alcotest.test_case "paused victim: a fork runs the parent's traces" `Quick
       test_victim_fork_keeps_traces;
+    Alcotest.test_case "paused victim: a fork at the default threshold runs warm" `Quick
+      test_victim_fork_runs_warm;
   ]
