@@ -209,10 +209,6 @@ let set_stats t s =
 
 let reset_stats t = set_stats t { hits = 0; misses = 0; writebacks = 0; dropped_writebacks = 0 }
 
-let miss_rate t =
-  let total = t.stats.hits + t.stats.misses in
-  if total = 0 then 0.0 else float_of_int t.stats.misses /. float_of_int total
-
 (* ---- snapshots ----
    A copy of the three tag-store arrays (tags-only, so this is small)
    plus the clock and the statistics.  Restore blits them back into the

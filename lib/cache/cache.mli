@@ -63,7 +63,6 @@ val rehit_many : t -> handle -> n:int -> bool
 
 val flush : t -> unit
 val reset_stats : t -> unit
-val miss_rate : t -> float
 
 type image
 (** Copies of the tag store, clock and statistics; immutable once taken. *)

@@ -192,24 +192,23 @@ type server_stats = {
   checksum : int64; (* kernel-side committed-result fold *)
 }
 
-(* Like [run], but time-sliced: load the request device with
-   [requests], run the scheduler until every task exits.
-   The measurement's instructions/cycles are machine-global (all tasks);
-   status/peak are the root's.  [shards]/[supervision] configure the
-   sharded device and the worker supervisor; [configure] runs against
-   the kernel after the device is loaded and before the root boots —
-   fault-plan callers install their request hooks there. *)
-let run_server ?(max_instructions = 2_000_000_000L) ?time_slice ?tracer ?engine ?shards
-    ?supervision ?configure ~variant ~requests exe =
+(* A server booted and paused before its first instruction: the
+   request device loaded with [requests], the supervisor armed, the
+   executable spawned as the root task. *)
+let boot_server ?tracer ?engine ?shards ?supervision ~variant ~requests exe =
   let machine = Machine.create ?engine (machine_config variant) in
   Machine.set_tracer machine tracer;
   let kernel = Kernel.create ~machine ~config:(kernel_config variant) in
   Kernel.set_requests ?shards kernel requests;
   Option.iter (fun s -> Kernel.set_supervision kernel (Some s)) supervision;
-  Option.iter (fun f -> f kernel) configure;
-  let process, outcome =
-    Kernel.exec_all ~limit:{ Kernel.max_instructions } ?time_slice kernel exe
-  in
+  let process = Kernel.load kernel exe in
+  Kernel.spawn_root kernel process;
+  (machine, kernel, process)
+
+(* The measurement and serving statistics of a finished server run.
+   The measurement's instructions/cycles are machine-global (all
+   tasks); status/peak are the root's. *)
+let measure_server ~machine ~kernel ~process exe outcome =
   let measurement = measure ~machine ~kernel ~process exe outcome in
   let stats =
     {
@@ -224,15 +223,27 @@ let run_server ?(max_instructions = 2_000_000_000L) ?time_slice ?tracer ?engine 
   in
   (measurement, stats)
 
+(* Like [run], but time-sliced: boot the server, let [configure] arm
+   request hooks, run the scheduler until every task exits. *)
+let run_server ?(max_instructions = 2_000_000_000L) ?time_slice ?tracer ?engine ?shards
+    ?supervision ?configure ~variant ~requests exe =
+  let machine, kernel, process =
+    boot_server ?tracer ?engine ?shards ?supervision ~variant ~requests exe
+  in
+  Option.iter (fun f -> f kernel) configure;
+  let outcome = Kernel.run_all ~limit:{ Kernel.max_instructions } ?time_slice kernel in
+  measure_server ~machine ~kernel ~process exe outcome
+
 (* ---- whole-system snapshots ----
 
    A [snapshot] composes the per-layer images taken at one instant:
-   machine (cpu, CoW memory pages, caches, TLBs, decode/block/trace
-   caches, all counters), kernel (counters and the root task) and
-   process (break, accounting, status, console output).  One snapshot
-   can seed any number of restores and forks; campaigns boot a workload
-   once, pause at the trigger frontier, snapshot, and fork thousands of
-   variants from the warm image instead of re-booting from reset. *)
+   machine (cpu, CoW memory pages, caches, decode/block/trace caches,
+   all counters) and kernel (the whole task table — every process's
+   state and TLBs — the request device and the scheduler's position).
+   One snapshot can seed any number of restores and forks; campaigns
+   boot a workload once, pause at the trigger frontier, snapshot, and
+   fork thousands of variants from the warm image instead of
+   re-booting from reset. *)
 
 (* The composition itself lives in the kernel library so that the
    attack/fuzz layers below Core can seed from snapshots too; this is

@@ -99,12 +99,37 @@ val run_server :
     ([time_slice] retired instructions per quantum, default 20k) until
     every task exits.  [supervision] arms the worker supervisor (bounded
     deterministic restarts + deadline watchdog); [configure] runs
-    against the kernel after the device is loaded and before the root
-    boots — chaos callers install request hooks there.  The
+    against the kernel after {!boot_server} and before the root runs —
+    request hooks are installed there.  The
     measurement's instruction/cycle counters are machine-global; status,
     peak and output are the root task's.  Deterministic: the quantum is
     counted in retired instructions, so the interleaving is identical
     across engines and host parallelism. *)
+
+val boot_server :
+  ?tracer:Roload_obs.Tracer.t ->
+  ?engine:Roload_machine.Machine.engine ->
+  ?shards:int ->
+  ?supervision:Roload_kernel.Kernel.supervision ->
+  variant:variant ->
+  requests:int array ->
+  Roload_obj.Exe.t ->
+  Roload_machine.Machine.t * Roload_kernel.Kernel.t * Roload_kernel.Process.t
+(** The first half of {!run_server}: a fresh system with the request
+    device loaded, the supervisor armed and the executable spawned as
+    the root task, not yet run.  Runners that pause the server
+    ({!Roload_kernel.Kernel.run_all}'s [pause_at_handout]) and snapshot
+    it start here. *)
+
+val measure_server :
+  machine:Roload_machine.Machine.t ->
+  kernel:Roload_kernel.Kernel.t ->
+  process:Roload_kernel.Process.t ->
+  Roload_obj.Exe.t ->
+  Roload_kernel.Kernel.run_outcome ->
+  measurement * server_stats
+(** The second half of {!run_server}: the measurement and serving
+    statistics of a finished run of [process], the root task. *)
 
 val snapshot_metrics :
   machine:Roload_machine.Machine.t ->
@@ -121,8 +146,8 @@ val total_instructions_simulated : unit -> int
 
 (** {2 Whole-system snapshots}
 
-    A {!snapshot} composes per-layer images (machine, kernel, process)
-    taken at one instant.  Campaigns boot a workload once, pause at the
+    A {!snapshot} composes the machine and kernel images taken at one
+    instant; the kernel's holds every task.  Campaigns boot a workload once, pause at the
     trigger frontier, snapshot, and fork thousands of variants from the
     warm image instead of re-booting each from reset. *)
 

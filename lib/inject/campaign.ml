@@ -129,12 +129,16 @@ type report = {
 
 let baseline_budget = 50_000_000L
 
-let run_with_pause ?engine ?(variant = System.Processor_kernel_modified)
-    ~max_instructions ?pause_at ?inject exe =
+(* A fresh system with [exe] loaded and scheduled, not yet run. *)
+let boot ?engine ?(variant = System.Processor_kernel_modified) exe () =
   let machine = Machine.create ?engine (System.machine_config variant) in
   let kernel = Kernel.create ~machine ~config:(System.kernel_config variant) in
   let process = Kernel.load kernel exe in
   Kernel.schedule kernel process;
+  (machine, kernel, process)
+
+let run_with_pause ?engine ?variant ~max_instructions ?pause_at ?inject exe =
+  let machine, kernel, process = boot ?engine ?variant exe () in
   let finish () = Kernel.run ~limit:{ Kernel.max_instructions } kernel process in
   let outcome =
     match pause_at with
@@ -278,29 +282,23 @@ let run_one_seeded ?(budget_factor = default_config.budget_factor) ?baseline_mem
 
 (* ---------- the snapshot ladder ---------- *)
 
-(* Per scheme: boot one parent system and advance it through the sorted
-   distinct trigger frontiers, capturing a snapshot at each.  Run limits
-   are cumulative retire counts, so the parent paused at each frontier
-   is bit-identical to a from-reset run paused there. *)
-let build_ladder ~triggers exe =
-  let triggers = List.sort_uniq Int64.compare triggers in
-  match triggers with
-  | [] -> []
-  | _ ->
-    let machine =
-      Machine.create (System.machine_config System.Processor_kernel_modified)
-    in
-    let kernel =
-      Kernel.create ~machine
-        ~config:(System.kernel_config System.Processor_kernel_modified)
-    in
-    let process = Kernel.load kernel exe in
-    Kernel.schedule kernel process;
+(* Boot one parent system and [advance] it through the sorted distinct
+   trigger frontiers; at each, capture a snapshot and hand it to [rung].
+   Returns what the rungs returned and the parent, paused at the last
+   frontier.  Both clocks the campaigns use pause exactly — the classic
+   one's cumulative retire count and the server's request hand-out
+   count — so the parent paused at each frontier is bit-identical to a
+   from-reset run paused there. *)
+let climb_ladder ~boot ~advance ~triggers ~rung =
+  let ((machine, kernel, process) as parent) = boot () in
+  let rungs =
     List.map
       (fun t ->
-        ignore (Kernel.run ~limit:{ Kernel.max_instructions = t } kernel process);
-        (t, Snapshot.capture ~machine ~kernel ~process))
-      triggers
+        advance kernel process t;
+        rung t (Snapshot.capture ~machine ~kernel ~process))
+      (List.sort_uniq compare triggers)
+  in
+  (rungs, parent)
 
 (* ---------- the row format ----------
 
@@ -586,7 +584,13 @@ let run (cfg : config) =
                   else None)
                 todo
             in
-            (Pass.scheme_name s, build_ladder ~triggers exe))
+            let snaps, _ =
+              climb_ladder ~boot:(boot exe) ~triggers
+                ~advance:(fun kernel process t ->
+                  ignore (Kernel.run ~limit:{ Kernel.max_instructions = t } kernel process))
+                ~rung:(fun t snap -> (t, snap))
+            in
+            (Pass.scheme_name s, snaps))
           exes
     in
     let snap_for scheme trigger =
@@ -931,71 +935,194 @@ let compile_server_victim ~workers scheme =
 let server_trigger_of ~requests (inj : Server_fault.injection) =
   max 1 (inj.Server_fault.trigger_permille * requests / 1000)
 
-(* one server run, optionally with an armed fault *)
-let run_server_once (cfg : server_config) ?configure ~max_instructions exe stream =
-  System.run_server ~max_instructions ?time_slice:cfg.sv_time_slice
-    ?engine:cfg.sv_engine ~shards:cfg.sv_shards
-    ~supervision:
-      {
-        Kernel.max_restarts = cfg.sv_max_restarts;
-        Kernel.deadline_cycles = cfg.sv_deadline_cycles;
-      }
-    ?configure ~variant:System.Processor_kernel_modified ~requests:stream exe
+(* ---------- the serving ladder ----------
 
-(* one cell: arm the hook, run, classify every request against the
-   baseline's committed results *)
-let run_server_cell (cfg : server_config) ~attempt ~(baseline_results : int64 option array)
-    ~budget (inj : Server_fault.injection) scheme exe stream =
-  let trigger = server_trigger_of ~requests:cfg.sv_requests inj in
-  let applied = ref None in
-  let configure kernel =
-    Kernel.set_request_hook kernel ~at:trigger (fun k ->
-        match Kernel.worker_pids k with
-        | [] -> ()
-        | pids -> (
-          let pid = List.nth pids (inj.Server_fault.worker_slot mod List.length pids) in
-          match inj.Server_fault.kind with
-          | Server_fault.Worker_kill ->
-            if Kernel.kill_task k ~pid ~info:"chaos" then
-              applied :=
-                Some
-                  {
-                    Injector.desc = Printf.sprintf "killed worker pid %d" pid;
-                    Injector.addr = 0;
-                  }
-          | Server_fault.Tamper fk -> (
-            match Kernel.task_process k pid with
-            | None -> ()
-            | Some process ->
-              applied := Injector.apply ~machine:(Kernel.machine k) ~process ~exe fk)))
+   Per scheme, one supervised run is both the baseline and the ladder.
+   It pauses at each distinct trigger hand-out of the scheme's cells,
+   captures, forks that trigger's cells off the snapshot and runs them,
+   drops the snapshot and serves on.  So a cell pays only for the
+   requests after its strike, and a ladder holds one snapshot at a
+   time: cells run in plan order, so keeping each scheme's whole ladder
+   until its last cell would keep every scheme's server memory alive
+   for the whole campaign.
+
+   A pause changes nothing the run retires, so the ladder's end is the
+   uninterrupted baseline.  The cells' watchdog budget derives from it,
+   and it is not known while they run: each cell first runs under the
+   budget of the instructions the ladder retired before its strike, a
+   lower bound, and a cell still running there resumes under the full
+   budget once the ladder ends — pause and resume are exact, so this is
+   one run under the full budget.  Cells are classified against the
+   baseline's committed results then. *)
+
+let baseline_limit = { Kernel.max_instructions = 2_000_000_000L }
+
+(* The strike a cell's request hook makes: kill or tamper the plan
+   entry's worker. *)
+let strike (inj : Server_fault.injection) exe applied k =
+  match Kernel.worker_pids k with
+  | [] -> ()
+  | pids -> (
+    let pid = List.nth pids (inj.Server_fault.worker_slot mod List.length pids) in
+    match inj.Server_fault.kind with
+    | Server_fault.Worker_kill ->
+      if Kernel.kill_task k ~pid ~info:"chaos" then
+        applied :=
+          Some { Injector.desc = Printf.sprintf "killed worker pid %d" pid; Injector.addr = 0 }
+    | Server_fault.Tamper fk -> (
+      match Kernel.task_process k pid with
+      | None -> ()
+      | Some process -> applied := Injector.apply ~machine:(Kernel.machine k) ~process ~exe fk))
+
+(* A cell's requests as classification needs them while the baseline
+   is still unknown: each one's outcome if its committed result is the
+   baseline's, and that result (8 bytes per request) — a fraction of
+   the request records' size. *)
+let served (records : Kernel.request_record array) =
+  let results = Bytes.make (8 * Array.length records) '\000' in
+  let outcomes =
+    Array.mapi
+      (fun id (rr : Kernel.request_record) ->
+        Option.iter (Bytes.set_int64_le results (8 * id)) rr.Kernel.rr_result;
+        Server_fault.classify_record ~baseline:rr.Kernel.rr_result rr)
+      records
   in
-  let m, stats = run_server_once cfg ~configure ~max_instructions:budget exe stream in
+  (outcomes, results)
+
+(* One cell off its trigger's snapshot: fork, arm the strike there, run
+   under [limit].  Returns the strike's record and the function that
+   finishes the run under the full budget and measures it: the root's
+   status, the requests (see [served]) and the restart count.  A cell
+   that ended within [limit] is measured at once and its system
+   dropped. *)
+let fork_cell (cfg : server_config) ~snap ~limit ~trigger inj exe =
+  let applied = ref None in
+  let machine, kernel, process = Snapshot.fork snap in
+  Kernel.set_request_hook kernel ~at:trigger (strike inj exe applied);
+  let run budget =
+    Kernel.run_all ~limit:{ Kernel.max_instructions = budget } ?time_slice:cfg.sv_time_slice
+      kernel
+  in
+  let measure outcome =
+    let m, stats = System.measure_server ~machine ~kernel ~process exe outcome in
+    (System.status_string m, served stats.System.records, stats.System.restarts)
+  in
+  let outcome = run limit in
+  let finish =
+    if outcome.Kernel.status = Process.Running then fun budget -> measure (run budget)
+    else
+      let measured = measure outcome in
+      fun _ -> measured
+  in
+  (applied, finish)
+
+(* classify every request against the baseline's committed results:
+   a committed result the baseline does not share is corrupted *)
+let server_row (cfg : server_config) ~(baseline_results : int64 option array)
+    (inj : Server_fault.injection) scheme applied (root, (outcomes, results), restarts) =
   let tally = ref Server_fault.empty_tally in
   Array.iteri
-    (fun id rr ->
+    (fun id outcome ->
       tally :=
         Server_fault.tally_add !tally
-          (Server_fault.classify_record ~baseline:baseline_results.(id) rr))
-    stats.System.records;
+          (match outcome with
+          | Server_fault.Lost -> outcome
+          | _ when baseline_results.(id) <> Some (Bytes.get_int64_le results (8 * id)) ->
+            Server_fault.Corrupted
+          | _ -> outcome))
+    outcomes;
   {
     sv_index = inj.Server_fault.index;
     sv_scheme = Pass.scheme_name scheme;
     sv_cls = Server_fault.class_name inj.Server_fault.kind;
     sv_label = Server_fault.kind_label inj.Server_fault.kind;
     sv_worker = inj.Server_fault.worker_slot;
-    sv_trigger = trigger;
-    sv_applied = !applied <> None;
-    sv_cell_attempts = attempt;
+    sv_trigger = server_trigger_of ~requests:cfg.sv_requests inj;
+    sv_applied = applied <> None;
+    sv_cell_attempts = 1;
     sv_failed = false;
     sv_tally = !tally;
-    sv_restarts = stats.System.restarts;
+    sv_restarts = restarts;
     sv_detail =
-      (match !applied with
+      (match applied with
       | Some (a : Injector.applied) ->
-        Printf.sprintf "%s; root %s; %d restart(s)" a.Injector.desc
-          (System.status_string m) stats.System.restarts
-      | None -> Printf.sprintf "not applied; root %s" (System.status_string m));
+        Printf.sprintf "%s; root %s; %d restart(s)" a.Injector.desc root restarts
+      | None -> Printf.sprintf "not applied; root %s" root);
   }
+
+(* An uninjected run must exit cleanly, serve every request and need no
+   restart. *)
+let check_baseline (cfg : server_config) scheme
+    ((m : System.measurement), (stats : System.server_stats)) =
+  let name = Pass.scheme_name scheme in
+  if not (System.exited_cleanly m) then
+    raise
+      (Broken_victim
+         (Printf.sprintf "server victim under %s: root %s" name (System.status_string m)));
+  if stats.System.served <> cfg.sv_requests then
+    raise
+      (Broken_victim
+         (Printf.sprintf "server victim under %s served %d of %d" name stats.System.served
+            cfg.sv_requests));
+  if stats.System.restarts <> 0 then
+    raise
+      (Broken_victim
+         (Printf.sprintf "server victim under %s needed %d restart(s) uninjected" name
+            stats.System.restarts))
+
+(* Every cell of [cells] (plan entries, all under [scheme]) off one
+   serving ladder.  Checks the baseline, and returns its checksum and
+   console with each cell's row, or what the cell raised, by plan
+   index. *)
+let serve_scheme (cfg : server_config) ~stream scheme exe cells =
+  let trigger_of inj = server_trigger_of ~requests:cfg.sv_requests inj in
+  let retired = ref 0L in
+  let pending, (machine, kernel, process) =
+    climb_ladder
+      ~triggers:(List.map trigger_of cells)
+      ~boot:(fun () ->
+        System.boot_server ?engine:cfg.sv_engine ~shards:cfg.sv_shards
+          ~supervision:
+            {
+              Kernel.max_restarts = cfg.sv_max_restarts;
+              Kernel.deadline_cycles = cfg.sv_deadline_cycles;
+            }
+          ~variant:System.Processor_kernel_modified ~requests:stream exe)
+      ~advance:(fun kernel _ k ->
+        retired :=
+          (Kernel.run_all ~limit:baseline_limit ?time_slice:cfg.sv_time_slice
+             ~pause_at_handout:k kernel)
+            .Kernel.instructions)
+      ~rung:(fun trigger snap ->
+        let limit = budget_of ~budget_factor:cfg.sv_budget_factor !retired in
+        List.filter_map
+          (fun inj ->
+            if trigger_of inj <> trigger then None
+            else
+              Some
+                ( inj,
+                  match fork_cell cfg ~snap ~limit ~trigger inj exe with
+                  | cell -> Ok cell
+                  | exception e -> Error e ))
+          cells)
+  in
+  let outcome = Kernel.run_all ~limit:baseline_limit ?time_slice:cfg.sv_time_slice kernel in
+  let ((m, stats) as baseline) = System.measure_server ~machine ~kernel ~process exe outcome in
+  check_baseline cfg scheme baseline;
+  let budget = budget_of ~budget_factor:cfg.sv_budget_factor m.System.instructions in
+  let baseline_results =
+    Array.map (fun (rr : Kernel.request_record) -> rr.Kernel.rr_result) stats.System.records
+  in
+  let row inj (applied, finish) =
+    match finish budget with
+    | measured -> Ok (server_row cfg ~baseline_results inj scheme !applied measured)
+    | exception e -> Error e
+  in
+  ( (stats.System.checksum, stats.System.console),
+    List.concat_map
+      (List.map (fun ((inj : Server_fault.injection), cell) ->
+           (inj.Server_fault.index, Result.bind cell (row inj))))
+      pending )
 
 (* ---------- server checkpoint rows ---------- *)
 
@@ -1039,62 +1166,52 @@ let run_server (cfg : server_config) =
   let stream =
     Roload_workloads.Server_like.requests ~seed:cfg.sv_seed ~count:cfg.sv_requests
   in
-  (* per-scheme uninjected baselines: the correct committed result for
-     every request id, plus the fuel yardstick for the cell watchdog *)
-  let compiled =
+  let exes =
     Parallel.map ?jobs:cfg.sv_jobs
-      (fun s ->
-        let exe = compile_server_victim ~workers:cfg.sv_workers s in
-        let m, stats = run_server_once cfg ~max_instructions:2_000_000_000L exe stream in
-        ((s, exe), (s, (m, stats))))
+      (fun s -> (s, compile_server_victim ~workers:cfg.sv_workers s))
       schemes
   in
-  let exes, baselines = List.split compiled in
-  List.iter
-    (fun (s, ((m : System.measurement), (stats : System.server_stats))) ->
-      let name = Pass.scheme_name s in
-      if not (System.exited_cleanly m) then
-        raise
-          (Broken_victim
-             (Printf.sprintf "server victim under %s: root %s" name
-                (System.status_string m)));
-      if stats.System.served <> cfg.sv_requests then
-        raise
-          (Broken_victim
-             (Printf.sprintf "server victim under %s served %d of %d" name
-                stats.System.served cfg.sv_requests));
-      if stats.System.restarts <> 0 then
-        raise
-          (Broken_victim
-             (Printf.sprintf "server victim under %s needed %d restart(s) uninjected"
-                name stats.System.restarts)))
-    baselines;
-  (* the committed results are a pure function of the payloads, so every
-     scheme's baseline must agree — a divergence means a miscompile, not
-     a chaos finding *)
-  (match baselines with
-  | (_, (_, first)) :: rest ->
+  (* per scheme, the serving ladder runs the cells about to run; its end
+     is the uninjected baseline *)
+  let prepare ~todo =
+    let ladders =
+      Parallel.map ?jobs:cfg.sv_jobs
+        (fun (s, exe) ->
+          let cells = List.filter_map (fun (inj, s', _) -> if s' = s then Some inj else None) todo in
+          (s, serve_scheme cfg ~stream s exe cells))
+        exes
+    in
+    (* the committed results are a pure function of the payloads, so
+       every scheme's baseline must agree — a divergence means a
+       miscompile, not a chaos finding *)
+    (match ladders with
+    | (_, (first, _)) :: rest ->
+      List.iter
+        (fun (s, (baseline, _)) ->
+          if baseline <> first then
+            raise
+              (Broken_victim
+                 (Printf.sprintf "server baseline checksum diverges under %s"
+                    (Pass.scheme_name s))))
+        rest
+    | [] -> ());
+    let rows = Hashtbl.create 64 in
     List.iter
-      (fun (s, (_, (stats : System.server_stats))) ->
-        if
-          not
-            (Int64.equal stats.System.checksum first.System.checksum
-            && String.equal stats.System.console first.System.console)
-        then
-          raise
-            (Broken_victim
-               (Printf.sprintf "server baseline checksum diverges under %s"
-                  (Pass.scheme_name s))))
-      rest
-  | [] -> ());
-  let baseline_results_for s =
-    Array.map
-      (fun (rr : Kernel.request_record) -> rr.Kernel.rr_result)
-      (snd (List.assoc s baselines)).System.records
-  in
-  let budget_for s =
-    budget_of ~budget_factor:cfg.sv_budget_factor
-      (fst (List.assoc s baselines)).System.instructions
+      (fun (s, (_, cells)) ->
+        List.iter (fun (index, r) -> Hashtbl.replace rows (index, Pass.scheme_name s) r) cells)
+      ladders;
+    fun ~attempt ((inj : Server_fault.injection), scheme, exe) ->
+      let index = inj.Server_fault.index in
+      let row =
+        match Hashtbl.find rows (index, Pass.scheme_name scheme) with
+        | Error _ when attempt > 1 ->
+          (* a retry forks again, off a ladder of its own *)
+          List.assoc index (snd (serve_scheme cfg ~stream scheme exe [ inj ]))
+        | r -> r
+      in
+      match row with
+      | Ok r -> ({ r with sv_cell_attempts = attempt }, None)
+      | Error e -> raise e
   in
   let spec =
     {
@@ -1128,12 +1245,7 @@ let run_server (cfg : server_config) =
             sv_detail = error;
           });
       revisit = (fun _ -> false);
-      prepare =
-        (fun ~todo:_ ~attempt ((inj : Server_fault.injection), scheme, exe) ->
-          ( run_server_cell cfg ~attempt
-              ~baseline_results:(baseline_results_for scheme)
-              ~budget:(budget_for scheme) inj scheme exe stream,
-            None ));
+      prepare;
     }
   in
   let rows, (_ : ((int * string) * unit) list) =

@@ -61,21 +61,28 @@ type task_state =
   | Task_reaped
 
 (* A supervised worker's birth certificate: a pristine clone of its
-   address space taken at fork time, plus the registers/pc it was born
-   with.  Reincarnation clones a fresh address space from [b_proc] (the
-   template itself is never scheduled and never mutated), so a restart
-   starts from exactly the state the first incarnation did — tamper
-   applied to a dead incarnation's PTEs/TLB/globals dies with it. *)
+   address space taken at fork time (the page-table root of the clone
+   and its process state), plus the registers/pc it was born with.
+   Reincarnation clones a fresh address space from the template's page
+   table (the template itself is never scheduled and never mutated), so
+   a restart starts from exactly the state the first incarnation did —
+   tamper applied to a dead incarnation's PTEs/TLB/globals dies with it.
+   The record is immutable plain data, so kernel images and their forks
+   share it: the root names frames of whichever memory the kernel runs
+   over. *)
 type birth = {
-  b_proc : Process.t;
-  b_regs : Bytes.t; (* saved register file (Cpu layout) *)
+  b_root : int; (* page-table root ppn of the template address space *)
+  b_image : Process.image;
+  b_regs : Bytes.t; (* saved register file (Cpu layout); never mutated *)
   b_pc : int;
 }
 
-type task = {
+(* A task's record is polymorphic in its process so that a kernel image
+   holds the same record over a process image. *)
+type 'p task_of = {
   pid : int;
   parent : int; (* 0 for the root task, which has no parent *)
-  mutable proc : Process.t; (* replaced wholesale on reincarnation *)
+  mutable proc : 'p; (* replaced wholesale on reincarnation *)
   t_regs : Bytes.t; (* saved register file (Cpu layout) *)
   mutable t_pc : int;
   mutable t_state : task_state;
@@ -84,6 +91,8 @@ type task = {
   mutable t_restarts : int; (* reincarnations consumed by this pid *)
   mutable t_birth : birth option; (* present iff forked under supervision *)
 }
+
+type task = Process.t task_of
 
 (* Supervision policy for forked workers: [max_restarts] bounds
    per-worker reincarnations; [deadline_cycles] > 0 arms the per-request
@@ -95,6 +104,70 @@ type supervision = {
   deadline_cycles : int64; (* 0 = no deadline watchdog *)
 }
 
+(* The simulated request-source device, sharded: pending ids live in
+   per-shard FIFO queues (id mod shards); workers pull from their own
+   shard first and steal in deterministic order when it runs dry.  The
+   per-request arrays are the at-least-once delivery ledger. *)
+type device = {
+  d_stream : int array; (* payloads, by request id; never mutated *)
+  d_queues : int Queue.t array; (* pending ids per shard *)
+  mutable d_done : int; (* requests completed *)
+  d_latencies : int64 array; (* by request id; -1 = unfinished *)
+  d_handouts : int array;
+  d_redeliveries : int array;
+  d_completions : int array;
+  d_has_result : bool array; (* an explicit ack committed a result *)
+  d_result : int64 array; (* first committed result *)
+  d_diverged : bool array; (* a later ack committed a different result *)
+  mutable d_inflight : int; (* handed out, not yet acked *)
+  mutable d_handouts_total : int; (* hand-outs across all requests (trigger clock) *)
+  mutable d_committed_sum : int64; (* fold of first results, mod 1_000_003 *)
+}
+
+let copy_device d =
+  {
+    d with
+    d_queues = Array.map Queue.copy d.d_queues;
+    d_latencies = Array.copy d.d_latencies;
+    d_handouts = Array.copy d.d_handouts;
+    d_redeliveries = Array.copy d.d_redeliveries;
+    d_completions = Array.copy d.d_completions;
+    d_has_result = Array.copy d.d_has_result;
+    d_result = Array.copy d.d_result;
+    d_diverged = Array.copy d.d_diverged;
+  }
+
+let device_of_stream ~shards payloads =
+  let n = Array.length payloads in
+  let queues = Array.init shards (fun _ -> Queue.create ()) in
+  for id = 0 to n - 1 do
+    Queue.push id queues.(id mod shards)
+  done;
+  {
+    d_stream = Array.copy payloads;
+    d_queues = queues;
+    d_done = 0;
+    d_latencies = Array.make n (-1L);
+    d_handouts = Array.make n 0;
+    d_redeliveries = Array.make n 0;
+    d_completions = Array.make n 0;
+    d_has_result = Array.make n false;
+    d_result = Array.make n 0L;
+    d_diverged = Array.make n false;
+    d_inflight = 0;
+    d_handouts_total = 0;
+    d_committed_sum = 0L;
+  }
+
+(* Where a paused run stands in the round-robin, so the next run
+   continues it exactly: between slices (the next run enters the
+   scheduler), inside the scheduled task's slice (which ends when
+   instret reaches the stored value), or inside that slice with the
+   task trapped into a syscall the kernel has not serviced yet (the
+   machine already retired the ecall; the next run services it
+   first). *)
+type position = Between_slices | In_slice of int64 | In_syscall of int64
+
 type t = {
   machine : Machine.t;
   config : config;
@@ -103,24 +176,10 @@ type t = {
   mutable tasks : task list; (* pid-ascending; the round-robin order; root first *)
   mutable next_pid : int;
   mutable scheduled : task option; (* whose registers live in the CPU *)
+  mutable cursor : int; (* pid last given the CPU; the round robin continues after it *)
+  mutable position : position;
   console : Buffer.t; (* interleaved write() output of every task *)
-  (* the simulated request-source device, sharded: pending ids live in
-     per-shard FIFO queues (id mod shards); workers pull from their own
-     shard first and steal in deterministic order when it runs dry *)
-  mutable req_stream : int array; (* payloads, by request id *)
-  mutable req_queues : int Queue.t array; (* pending ids per shard *)
-  mutable req_done : int; (* requests completed *)
-  mutable req_latencies : int64 array; (* by request id; -1 = unfinished *)
-  (* per-request delivery accounting (at-least-once bookkeeping) *)
-  mutable req_handouts : int array;
-  mutable req_redeliveries : int array;
-  mutable req_completions : int array;
-  mutable req_has_result : bool array; (* an explicit ack committed a result *)
-  mutable req_result : int64 array; (* first committed result *)
-  mutable req_diverged : bool array; (* a later ack committed a different result *)
-  mutable inflight_count : int; (* handed out, not yet acked *)
-  mutable handouts_total : int; (* hand-outs across all requests (trigger clock) *)
-  mutable committed_sum : int64; (* fold of first results, mod 1_000_003 *)
+  mutable dev : device;
   mutable supervision : supervision option;
   mutable restart_count : int; (* reincarnations across all pids *)
   mutable req_hook : (int * (t -> unit)) option;
@@ -144,20 +203,10 @@ let create ~machine ~config =
     tasks = [];
     next_pid = 1;
     scheduled = None;
+    cursor = 0;
+    position = Between_slices;
     console = Buffer.create 256;
-    req_stream = [||];
-    req_queues = [||];
-    req_done = 0;
-    req_latencies = [||];
-    req_handouts = [||];
-    req_redeliveries = [||];
-    req_completions = [||];
-    req_has_result = [||];
-    req_result = [||];
-    req_diverged = [||];
-    inflight_count = 0;
-    handouts_total = 0;
-    committed_sum = 0L;
+    dev = device_of_stream ~shards:0 [||];
     supervision = None;
     restart_count = 0;
     req_hook = None;
@@ -283,73 +332,128 @@ let spawn_root = schedule
 
 (* ---- snapshots ----
 
-   The image holds the kernel's counters and the root task; the root's
-   registers live in the CPU, which the machine snapshots, and its
-   process snapshots at its own layer.  Only one live task can be
-   captured: any other task's address space is not part of a snapshot.
-   [fork] builds a sibling kernel over a forked machine; [adopt] hands
-   the forked root its forked process without the pc/sp reset (and
-   cache flush) [schedule] performs — the forked CPU and caches already
-   hold the captured state.  The request device, supervision and hooks
-   are not captured. *)
+   The image holds the whole task table: every task's scheduling record
+   (registers, pc, state, inflight request, restarts, birth
+   certificate) over an image of its process — state, MMU, page-table
+   root and executable — plus the request device, supervision, the
+   counters and the scheduler's position.  The scheduled task's live
+   registers are the CPU's, which the machine snapshots; every page
+   table lives in physical memory, which the machine snapshots too.
+   The image names no live object, so it keeps no machine alive.  Hooks
+   are not captured.
+
+   A process is rebuilt from its image over a memory: a walker over the
+   captured root, an MMU seeded from the captured one.  [fork] rebuilds
+   every task's process over the forked memory.  [restore] rewinds in
+   place each process the kernel still runs under the same pid and
+   page-table root (the root task's, whatever the caller holds), and
+   rebuilds the others over the kernel's own memory. *)
+
+type proc_image = {
+  pi_state : Process.image;
+  pi_mmu : Mmu.image;
+  pi_root : int; (* page-table root ppn *)
+  pi_exe : Exe.t;
+}
 
 type image = {
+  ik_config : config;
   ik_next_frame : int;
   ik_syscall_count : int;
   ik_next_pid : int;
-  ik_root : task option; (* frozen copy *)
+  ik_tasks : proc_image task_of list; (* pid-ascending *)
+  ik_scheduled : int; (* pid whose registers are the CPU's; 0 = none *)
+  ik_cursor : int;
+  ik_position : position;
   ik_frame_refs : (int, int) Hashtbl.t;
   ik_console : string;
+  ik_dev : device;
+  ik_supervision : supervision option;
+  ik_restart_count : int;
 }
 
-let copy_task tk = { tk with t_regs = Bytes.copy tk.t_regs }
+let root_of p = Page_table.root_ppn (Process.page_table p)
+
+let image_of_process p =
+  {
+    pi_state = Process.snapshot p;
+    pi_mmu = Mmu.snapshot (Process.mmu p);
+    pi_root = root_of p;
+    pi_exe = Process.exe p;
+  }
 
 let snapshot t =
-  let root =
-    match t.tasks with
-    | [] -> None
-    | root :: others ->
-      if List.exists (fun tk -> tk.t_state <> Task_reaped) others then
-        invalid_arg "Kernel.snapshot: more than one live task";
-      Some (copy_task root)
-  in
   {
+    ik_config = t.config;
     ik_next_frame = t.next_frame;
     ik_syscall_count = t.syscall_count;
     ik_next_pid = t.next_pid;
-    ik_root = root;
+    ik_tasks =
+      List.map
+        (fun tk -> { tk with proc = image_of_process tk.proc; t_regs = Bytes.copy tk.t_regs })
+        t.tasks;
+    ik_scheduled = (match t.scheduled with Some tk -> tk.pid | None -> 0);
+    ik_cursor = t.cursor;
+    ik_position = t.position;
     ik_frame_refs = Hashtbl.copy t.frame_refs;
     ik_console = Buffer.contents t.console;
+    ik_dev = copy_device t.dev;
+    ik_supervision = t.supervision;
+    ik_restart_count = t.restart_count;
   }
 
-let install t img =
+let rebuild_process t pi =
+  let mem = Machine.mem t.machine in
+  let page_table =
+    Page_table.with_root ~mem ~root_ppn:pi.pi_root ~alloc_frame:(fun () -> alloc_frame t)
+  in
+  let mmu = new_mmu t page_table in
+  Mmu.restore mmu pi.pi_mmu;
+  Process.fork pi.pi_state ~exe:pi.pi_exe ~page_table ~mmu ~phys:mem
+
+(* Install [img] into [t], each task's process given by [proc pid
+   image], and put the scheduled task's address space on the
+   machine. *)
+let install t img ~proc =
   t.next_frame <- img.ik_next_frame;
   t.syscall_count <- img.ik_syscall_count;
   t.next_pid <- img.ik_next_pid;
-  t.tasks <- Option.to_list (Option.map copy_task img.ik_root);
-  t.scheduled <- List.nth_opt t.tasks 0;
+  t.tasks <-
+    List.map
+      (fun tk -> { tk with proc = proc tk.pid tk.proc; t_regs = Bytes.copy tk.t_regs })
+      img.ik_tasks;
+  t.scheduled <- List.find_opt (fun tk -> tk.pid = img.ik_scheduled) t.tasks;
+  t.cursor <- img.ik_cursor;
+  t.position <- img.ik_position;
   Hashtbl.reset t.frame_refs;
   Hashtbl.iter (Hashtbl.replace t.frame_refs) img.ik_frame_refs;
   Buffer.clear t.console;
-  Buffer.add_string t.console img.ik_console
+  Buffer.add_string t.console img.ik_console;
+  t.dev <- copy_device img.ik_dev;
+  t.supervision <- img.ik_supervision;
+  t.restart_count <- img.ik_restart_count;
+  Option.iter (fun tk -> Machine.attach_mmu t.machine (Process.mmu tk.proc)) t.scheduled
 
-(* Also puts the root's address space back on the machine, which must
-   happen before the machine restores the MMU it runs: a child may hold
-   the CPU at restore time. *)
 let restore t img =
-  install t img;
-  Option.iter (fun root -> Machine.attach_mmu t.machine (Process.mmu root.proc)) t.scheduled
+  let live = List.map (fun tk -> (tk.pid, tk.proc)) t.tasks in
+  install t img ~proc:(fun pid pi ->
+      match List.assoc_opt pid live with
+      | Some p when root_of p = pi.pi_root ->
+        Process.restore p pi.pi_state;
+        Mmu.restore (Process.mmu p) pi.pi_mmu;
+        p
+      | _ -> rebuild_process t pi)
 
-let fork img ~machine ~config =
-  let t = create ~machine ~config in
-  install t img;
+let fork img ~machine =
+  let t = create ~machine ~config:img.ik_config in
+  install t img ~proc:(fun _ pi -> rebuild_process t pi);
   t
 
-let adopt t process =
-  Machine.attach_mmu t.machine (Process.mmu process);
-  match t.tasks with
-  | root :: _ -> root.proc <- process
-  | [] -> register_root t process
+let find_task t pid = List.find_opt (fun tk -> tk.pid = pid) t.tasks
+let task_process t pid = Option.map (fun tk -> tk.proc) (find_task t pid)
+
+let pid_of t process =
+  Option.map (fun tk -> tk.pid) (List.find_opt (fun tk -> tk.proc == process) t.tasks)
 
 (* ---------- syscalls ---------- *)
 
@@ -577,29 +681,12 @@ let outcome_of t process =
 let console t = Buffer.contents t.console
 
 let set_requests ?(shards = 1) t payloads =
-  let shards = max 1 shards in
-  let n = Array.length payloads in
-  t.req_stream <- Array.copy payloads;
-  t.req_queues <- Array.init shards (fun _ -> Queue.create ());
-  for id = 0 to n - 1 do
-    Queue.push id t.req_queues.(id mod shards)
-  done;
-  t.req_done <- 0;
-  t.req_latencies <- Array.make n (-1L);
-  t.req_handouts <- Array.make n 0;
-  t.req_redeliveries <- Array.make n 0;
-  t.req_completions <- Array.make n 0;
-  t.req_has_result <- Array.make n false;
-  t.req_result <- Array.make n 0L;
-  t.req_diverged <- Array.make n false;
-  t.inflight_count <- 0;
-  t.handouts_total <- 0;
-  t.committed_sum <- 0L
+  t.dev <- device_of_stream ~shards:(max 1 shards) payloads
 
-let requests_served t = t.req_done
+let requests_served t = t.dev.d_done
 
 let request_latencies t =
-  Array.of_seq (Seq.filter (fun l -> l >= 0L) (Array.to_seq t.req_latencies))
+  Array.of_seq (Seq.filter (fun l -> l >= 0L) (Array.to_seq t.dev.d_latencies))
 
 (* Per-request delivery record (the availability table's raw material). *)
 type request_record = {
@@ -613,26 +700,25 @@ type request_record = {
 }
 
 let request_records t =
-  Array.init (Array.length t.req_stream) (fun id ->
+  let d = t.dev in
+  Array.init (Array.length d.d_stream) (fun id ->
       {
-        rr_payload = t.req_stream.(id);
-        rr_handouts = t.req_handouts.(id);
-        rr_redeliveries = t.req_redeliveries.(id);
-        rr_completions = t.req_completions.(id);
-        rr_result = (if t.req_has_result.(id) then Some t.req_result.(id) else None);
-        rr_diverged = t.req_diverged.(id);
-        rr_latency = t.req_latencies.(id);
+        rr_payload = d.d_stream.(id);
+        rr_handouts = d.d_handouts.(id);
+        rr_redeliveries = d.d_redeliveries.(id);
+        rr_completions = d.d_completions.(id);
+        rr_result = (if d.d_has_result.(id) then Some d.d_result.(id) else None);
+        rr_diverged = d.d_diverged.(id);
+        rr_latency = d.d_latencies.(id);
       })
 
-let server_checksum t = t.committed_sum
+let server_checksum t = t.dev.d_committed_sum
 let set_supervision t sup = t.supervision <- sup
 let restarts_total t = t.restart_count
 let set_request_hook t ~at hook = t.req_hook <- Some (max 0 at, hook)
 
 let task_statuses t = List.map (fun tk -> (tk.pid, Process.status tk.proc)) t.tasks
 let task_restarts t = List.map (fun tk -> (tk.pid, tk.t_restarts)) t.tasks
-let find_task t pid = List.find_opt (fun tk -> tk.pid = pid) t.tasks
-let task_process t pid = Option.map (fun tk -> tk.proc) (find_task t pid)
 
 let task_inflight t pid =
   match find_task t pid with Some tk -> tk.t_inflight | None -> -1
@@ -657,9 +743,8 @@ let kill_task t ~pid ~info =
    the parent's frame under a reference count, so the PA-keyed
    decode/block caches stay warm across the fork and a later
    mprotect-to-writable knows to split the frame first. *)
-let clone_address_space t parent =
+let clone_address_space t parent_pt =
   let mem = Machine.mem t.machine in
-  let parent_pt = Process.page_table parent in
   let page_table = Page_table.create ~mem ~alloc_frame:(fun () -> alloc_frame t) in
   Page_table.iter_mappings parent_pt ~f:(fun ~va ~pte ->
       let ppn = Roload_mem.Pte.ppn pte in
@@ -679,13 +764,12 @@ let clone_address_space t parent =
       if t.config.roload_kernel && key <> 0 then charge t t.config.page_key_cycles);
   page_table
 
-let clone_process t parent =
-  let page_table = clone_address_space t parent in
+(* A process in state [image] over a copy of the address space
+   [parent_pt] maps. *)
+let clone_process t ~exe parent_pt image =
+  let page_table = clone_address_space t parent_pt in
   let mmu = new_mmu t page_table in
-  let child =
-    Process.fork (Process.snapshot parent) ~exe:(Process.exe parent) ~page_table ~mmu
-      ~phys:(Machine.mem t.machine)
-  in
+  let child = Process.fork image ~exe ~page_table ~mmu ~phys:(Machine.mem t.machine) in
   Process.clear_output child;
   child
 
@@ -706,7 +790,7 @@ let context_switch t tk =
     charge t t.config.context_switch_cycles
 
 (* How many requests are still queued across every shard. *)
-let pending_requests t = Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.req_queues
+let pending_requests t = Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.dev.d_queues
 
 (* Wake every task blocked in read_request: a redelivery gave them work,
    or the stream drained and they must observe the -1. *)
@@ -723,30 +807,31 @@ let wake_req_waiters t =
    carry no result. *)
 let ack_request t tk ~result =
   if tk.t_inflight >= 0 then begin
+    let d = t.dev in
     let id = tk.t_inflight in
     tk.t_inflight <- -1;
-    t.inflight_count <- t.inflight_count - 1;
-    let first = t.req_completions.(id) = 0 in
-    t.req_completions.(id) <- t.req_completions.(id) + 1;
+    d.d_inflight <- d.d_inflight - 1;
+    let first = d.d_completions.(id) = 0 in
+    d.d_completions.(id) <- d.d_completions.(id) + 1;
     if first then begin
       let latency = Int64.sub (cycles_now t) tk.t_req_start in
-      t.req_latencies.(id) <- latency;
-      t.req_done <- t.req_done + 1;
+      d.d_latencies.(id) <- latency;
+      d.d_done <- d.d_done + 1;
       emit t
         (Roload_obs.Event.Request_done { pid = tk.pid; id; latency = Int64.to_int latency })
     end;
     (match result with
     | Some r ->
-      if not t.req_has_result.(id) then begin
-        t.req_has_result.(id) <- true;
-        t.req_result.(id) <- r;
+      if not d.d_has_result.(id) then begin
+        d.d_has_result.(id) <- true;
+        d.d_result.(id) <- r;
         let m = 1_000_003L in
         let r' = Int64.rem (Int64.add (Int64.rem r m) m) m in
-        t.committed_sum <- Int64.rem (Int64.add t.committed_sum r') m
+        d.d_committed_sum <- Int64.rem (Int64.add d.d_committed_sum r') m
       end
-      else if t.req_result.(id) <> r then t.req_diverged.(id) <- true
+      else if d.d_result.(id) <> r then d.d_diverged.(id) <- true
     | None -> ());
-    if pending_requests t = 0 && t.inflight_count = 0 then wake_req_waiters t
+    if pending_requests t = 0 && d.d_inflight = 0 then wake_req_waiters t
   end
 
 (* A dead worker's un-acked request goes back to its shard queue
@@ -754,14 +839,15 @@ let ack_request t tk ~result =
    to pick it up. *)
 let requeue_inflight t tk =
   if tk.t_inflight >= 0 then begin
+    let d = t.dev in
     let id = tk.t_inflight in
     tk.t_inflight <- -1;
-    t.inflight_count <- t.inflight_count - 1;
-    t.req_redeliveries.(id) <- t.req_redeliveries.(id) + 1;
-    let shards = Array.length t.req_queues in
-    if shards > 0 then Queue.push id t.req_queues.(id mod shards);
+    d.d_inflight <- d.d_inflight - 1;
+    d.d_redeliveries.(id) <- d.d_redeliveries.(id) + 1;
+    let shards = Array.length d.d_queues in
+    if shards > 0 then Queue.push id d.d_queues.(id mod shards);
     emit t
-      (Roload_obs.Event.Request_redelivered { id; attempt = t.req_redeliveries.(id) });
+      (Roload_obs.Event.Request_redelivered { id; attempt = d.d_redeliveries.(id) });
     wake_req_waiters t
   end
 
@@ -786,7 +872,11 @@ let finish_task t tk status_code =
 let reincarnate t tk b =
   tk.t_restarts <- tk.t_restarts + 1;
   t.restart_count <- t.restart_count + 1;
-  tk.proc <- clone_process t b.b_proc;
+  tk.proc <-
+    clone_process t ~exe:(Process.exe tk.proc)
+      (Page_table.with_root ~mem:(Machine.mem t.machine) ~root_ppn:b.b_root
+         ~alloc_frame:(fun () -> alloc_frame t))
+      b.b_image;
   Bytes.blit b.b_regs 0 tk.t_regs 0 Cpu.regs_bytes;
   tk.t_pc <- b.b_pc;
   tk.t_state <- Task_ready;
@@ -893,7 +983,9 @@ let handle_syscall t tk =
     Switch
   end
   else if num = Syscall.sys_fork then begin
-    let child_proc = clone_process t tk.proc in
+    let exe = Process.exe tk.proc and parent_pt = Process.page_table tk.proc in
+    let image = Process.snapshot tk.proc in
+    let child_proc = clone_process t ~exe parent_pt image in
     let pid = t.next_pid in
     t.next_pid <- pid + 1;
     (* the child resumes after the ecall with a0 = 0 *)
@@ -907,9 +999,15 @@ let handle_syscall t tk =
        this state no matter what was tampered in the meantime *)
     (match t.supervision with
     | Some _ ->
+      let template = clone_process t ~exe parent_pt image in
       child.t_birth <-
-        Some { b_proc = clone_process t tk.proc; b_regs = Bytes.copy child.t_regs;
-               b_pc = child.t_pc }
+        Some
+          {
+            b_root = Page_table.root_ppn (Process.page_table template);
+            b_image = Process.snapshot template;
+            b_regs = Bytes.copy child.t_regs;
+            b_pc = child.t_pc;
+          }
     | None -> ());
     keep pid
   end
@@ -953,7 +1051,7 @@ let handle_syscall t tk =
     (* the chaos trigger fires here, once, just before hand-out [at] —
        the hand-out counter is the deterministic request-count clock *)
     (match t.req_hook with
-    | Some (at, hook) when t.handouts_total >= at ->
+    | Some (at, hook) when t.dev.d_handouts_total >= at ->
       t.req_hook <- None;
       hook t
     | _ -> ());
@@ -963,7 +1061,8 @@ let handle_syscall t tk =
       Switch
     end
     else begin
-      let shards = Array.length t.req_queues in
+      let d = t.dev in
+      let shards = Array.length d.d_queues in
       if shards = 0 then keep (-1)
       else begin
         let own = tk.pid mod shards in
@@ -972,15 +1071,15 @@ let handle_syscall t tk =
           if i >= shards then None
           else
             let s = (own + i) mod shards in
-            if Queue.is_empty t.req_queues.(s) then pick (i + 1)
-            else Some (Queue.pop t.req_queues.(s), s)
+            if Queue.is_empty d.d_queues.(s) then pick (i + 1)
+            else Some (Queue.pop d.d_queues.(s), s)
         in
         match pick 0 with
         | Some (id, shard) ->
-          t.req_handouts.(id) <- t.req_handouts.(id) + 1;
-          t.handouts_total <- t.handouts_total + 1;
+          d.d_handouts.(id) <- d.d_handouts.(id) + 1;
+          d.d_handouts_total <- d.d_handouts_total + 1;
           tk.t_inflight <- id;
-          t.inflight_count <- t.inflight_count + 1;
+          d.d_inflight <- d.d_inflight + 1;
           tk.t_req_start <- cycles_now t;
           (* modeled shard contention: hand-out serializes against every
              other live worker assigned to the same shard *)
@@ -999,9 +1098,9 @@ let handle_syscall t tk =
               0 t.tasks
           in
           charge t (t.config.queue_cycles_per_waiter * waiters);
-          keep t.req_stream.(id)
+          keep d.d_stream.(id)
         | None ->
-          if t.inflight_count > 0 then begin
+          if d.d_inflight > 0 then begin
             (* a dead worker may still return its request: block without
                advancing the pc and re-execute the ecall when woken *)
             tk.t_state <- Task_waiting_req;
@@ -1018,7 +1117,7 @@ let handle_syscall t tk =
       keep 0
     end
   end
-  else if num = Syscall.sys_server_checksum then keep (Int64.to_int t.committed_sum)
+  else if num = Syscall.sys_server_checksum then keep (Int64.to_int t.dev.d_committed_sum)
   else if num = Syscall.sys_write then
     keep (handle_write t tk.proc ~fd:(arg Reg.a0) ~buf:(arg Reg.a1) ~len:(arg Reg.a2))
   else if num = Syscall.sys_brk then keep (handle_brk t tk.proc (arg Reg.a0))
@@ -1036,27 +1135,42 @@ let handle_syscall t tk =
    Deterministic by construction: the machine is instret-exact across
    engines, so the preemption points — and therefore the whole
    interleaving — are identical under single/block/traced execution.
-   A run resumes with the task that was scheduled when the last one
-   paused; [stop_at_pc] pauses it when that pc is reached. *)
-let run_tasks ~limit ?stop_at_pc ~quantum t =
+
+   A run that stops inside a slice (the instruction limit, [stop_at_pc],
+   or [pause_at_handout]) records its position, and the next run
+   continues that slice instead of entering the scheduler, so a paused
+   run retires exactly what an uninterrupted one does.  The exception is
+   a scheduled task whose process was killed or exited from outside
+   while paused: the next run enters the scheduler, which retires it.
+   [pause_at_handout = k] stops at the ecall of the first read_request
+   issued once [k] requests have been handed out, before the kernel
+   services it: where a request hook armed at [k] would fire. *)
+let run_tasks ~limit ?stop_at_pc ?pause_at_handout ~quantum t =
   let cpu = Machine.cpu t.machine in
   let instret () = Int64.of_int (Cpu.instret cpu) in
-  let cursor = ref (match t.scheduled with Some tk -> tk.pid - 1 | None -> 0) in
   (* next ready task after the cursor pid, wrapping: t.tasks is
      pid-ascending, so the first match is the round-robin choice *)
   let pick_next () =
     let ready = List.filter (fun tk -> tk.t_state = Task_ready) t.tasks in
-    match List.find_opt (fun tk -> tk.pid > !cursor) ready with
+    match List.find_opt (fun tk -> tk.pid > t.cursor) ready with
     | Some tk -> Some tk
     | None -> ( match ready with tk :: _ -> Some tk | [] -> None)
   in
+  let pause_due () =
+    match pause_at_handout with
+    | Some k ->
+      t.dev.d_handouts_total >= k
+      && Int64.to_int (Cpu.get cpu Reg.a7) = Syscall.sys_read_request
+    | None -> false
+  in
   let rec loop tk quantum_end =
     let remaining = Int64.sub limit.max_instructions (instret ()) in
-    if Int64.compare remaining 0L <= 0 then () (* out of global budget *)
+    if Int64.compare remaining 0L <= 0 then
+      t.position <- In_slice quantum_end (* out of global budget *)
     else begin
       let slice = Int64.sub quantum_end (instret ()) in
       if Int64.compare slice 0L <= 0 then begin
-        cursor := tk.pid;
+        t.cursor <- tk.pid;
         next ()
       end
       else begin
@@ -1067,11 +1181,10 @@ let run_tasks ~limit ?stop_at_pc ~quantum t =
         in
         match Machine.run_steps ?stop_at_pc ~fuel t.machine with
         | Machine.Exhausted -> loop tk quantum_end (* budgets re-checked above *)
-        | Machine.Stop_pc -> ()
-        | Machine.Trap Trap.Ecall -> (
-          match handle_syscall t tk with
-          | Keep -> loop tk quantum_end
-          | Switch -> next ())
+        | Machine.Stop_pc -> t.position <- In_slice quantum_end
+        | Machine.Trap Trap.Ecall ->
+          if pause_due () then t.position <- In_syscall quantum_end
+          else syscall tk quantum_end
         | Machine.Trap Trap.Breakpoint ->
           (* ebreak is an abort: kill the task *)
           let pc = Cpu.pc cpu in
@@ -1089,35 +1202,42 @@ let run_tasks ~limit ?stop_at_pc ~quantum t =
           | None -> loop tk quantum_end)
       end
     end
+  and syscall tk quantum_end =
+    match handle_syscall t tk with Keep -> loop tk quantum_end | Switch -> next ()
   and next () =
     check_deadlines t;
     reap_external t;
     match pick_next () with
-    | None -> () (* every task terminal, or everyone blocked: stop *)
+    | None -> t.position <- Between_slices (* every task terminal, or everyone blocked *)
     | Some tk ->
-      cursor := tk.pid;
+      t.cursor <- tk.pid;
       context_switch t tk;
       loop tk
         (match quantum with
         | None -> Int64.max_int
         | Some n -> Int64.add (instret ()) (Int64.of_int n))
   in
-  next ()
+  match (t.position, t.scheduled) with
+  | In_slice quantum_end, Some tk when Process.status tk.proc = Process.Running ->
+    loop tk quantum_end
+  | In_syscall quantum_end, Some tk when Process.status tk.proc = Process.Running ->
+    syscall tk quantum_end
+  | _ -> next ()
 
 (* Run until the scheduled process (and anything it forked) exits, is
    killed, or hits the instruction limit or [stop_at_pc] (used by the
    attack tooling to pause at a chosen pc). *)
 let run ?(limit = no_limit) ?stop_at_pc t process =
-  if not (List.exists (fun tk -> tk.proc == process) t.tasks) then
+  if pid_of t process = None then
     invalid_arg "Kernel.run: process is not scheduled on this kernel";
   run_tasks ~limit ?stop_at_pc ~quantum:None t;
   outcome_of t process
 
-let run_all ?(limit = no_limit) ?(time_slice = 20_000) t =
+let run_all ?(limit = no_limit) ?(time_slice = 20_000) ?pause_at_handout t =
   match t.tasks with
   | [] -> invalid_arg "Kernel.run_all: no tasks (spawn_root/exec_all first)"
   | root :: _ ->
-    run_tasks ~limit ~quantum:(Some (max 1 time_slice)) t;
+    run_tasks ~limit ?pause_at_handout ~quantum:(Some (max 1 time_slice)) t;
     outcome_of t root.proc
 
 (* Convenience: load, schedule, run. *)

@@ -33,33 +33,40 @@ val config : t -> config
 val syscall_count : t -> int
 (** Syscalls serviced by this kernel instance. *)
 
-val alloc_frame : t -> int
-
 (** {2 Snapshots} *)
 
 type image
 
 val snapshot : t -> image
-(** Capture the kernel's own mutable state (frame allocator cursor,
-    syscall counter, shared-frame refcounts, console) and its root task.
-    The root's process and the machine (which holds its registers)
-    snapshot at their own layers; {!Roload_core.System.snapshot} composes
-    all three.  The request device is not captured.
-    @raise Invalid_argument when a task other than the root is still
-    alive (not yet reaped): its address space cannot be captured. *)
+(** Capture the whole task table at one instant: every task's
+    scheduling record (saved registers and pc, state, inflight request,
+    request start, restarts, birth certificate) with its process state
+    and MMU/TLB image — tasks off the CPU included — plus the request
+    device, supervision, the restart count, the kernel's counters, its
+    console and the scheduler's position (the cursor, the end of the
+    current slice, and a trapped syscall not yet serviced).  The
+    scheduled task's live registers and every page table belong to the
+    machine, which snapshots them at its own layer;
+    {!Roload_core.System.snapshot} composes the two.  Request hooks are
+    not captured. *)
 
 val restore : t -> image -> unit
-(** Also reinstalls the root's address space on the machine, so it must
-    precede [Machine.restore], which rewinds the MMU the machine runs. *)
+(** Put the captured state back into the same kernel: every task
+    record is reinstated, tasks created since are dropped, and each
+    process the kernel still runs under the same pid and page-table
+    root (the root task's always) is rewound in place, state and MMU;
+    the others, such as a worker reincarnated since, are rebuilt over
+    the kernel's memory.  The scheduled task's address space goes back
+    on the machine.  The current request hook is left as it is. *)
 
-val fork : image -> machine:Roload_machine.Machine.t -> config:config -> t
-(** A sibling kernel over a forked machine, in the captured state; its
-    root task gets its process from {!adopt}. *)
+val fork : image -> machine:Roload_machine.Machine.t -> t
+(** A sibling kernel over a forked machine, in the captured state:
+    every process (birth templates need none) is rebuilt over the
+    forked memory with an MMU seeded from its image, and the scheduled
+    task's MMU is installed on the machine.  No hook is armed. *)
 
-val adopt : t -> Process.t -> unit
-(** Install a forked process as the root task {e without} the pc/sp
-    reset and cache flush {!schedule} performs: the forked CPU and caches
-    already hold the captured state. *)
+val pid_of : t -> Process.t -> int option
+(** The pid of the task this process currently embodies. *)
 
 val load : t -> Roload_obj.Exe.t -> Process.t
 (** Map all segments (with keys when the kernel supports them), map the
@@ -87,8 +94,9 @@ val run : ?limit:run_limit -> ?stop_at_pc:int -> t -> Process.t -> run_outcome
 (** Run the scheduler with an unbounded quantum — the scheduled task
     keeps the CPU until it blocks, exits or dies — until every task is
     done, the instruction limit, or [stop_at_pc] (used by attack tooling
-    to pause and corrupt memory).  A later call resumes the task that was
-    scheduled.  The outcome carries [process]'s status and output.
+    to pause and corrupt memory).  A later call continues the paused
+    slice of the task that was scheduled (see {!run_all}).  The outcome
+    carries [process]'s status and output.
     @raise Invalid_argument if [process] is not a task of this kernel. *)
 
 val exec : ?limit:run_limit -> t -> Roload_obj.Exe.t -> Process.t * run_outcome
@@ -195,12 +203,26 @@ val task_statuses : t -> (int * Process.status) list
 val spawn_root : t -> Process.t -> unit
 (** Same as {!schedule}. *)
 
-val run_all : ?limit:run_limit -> ?time_slice:int -> t -> run_outcome
+val run_all :
+  ?limit:run_limit -> ?time_slice:int -> ?pause_at_handout:int -> t -> run_outcome
 (** Schedule every ready task round-robin until all tasks have exited or
     the global instruction limit is hit.  [time_slice] is the preemption
     quantum in retired instructions (default 20_000).  The outcome
     carries the root task's status/output and the machine-global
-    instruction/cycle counters. *)
+    instruction/cycle counters.
+
+    [pause_at_handout = k] also stops at the ecall of the first
+    [read_request] issued once [k] requests have been handed out, before
+    the kernel services it — the point where a request hook armed at
+    [k] would fire.  The trapped syscall stays pending in the kernel.
+
+    Pauses are exact: a run stopped by the limit or the hand-out clock
+    keeps its slice's end (and a pending syscall) in kernel state and in
+    {!snapshot}s, and the next [run]/[run_all] services the syscall and
+    continues that slice, so pausing and resuming any number of times
+    retires exactly what one uninterrupted run does.  If the scheduled
+    process was killed or exited from outside while paused, the next run
+    enters the scheduler instead, which retires it. *)
 
 val exec_all :
   ?limit:run_limit -> ?time_slice:int -> t -> Roload_obj.Exe.t -> Process.t * run_outcome

@@ -78,12 +78,13 @@ let append t s =
   t.len <- t.len + 1
 
 (* Deep copy for machine snapshots: slots are immutable records, so a
-   fresh slot array suffices; the trace-engine bookkeeping rides along so
+   fresh slot array suffices, and a closed block (which never appends
+   again) shares its array; the trace-engine bookkeeping rides along so
    a restored machine re-reaches hotness on exactly the same entry. *)
 let copy t =
   {
     start_pa = t.start_pa;
-    slots = Array.copy t.slots;
+    slots = (if t.closed then t.slots else Array.copy t.slots);
     len = t.len;
     closed = t.closed;
     hot = t.hot;

@@ -1031,14 +1031,13 @@ type image = {
   im_cpu : Cpu.image;
   im_mem : Phys_mem.image;
   im_hier : Roload_cache.Hierarchy.image;
-  im_mmu : Mmu.image option;
   im_decode : (int, Inst.t * int) Hashtbl.t; (* values immutable: shallow copy *)
   im_blocks : (int, Block.t) Hashtbl.t; (* deep copies, frozen *)
   im_traces : (int, Lower.compiled) Hashtbl.t; (* values immutable: shallow copy *)
   im_code_pages : Bytes.t;
   im_code_gen : int;
   im_counts : exec_counts;
-  im_key_counts : int array;
+  im_key_counts : int array; (* up to the last nonzero key *)
   im_block_enters : int;
   im_block_hits : int;
   im_block_decodes : int;
@@ -1053,6 +1052,15 @@ let copy_blocks tbl =
   Hashtbl.iter (fun pa b -> Hashtbl.add out pa (Block.copy b)) tbl;
   out
 
+(* The ld.ro key counters up to the last nonzero one: the rest of the
+   1,024 keys are zero in any image of a real program. *)
+let used_prefix counts =
+  let n = ref (Array.length counts) in
+  while !n > 0 && counts.(!n - 1) = 0 do
+    decr n
+  done;
+  Array.sub counts 0 !n
+
 let snapshot t =
   {
     im_config = t.config;
@@ -1062,14 +1070,13 @@ let snapshot t =
     im_cpu = Cpu.snapshot t.rt.cpu;
     im_mem = Phys_mem.snapshot t.rt.mem;
     im_hier = Roload_cache.Hierarchy.snapshot t.rt.hier;
-    im_mmu = Option.map Mmu.snapshot t.mmu;
     im_decode = Hashtbl.copy t.decode_cache;
     im_blocks = copy_blocks t.blocks;
     im_traces = Hashtbl.copy t.rt.traces;
     im_code_pages = Bytes.copy t.rt.code_pages;
     im_code_gen = t.code_gen;
     im_counts = copy_counts t.rt.counts;
-    im_key_counts = Array.copy t.rt.key_counts;
+    im_key_counts = used_prefix t.rt.key_counts;
     im_block_enters = t.block_enters;
     im_block_hits = t.block_hits;
     im_block_decodes = t.block_decodes;
@@ -1080,8 +1087,6 @@ let snapshot t =
   }
 
 let mem_image img = img.im_mem
-let mmu_image img = img.im_mmu
-let image_config img = img.im_config
 
 (* Refill a live hashtable from an image table without replacing it —
    the run-time record holds the trace table's identity. *)
@@ -1094,7 +1099,9 @@ let refill ~copy dst src =
 let restore_counters t img =
   t.code_gen <- img.im_code_gen;
   assign_counts ~dst:t.rt.counts img.im_counts;
-  Array.blit img.im_key_counts 0 t.rt.key_counts 0 (Array.length t.rt.key_counts);
+  let used = Array.length img.im_key_counts in
+  Array.blit img.im_key_counts 0 t.rt.key_counts 0 used;
+  Array.fill t.rt.key_counts used (Array.length t.rt.key_counts - used) 0;
   t.block_enters <- img.im_block_enters;
   t.block_hits <- img.im_block_hits;
   t.block_decodes <- img.im_block_decodes;
@@ -1107,9 +1114,6 @@ let restore t img =
   Cpu.restore t.rt.cpu img.im_cpu;
   Phys_mem.restore t.rt.mem img.im_mem;
   Roload_cache.Hierarchy.restore t.rt.hier img.im_hier;
-  (match (t.mmu, img.im_mmu) with
-  | Some m, Some im -> Mmu.restore m im
-  | (Some _ | None), _ -> ());
   refill ~copy:Fun.id t.decode_cache img.im_decode;
   refill ~copy:Block.copy t.blocks img.im_blocks;
   refill ~copy:Fun.id t.rt.traces img.im_traces;

@@ -189,9 +189,10 @@ val run_steps : ?stop_at_pc:int -> fuel:int -> t -> run_stop
 
     An {!image} is an immutable capture of a paused machine: registers,
     physical memory (copy-on-write page images — O(touched pages)),
-    cache/TLB contents and statistics, MMU fault counters, the
-    decode/block caches, compiled traces and every metrics-visible
-    counter.  One image can seed any number of restores and forks. *)
+    cache contents and statistics, the decode/block caches, compiled
+    traces and every metrics-visible counter.  MMUs (TLBs, fault
+    counters) belong to processes: the kernel's image captures each
+    one.  One image can seed any number of restores and forks. *)
 
 type image
 
@@ -202,7 +203,8 @@ val snapshot : t -> image
 val restore : t -> image -> unit
 (** Put this machine back into the captured state, in place, the trace
     table included (refilled with the image's compiled traces).  Object
-    identities (cpu, memory, hierarchy, MMU) are preserved.  Replay after
+    identities (cpu, memory, hierarchy) are preserved, and the attached
+    MMU is left as it is.  Replay after
     restore is byte-identical to the original run: architectural state,
     cycles, and every statistic. *)
 
@@ -218,10 +220,3 @@ val fork : image -> t
 val mem_image : image -> Roload_mem.Phys_mem.image
 (** The captured physical memory, for {!Roload_mem.Phys_mem.diff_images}
     — the page-level differential-state comparator. *)
-
-val mmu_image : image -> Roload_mem.Mmu.image option
-(** The captured MMU state (TLBs, fault counters), used by the fork path
-    to seed a fresh MMU over the forked page table. *)
-
-val image_config : image -> Config.t
-(** The machine configuration the image was captured under. *)

@@ -280,7 +280,7 @@ int main() {
 let test_parse_no_minor_collection () =
   let b = List.hd Roload_workloads.Spec_suite.all in
   let source = b.Roload_workloads.Spec_suite.source ~scale:1 in
-  Gc.minor ();
+  Gc.full_major ();
   let before = (Gc.quick_stat ()).Gc.minor_collections in
   ignore (Sys.opaque_identity (Parser.parse source));
   Alcotest.(check int) "minor collections during one parse" 0
