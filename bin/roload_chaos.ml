@@ -199,8 +199,9 @@ let jobs_arg =
   Arg.(value
        & opt (some int) None
        & info [ "j"; "jobs" ]
-           ~doc:"Cells run in parallel (default: \\$ROLOAD_JOBS, else the recommended \
-                 domain count). Results are identical at any job count.")
+           ~doc:"Schemes run in parallel; each runs its own cells in turn (default: \
+                 \\$ROLOAD_JOBS, else the recommended domain count). Results are \
+                 identical at any job count.")
 
 let json_arg =
   Arg.(value
@@ -259,10 +260,9 @@ let from_reset_arg =
   Arg.(value
        & flag
        & info [ "from-reset" ]
-           ~doc:"Boot every cell from reset instead of forking the per-scheme \
-                 copy-on-write trigger snapshots (the default fan-out). Tables, \
-                 checkpoints and JSON are byte-identical either way — only the \
-                 throughput changes.")
+           ~doc:"Boot every cell from reset instead of forking it off the per-scheme \
+                 snapshot ladder (the default). Tables, checkpoints and JSON are \
+                 byte-identical either way — only the throughput changes.")
 
 let diff_pages_arg =
   Arg.(value

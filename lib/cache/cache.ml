@@ -201,19 +201,17 @@ let rehit_many t h ~n =
 
 let flush t = Bytes.fill t.flags 0 (Bytes.length t.flags) '\000'
 
-let set_stats t s =
-  t.stats.hits <- s.hits;
-  t.stats.misses <- s.misses;
-  t.stats.writebacks <- s.writebacks;
-  t.stats.dropped_writebacks <- s.dropped_writebacks
-
-let reset_stats t = set_stats t { hits = 0; misses = 0; writebacks = 0; dropped_writebacks = 0 }
+let reset_stats t =
+  t.stats.hits <- 0;
+  t.stats.misses <- 0;
+  t.stats.writebacks <- 0;
+  t.stats.dropped_writebacks <- 0
 
 (* ---- snapshots ----
    A copy of the three tag-store arrays (tags-only, so this is small)
-   plus the clock and the statistics.  Restore blits them back into the
-   live arrays; an outstanding handle revalidates by index and tag
-   through [rehit]'s guard or falls back, the same contract live
+   plus the clock and the statistics.  [of_image] builds a fresh cache
+   over copies of them; a handle carried over revalidates by index and
+   tag through [rehit]'s guard or falls back, the same contract live
    eviction relies on.  The observer and the one-shot writeback
    interceptor are per-run wiring and are not captured. *)
 
@@ -237,14 +235,6 @@ let snapshot t =
     i_clock = t.clock;
     i_stats = copy_stats t.stats;
   }
-
-let restore t img =
-  if img.i_config <> t.config then invalid_arg "Cache.restore: geometry mismatch";
-  Array.blit img.i_tags 0 t.tags 0 (Array.length t.tags);
-  Array.blit img.i_last_use 0 t.last_use 0 (Array.length t.last_use);
-  Bytes.blit img.i_flags 0 t.flags 0 (Bytes.length t.flags);
-  t.clock <- img.i_clock;
-  set_stats t img.i_stats
 
 let of_image img =
   build img.i_config ~tags:(Array.copy img.i_tags)

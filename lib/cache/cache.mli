@@ -69,11 +69,8 @@ type image
 
 val snapshot : t -> image
 
-val restore : t -> image -> unit
-(** Overwrite [t]'s tag store/clock/stats with the image, in place
-    (outstanding handles revalidate by index and tag through {!rehit}'s
-    guard or fall back).  Observer and writeback interceptor are
-    untouched.  Raises [Invalid_argument] unless the configs are equal. *)
-
 val of_image : image -> t
-(** {!create} then {!restore}, in one pass. *)
+(** A fresh cache holding the image's tag store, clock and statistics,
+    with no observer or writeback interceptor.  Handles taken on another
+    cache revalidate by index and tag through {!rehit}'s guard or fall
+    back. *)

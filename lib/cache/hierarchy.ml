@@ -55,10 +55,6 @@ type image = { i_icache : Cache.image; i_dcache : Cache.image }
 
 let snapshot t = { i_icache = Cache.snapshot t.icache; i_dcache = Cache.snapshot t.dcache }
 
-let restore t img =
-  Cache.restore t.icache img.i_icache;
-  Cache.restore t.dcache img.i_dcache
-
 let of_image ~latencies img =
   {
     icache = Cache.of_image img.i_icache;

@@ -40,7 +40,7 @@ val access_data : t -> pa:int -> write:bool -> int
 type image
 
 val snapshot : t -> image
-val restore : t -> image -> unit
 
 val of_image : latencies:latencies -> image -> t
-(** {!create} then {!restore}, in one pass. *)
+(** A fresh hierarchy holding the image's tag stores, clocks and
+    statistics. *)

@@ -90,38 +90,6 @@ let run_cells ~scale cells =
 
 exception Experiment_failure of string
 
-(* ---------- crash containment (roload-chaos, Part 2) ----------
-
-   A contained fan-out: each cell runs behind {!Parallel.map_result}'s
-   exception barrier, is retried a bounded, deterministic number of
-   times (the attempt number is passed in so the cell can re-derive its
-   seeds — no wall-clock backoff, results stay reproducible), and a cell
-   that keeps failing becomes a structured [Cell_failed] row instead of
-   aborting the run.  [on_cell] fires from the worker domain as soon as
-   a cell settles — the incremental-persistence hook the chaos
-   checkpoint writer hangs off — so the callback must synchronize its
-   own side effects. *)
-
-type 'a cell_outcome =
-  | Cell_ok of 'a
-  | Cell_failed of { error : string; attempts : int }
-
-let run_cells_contained ?(attempts = 2) ?jobs ?on_cell ~f items =
-  let attempts = max 1 attempts in
-  let contained (idx, item) =
-    let rec go attempt =
-      match f ~attempt item with
-      | v -> Cell_ok v
-      | exception e ->
-        if attempt < attempts then go (attempt + 1)
-        else Cell_failed { error = Printexc.to_string e; attempts = attempt }
-    in
-    let outcome = go 1 in
-    (match on_cell with None -> () | Some g -> g idx outcome);
-    outcome
-  in
-  Parallel.map ?jobs contained (List.mapi (fun i x -> (i, x)) items)
-
 let require_clean r =
   if not (System.exited_cleanly r.measurement) then
     raise

@@ -30,28 +30,6 @@ exception Experiment_failure of string
     unprotected baseline — experiments never silently report numbers from
     broken runs. *)
 
-type 'a cell_outcome =
-  | Cell_ok of 'a
-  | Cell_failed of { error : string; attempts : int }
-      (** the cell kept raising after every retry; [error] is the last
-          exception rendered with [Printexc.to_string] *)
-
-val run_cells_contained :
-  ?attempts:int ->
-  ?jobs:int ->
-  ?on_cell:(int -> 'b cell_outcome -> unit) ->
-  f:(attempt:int -> 'a -> 'b) ->
-  'a list ->
-  'b cell_outcome list
-(** Contained fan-out (roload-chaos, Part 2): run every cell behind
-    {!Parallel.map_result}'s exception barrier, retrying a failing cell
-    up to [attempts] times (default 2) with the attempt number passed to
-    [f] so it can re-derive its seeds deterministically — no wall-clock
-    backoff.  A cell that keeps failing becomes [Cell_failed] in its
-    input slot instead of aborting the run.  [on_cell i outcome] fires
-    from the worker domain the moment cell [i] settles (the incremental
-    checkpoint hook); the callback must synchronize its own effects. *)
-
 val table1 : unit -> Table.t
 val table2 : unit -> Table.t
 

@@ -234,32 +234,6 @@ let run_server ?(max_instructions = 2_000_000_000L) ?time_slice ?tracer ?engine 
   let outcome = Kernel.run_all ~limit:{ Kernel.max_instructions } ?time_slice kernel in
   measure_server ~machine ~kernel ~process exe outcome
 
-(* ---- whole-system snapshots ----
-
-   A [snapshot] composes the per-layer images taken at one instant:
-   machine (cpu, CoW memory pages, caches, decode/block/trace caches,
-   all counters) and kernel (the whole task table — every process's
-   state and TLBs — the request device and the scheduler's position).
-   One snapshot can seed any number of restores and forks; campaigns
-   boot a workload once, pause at the trigger frontier, snapshot, and
-   fork thousands of variants from the warm image instead of
-   re-booting from reset. *)
-
-(* The composition itself lives in the kernel library so that the
-   attack/fuzz layers below Core can seed from snapshots too; this is
-   the canonical front door. *)
-
-type snapshot = Roload_kernel.Snapshot.t
-
-let snapshot ~machine ~kernel ~process =
-  Roload_kernel.Snapshot.capture ~machine ~kernel ~process
-
-let restore snap ~machine ~kernel ~process =
-  Roload_kernel.Snapshot.restore snap ~machine ~kernel ~process
-
-let fork = Roload_kernel.Snapshot.fork
-let diff = Roload_kernel.Snapshot.diff
-
 let exited_cleanly m =
   match m.status with
   | Process.Exited 0 -> true

@@ -144,45 +144,5 @@ val total_instructions_simulated : unit -> int
 (** Instructions simulated by every [run] so far in this process, across
     all domains — the numerator of the bench harness's simulated-MIPS. *)
 
-(** {2 Whole-system snapshots}
-
-    A {!snapshot} composes the machine and kernel images taken at one
-    instant; the kernel's holds every task.  Campaigns boot a workload once, pause at the
-    trigger frontier, snapshot, and fork thousands of variants from the
-    warm image instead of re-booting each from reset. *)
-
-type snapshot
-
-val snapshot :
-  machine:Roload_machine.Machine.t ->
-  kernel:Roload_kernel.Kernel.t ->
-  process:Roload_kernel.Process.t ->
-  snapshot
-(** Capture a paused system.  Cheap: physical pages are shared
-    copy-on-write with the live machine (O(touched pages) from here on,
-    not O(memory size)). *)
-
-val restore :
-  snapshot ->
-  machine:Roload_machine.Machine.t ->
-  kernel:Roload_kernel.Kernel.t ->
-  process:Roload_kernel.Process.t ->
-  unit
-(** Put the {e same} objects back into the captured state, compiled
-    traces included; resumed execution is byte-identical to the original
-    run — architectural state, cycles, every statistic, and output. *)
-
-val fork :
-  snapshot -> Roload_machine.Machine.t * Roload_kernel.Kernel.t * Roload_kernel.Process.t
-(** A fresh, fully independent system in the captured state, sharing
-    physical pages copy-on-write with the image.  Mutating a fork never
-    perturbs the image, the parent, or sibling forks; the returned
-    process is already scheduled on the returned kernel/machine. *)
-
-val diff : snapshot -> snapshot -> Roload_mem.Phys_mem.page_diff list
-(** Page-by-page memory comparison of two snapshots, reporting each
-    differing page with its first differing byte — the
-    silent-corruption localizer used in chaos verdicts. *)
-
 val exited_cleanly : measurement -> bool
 val status_string : measurement -> string

@@ -7,28 +7,30 @@
    through the injector backdoors, resumes under a watchdog budget, and
    classifies the outcome against the baseline.
 
-   Snapshot seeding (the default): instead of re-booting the victim from
-   reset for every cell, each scheme boots one parent system, advances
-   it through the sorted distinct trigger frontiers, and captures a
-   copy-on-write snapshot at each; cells then fork from their trigger's
-   warm snapshot across the domain pool.  Pause/resume at a cumulative
-   retire count is bit-identical to an uninterrupted run, and forks
-   replay the captured state exactly, so the verdict table, checkpoint
-   rows and resume behavior are byte-identical to [from_reset = true] —
-   only the campaign throughput changes (each cell skips the boot and
-   the warm-up prefix).  Silent-corruption verdicts additionally carry a
+   The snapshot ladder (the default): instead of re-booting the victim
+   from reset for every cell, each scheme boots one parent system and
+   advances it through the sorted distinct trigger frontiers.  At each
+   it captures a copy-on-write snapshot, forks that frontier's cells off
+   it, settles their rows and drops it, so a ladder holds one snapshot
+   at a time.  Pause/resume at a cumulative retire count is
+   bit-identical to an uninterrupted run, and forks replay the captured
+   state exactly, so the verdict table, checkpoint rows and resume
+   behavior are byte-identical to [from_reset = true] — only the
+   campaign throughput changes (each cell skips the boot and the
+   warm-up prefix).  Silent-corruption verdicts additionally carry a
    page-level diff against the baseline's final memory (the
    differential-state localizer), identical in both modes.
 
    Robustness: both campaigns in this file (classic and live-server) are
-   instances of one cell runner, [run_cells].  Every cell runs behind
-   [Experiments.run_cells_contained] — a crashing cell is retried a
-   bounded, deterministic number of times and then becomes a structured
-   failure row instead of aborting the campaign.  Rows are appended to a
-   checkpoint file the moment each cell settles, and [resume = true]
-   skips cells already recorded there; the final report is sorted by
-   (plan index, scheme), so a resumed run renders byte-identically to an
-   uninterrupted one. *)
+   instances of one cell driver, [run_cells], which runs each scheme's
+   ladder in parallel across schemes.  Every cell runs behind the
+   driver's containment — a crashing cell is retried a bounded,
+   deterministic number of times at its rung and then becomes a
+   structured failure row instead of aborting the campaign.  Each row is
+   appended to a checkpoint file the moment its cell settles, and
+   [resume = true] skips cells already recorded there; the final report
+   is sorted by (plan index, scheme), so a resumed run renders
+   byte-identically to an uninterrupted one. *)
 
 module Pass = Roload_passes.Pass
 module Exe = Roload_obj.Exe
@@ -38,7 +40,6 @@ module Signal = Roload_kernel.Signal
 module Machine = Roload_machine.Machine
 module System = Core.System
 module Parallel = Core.Parallel
-module Experiments = Core.Experiments
 module Toolchain = Core.Toolchain
 module Trapclass = Roload_security.Trapclass
 module Table = Roload_util.Table
@@ -419,18 +420,29 @@ let with_appender checkpoint ~header ~columns ~keep f =
         if keep = None then write header;
         f (fun row -> write (to_line columns row)))
 
-(* ---------- the cell runner ----------
+(* ---------- the cell driver ----------
 
-   A cell is (plan entry, scheme, victim exe).  Each campaign describes
-   its cells with a spec; the runner owns the rest: enumerating the
-   applicable cells, the checkpoint header, resume (prior rows, done
-   keys), the [max_cells] cut, row appends, contained fan-out with
-   bounded retry, the sabotage hook and the final sort by (plan index,
-   scheme position).  A cell returns its row plus an optional extra
-   ['x] that never reaches the checkpoint (the classic campaign's
-   corruption diff). *)
+   A cell is (plan entry, scheme).  Each campaign describes its cells
+   with a spec; the driver owns the rest: enumerating the applicable
+   cells, the checkpoint header, resume (prior rows, done keys), the
+   [max_cells] cut and the final sort by (plan index, scheme position).
+   Per scheme, in parallel across schemes, it hands the campaign's
+   ladder that scheme's cells in plan order.  The ladder runs each cell
+   through the cell's [start] at the cell's rung, and hands the
+   settled row to [settle], which appends it to the checkpoint at once.
+   A row may carry an extra ['x] that never reaches the checkpoint (the
+   classic campaign's corruption diff). *)
 
-type ('inj, 'row, 'x) cell_spec = {
+type ('inj, 'row, 'x) cell = {
+  inj : 'inj;
+  start : 'a. (attempt:int -> 'a) -> ('a, 'row) result;
+      (** the containment: the sabotage hook immediately before each
+          attempt's work, bounded retry, and the failed row once every
+          attempt raised *)
+  settle : 'row * 'x option -> unit;
+}
+
+type ('inj, 'row, 'x, 'b) cell_spec = {
   header : string;  (** first checkpoint line; pins the campaign parameters *)
   applies : Pass.scheme -> 'inj -> bool;
   index_of : 'inj -> int;
@@ -439,27 +451,30 @@ type ('inj, 'row, 'x) cell_spec = {
   blank : 'row;  (** what a checkpoint line is parsed into *)
   failed_row : 'inj -> Pass.scheme -> error:string -> attempts:int -> 'row;
   revisit : 'row -> bool;
-      (** prior rows whose cell is re-run once (not re-recorded) to
-          recover its ['x], which the checkpoint does not persist *)
-  prepare :
-    todo:('inj * Pass.scheme * Exe.t) list ->
-    attempt:int ->
-    'inj * Pass.scheme * Exe.t ->
-    'row * 'x option;
-      (** per-run setup over every cell about to run (todo and
-          revisits); returns the cell function *)
+      (** prior rows whose cell is re-run once, without the hook and
+          without a new row, to recover its ['x], which the checkpoint
+          does not persist *)
+  ladder : Pass.scheme -> Exe.t -> ('inj, 'row, 'x) cell list -> 'b;
+      (** runs and settles every cell of one scheme; what it returns is
+          the campaign's to check across schemes *)
 }
 
+(* Start a cell and settle it at once: its row, or its failed row. *)
+let run_cell c work =
+  c.settle (match c.start work with Ok rx -> rx | Error row -> (row, None))
+
+let error_text e = sanitize (Printexc.to_string e)
+
+(* Returns the rows with their extras, sorted, and each scheme's ladder
+   result in scheme order. *)
 let run_cells spec ~checkpoint ~resume ~attempts ~jobs ~sabotage ~max_cells ~plan exes =
   let cells =
     List.concat_map
       (fun inj ->
-        List.filter_map
-          (fun (s, exe) -> if spec.applies s inj then Some (inj, s, exe) else None)
-          exes)
+        List.filter_map (fun (s, _) -> if spec.applies s inj then Some (inj, s) else None) exes)
       plan
   in
-  let key (inj, s, _) = (spec.index_of inj, Pass.scheme_name s) in
+  let key (inj, s) = (spec.index_of inj, Pass.scheme_name s) in
   (* a checkpoint is the header plus one TSV row per settled cell; a
      different header (another campaign, or corrupt) starts over *)
   let prior, keep =
@@ -479,35 +494,55 @@ let run_cells spec ~checkpoint ~resume ~attempts ~jobs ~sabotage ~max_cells ~pla
   let todo =
     match max_cells with Some k -> List.filteri (fun i _ -> i < k) todo | None -> todo
   in
-  let revisits =
-    List.filter
-      (fun c ->
-        match Hashtbl.find_opt done_rows (key c) with
-        | Some r -> spec.revisit r
-        | None -> false)
-      cells
+  let recorded = Hashtbl.create 64 in
+  List.iter (fun c -> Hashtbl.replace recorded (key c) ()) todo;
+  let revisit c =
+    match Hashtbl.find_opt done_rows (key c) with Some r -> spec.revisit r | None -> false
   in
-  let cell = spec.prepare ~todo:(todo @ revisits) in
-  let todo_arr = Array.of_list todo in
-  let settle idx = function
-    | Experiments.Cell_ok rx -> rx
-    | Experiments.Cell_failed { error; attempts } ->
-      let inj, scheme, _ = todo_arr.(idx) in
-      (spec.failed_row inj scheme ~error:(sanitize error) ~attempts, None)
-  in
-  let outcomes =
+  let attempts = max 1 attempts in
+  let per_scheme =
     with_appender checkpoint ~header:spec.header ~columns:spec.columns ~keep
     @@ fun append_row ->
-    Experiments.run_cells_contained ~attempts ?jobs
-      ~on_cell:(fun idx o -> append_row (fst (settle idx o)))
-      ~f:(fun ~attempt ((inj, scheme, _) as c) ->
-        Option.iter (fun f -> f ~index:(spec.index_of inj) ~scheme ~attempt) sabotage;
-        cell ~attempt c)
-      todo
+    Parallel.map ?jobs
+      (fun (scheme, exe) ->
+        let fresh = ref [] and recovered = ref [] in
+        let cell ((inj, _) as c) =
+          let index = spec.index_of inj in
+          if Hashtbl.mem recorded (key c) then
+            let start work =
+              let rec go attempt =
+                match
+                  Option.iter (fun f -> f ~index ~scheme ~attempt) sabotage;
+                  work ~attempt
+                with
+                | v -> Ok v
+                | exception _ when attempt < attempts -> go (attempt + 1)
+                | exception e ->
+                  Error (spec.failed_row inj scheme ~error:(error_text e) ~attempts:attempt)
+              in
+              go 1
+            in
+            let settle ((row, _) as rx) =
+              append_row row;
+              fresh := rx :: !fresh
+            in
+            Some { inj; start; settle }
+          else if revisit c then
+            Some
+              {
+                inj;
+                start = (fun work -> Ok (work ~attempt:1));
+                settle = (fun (_, x) -> recovered := (key c, x) :: !recovered);
+              }
+          else None
+        in
+        let mine = List.filter_map (fun ((_, s) as c) -> if s = scheme then cell c else None) cells in
+        let b = spec.ladder scheme exe mine in
+        (!fresh, !recovered, b))
+      exes
   in
-  let fresh = List.mapi settle outcomes in
   let recovered = Hashtbl.create 16 in
-  List.iter (fun c -> Hashtbl.replace recovered (key c) (snd (cell ~attempt:1 c))) revisits;
+  List.iter (fun (_, r, _) -> List.iter (fun (k, x) -> Hashtbl.replace recovered k x) r) per_scheme;
   let prior =
     List.map
       (fun r -> (r, Option.join (Hashtbl.find_opt recovered (spec.key_of_row r))))
@@ -521,14 +556,56 @@ let run_cells spec ~checkpoint ~resume ~attempts ~jobs ~sabotage ~max_cells ~pla
     let index, name = spec.key_of_row r in
     (index, scheme_pos name)
   in
+  let fresh = List.concat_map (fun (f, _, _) -> f) per_scheme in
   let sorted = List.sort (fun a b -> compare (pos a) (pos b)) (prior @ fresh) in
   ( List.map fst sorted,
-    List.filter_map (fun (r, x) -> Option.map (fun x -> (spec.key_of_row r, x)) x) sorted
-  )
+    List.filter_map (fun (r, x) -> Option.map (fun x -> (spec.key_of_row r, x)) x) sorted,
+    List.map (fun (_, _, b) -> b) per_scheme )
 
 (* ---------- the campaign ---------- *)
 
 exception Broken_victim of string
+
+let failed_row (inj : Fault.injection) scheme ~error ~attempts =
+  {
+    index = inj.Fault.index;
+    scheme = Pass.scheme_name scheme;
+    cls = Fault.class_name inj.Fault.kind;
+    label = Fault.kind_label inj.Fault.kind;
+    trigger = 0L;
+    applied = false;
+    attempts;
+    outcome = Failed;
+    detail = error;
+  }
+
+(* One scheme's cells.  The ladder boots one parent and advances it
+   through the sorted distinct trigger frontiers; at each it captures,
+   runs that frontier's cells off the snapshot in plan order, settles
+   their rows and drops the snapshot.  From reset, the reference path,
+   cells boot one by one, in the same order. *)
+let classic_ladder (cfg : config) ~baseline ~baseline_mem scheme exe cells =
+  let trigger c = trigger_of ~baseline c.inj in
+  let budget_factor = cfg.budget_factor in
+  if cfg.from_reset then
+    List.iter
+      (fun c ->
+        run_cell c (fun ~attempt ->
+            run_one ~budget_factor ~baseline_mem ~attempt ~baseline c.inj scheme exe))
+      (List.stable_sort (fun a b -> compare (trigger a) (trigger b)) cells)
+  else
+    ignore
+      (climb_ladder ~boot:(boot exe) ~triggers:(List.map trigger cells)
+         ~advance:(fun kernel process t ->
+           ignore (Kernel.run ~limit:{ Kernel.max_instructions = t } kernel process))
+         ~rung:(fun t snap ->
+           List.iter
+             (fun c ->
+               if trigger c = t then
+                 run_cell c (fun ~attempt ->
+                     run_one_seeded ~budget_factor ~baseline_mem ~attempt ~baseline ~snap c.inj
+                       scheme exe))
+             cells))
 
 let run (cfg : config) =
   let schemes = cfg.schemes in
@@ -566,47 +643,6 @@ let run (cfg : config) =
       (true, ok)
     | exception _ -> (false, true)
   in
-  let baseline_for s = fst (List.assoc s baselines) in
-  let baseline_mem_for s = snd (List.assoc s baselines) in
-  (* snapshot seeding: one warm parent per scheme, advanced through the
-     sorted distinct trigger frontiers its cells (todo and diff
-     recovery) need *)
-  let prepare ~todo =
-    let ladders =
-      if cfg.from_reset then []
-      else
-        Parallel.map ?jobs:cfg.jobs
-          (fun (s, exe) ->
-            let triggers =
-              List.filter_map
-                (fun ((inj : Fault.injection), s', _) ->
-                  if s' = s then Some (trigger_of ~baseline:(baseline_for s) inj)
-                  else None)
-                todo
-            in
-            let snaps, _ =
-              climb_ladder ~boot:(boot exe) ~triggers
-                ~advance:(fun kernel process t ->
-                  ignore (Kernel.run ~limit:{ Kernel.max_instructions = t } kernel process))
-                ~rung:(fun t snap -> (t, snap))
-            in
-            (Pass.scheme_name s, snaps))
-          exes
-    in
-    let snap_for scheme trigger =
-      List.assoc trigger (List.assoc (Pass.scheme_name scheme) ladders)
-    in
-    fun ~attempt ((inj : Fault.injection), scheme, exe) ->
-      let baseline = baseline_for scheme in
-      let baseline_mem = baseline_mem_for scheme in
-      if cfg.from_reset then
-        run_one ~budget_factor:cfg.budget_factor ~baseline_mem ~attempt ~baseline inj
-          scheme exe
-      else
-        run_one_seeded ~budget_factor:cfg.budget_factor ~baseline_mem ~attempt ~baseline
-          ~snap:(snap_for scheme (trigger_of ~baseline inj))
-          inj scheme exe
-  in
   let spec =
     {
       (* [elide=true] is appended only when on, so checkpoints of
@@ -622,19 +658,7 @@ let run (cfg : config) =
       key_of_row = (fun (r : row) -> (r.index, r.scheme));
       columns = row_columns;
       blank = blank_row;
-      failed_row =
-        (fun (inj : Fault.injection) scheme ~error ~attempts ->
-          {
-            index = inj.Fault.index;
-            scheme = Pass.scheme_name scheme;
-            cls = Fault.class_name inj.Fault.kind;
-            label = Fault.kind_label inj.Fault.kind;
-            trigger = 0L;
-            applied = false;
-            attempts;
-            outcome = Failed;
-            detail = error;
-          });
+      failed_row;
       (* Silent-corruption rows restored from a checkpoint carry no diff
          (the checkpoint persists rows only), so a resumed report would
          lose their localization.  Re-derive those cells
@@ -642,10 +666,13 @@ let run (cfg : config) =
          bit-for-bit, keeping resumed and uninterrupted reports
          byte-identical. *)
       revisit = (fun (r : row) -> r.outcome = Verdict Fault.Silent_corruption);
-      prepare;
+      ladder =
+        (fun scheme exe cells ->
+          let baseline, baseline_mem = List.assoc scheme baselines in
+          classic_ladder cfg ~baseline ~baseline_mem scheme exe cells);
     }
   in
-  let rows, corruption_diffs =
+  let rows, corruption_diffs, _ =
     run_cells spec ~checkpoint:cfg.checkpoint ~resume:cfg.resume ~attempts:cfg.attempts
       ~jobs:cfg.jobs ~sabotage:cfg.sabotage ~max_cells:cfg.max_cells
       ~plan:(Plan.build ~seed:cfg.seed ~count:cfg.count)
@@ -942,9 +969,7 @@ let server_trigger_of ~requests (inj : Server_fault.injection) =
    captures, forks that trigger's cells off the snapshot and runs them,
    drops the snapshot and serves on.  So a cell pays only for the
    requests after its strike, and a ladder holds one snapshot at a
-   time: cells run in plan order, so keeping each scheme's whole ladder
-   until its last cell would keep every scheme's server memory alive
-   for the whole campaign.
+   time.
 
    A pause changes nothing the run retires, so the ladder's end is the
    uninterrupted baseline.  The cells' watchdog budget derives from it,
@@ -953,7 +978,11 @@ let server_trigger_of ~requests (inj : Server_fault.injection) =
    lower bound, and a cell still running there resumes under the full
    budget once the ladder ends — pause and resume are exact, so this is
    one run under the full budget.  Cells are classified against the
-   baseline's committed results then. *)
+   baseline's committed results then, and their rows settle in plan
+   order.  Containment covers the work at the rung (fork, strike, run
+   to the lower bound), where the hook fires; a cell that raises when
+   it resumes after the ladder settles as a failed row at once, since
+   its rung is gone. *)
 
 let baseline_limit = { Kernel.max_instructions = 2_000_000_000L }
 
@@ -1018,7 +1047,7 @@ let fork_cell (cfg : server_config) ~snap ~limit ~trigger inj exe =
 
 (* classify every request against the baseline's committed results:
    a committed result the baseline does not share is corrupted *)
-let server_row (cfg : server_config) ~(baseline_results : int64 option array)
+let server_row (cfg : server_config) ~(baseline_results : int64 option array) ~attempts
     (inj : Server_fault.injection) scheme applied (root, (outcomes, results), restarts) =
   let tally = ref Server_fault.empty_tally in
   Array.iteri
@@ -1039,7 +1068,7 @@ let server_row (cfg : server_config) ~(baseline_results : int64 option array)
     sv_worker = inj.Server_fault.worker_slot;
     sv_trigger = server_trigger_of ~requests:cfg.sv_requests inj;
     sv_applied = applied <> None;
-    sv_cell_attempts = 1;
+    sv_cell_attempts = attempts;
     sv_failed = false;
     sv_tally = !tally;
     sv_restarts = restarts;
@@ -1070,12 +1099,27 @@ let check_baseline (cfg : server_config) scheme
          (Printf.sprintf "server victim under %s needed %d restart(s) uninjected" name
             stats.System.restarts))
 
-(* Every cell of [cells] (plan entries, all under [scheme]) off one
-   serving ladder.  Checks the baseline, and returns its checksum and
-   console with each cell's row, or what the cell raised, by plan
-   index. *)
+let server_failed_row (inj : Server_fault.injection) scheme ~error ~attempts =
+  {
+    sv_index = inj.Server_fault.index;
+    sv_scheme = Pass.scheme_name scheme;
+    sv_cls = Server_fault.class_name inj.Server_fault.kind;
+    sv_label = Server_fault.kind_label inj.Server_fault.kind;
+    sv_worker = inj.Server_fault.worker_slot;
+    sv_trigger = 0;
+    sv_applied = false;
+    sv_cell_attempts = attempts;
+    sv_failed = true;
+    sv_tally = Server_fault.empty_tally;
+    sv_restarts = 0;
+    sv_detail = error;
+  }
+
+(* Every cell of one scheme off one serving ladder.  Checks the
+   baseline, settles every cell's row, and returns the baseline's
+   checksum and console. *)
 let serve_scheme (cfg : server_config) ~stream scheme exe cells =
-  let trigger_of inj = server_trigger_of ~requests:cfg.sv_requests inj in
+  let trigger_of c = server_trigger_of ~requests:cfg.sv_requests c.inj in
   let retired = ref 0L in
   let pending, (machine, kernel, process) =
     climb_ladder
@@ -1096,14 +1140,13 @@ let serve_scheme (cfg : server_config) ~stream scheme exe cells =
       ~rung:(fun trigger snap ->
         let limit = budget_of ~budget_factor:cfg.sv_budget_factor !retired in
         List.filter_map
-          (fun inj ->
-            if trigger_of inj <> trigger then None
+          (fun c ->
+            if trigger_of c <> trigger then None
             else
               Some
-                ( inj,
-                  match fork_cell cfg ~snap ~limit ~trigger inj exe with
-                  | cell -> Ok cell
-                  | exception e -> Error e ))
+                ( c,
+                  c.start (fun ~attempt ->
+                      (attempt, fork_cell cfg ~snap ~limit ~trigger c.inj exe)) ))
           cells)
   in
   let outcome = Kernel.run_all ~limit:baseline_limit ?time_slice:cfg.sv_time_slice kernel in
@@ -1113,16 +1156,18 @@ let serve_scheme (cfg : server_config) ~stream scheme exe cells =
   let baseline_results =
     Array.map (fun (rr : Kernel.request_record) -> rr.Kernel.rr_result) stats.System.records
   in
-  let row inj (applied, finish) =
-    match finish budget with
-    | measured -> Ok (server_row cfg ~baseline_results inj scheme !applied measured)
-    | exception e -> Error e
+  let row c = function
+    | Error row -> row
+    | Ok (attempts, (applied, finish)) -> (
+      match finish budget with
+      | measured -> server_row cfg ~baseline_results ~attempts c.inj scheme !applied measured
+      | exception e -> server_failed_row c.inj scheme ~error:(error_text e) ~attempts)
   in
-  ( (stats.System.checksum, stats.System.console),
-    List.concat_map
-      (List.map (fun ((inj : Server_fault.injection), cell) ->
-           (inj.Server_fault.index, Result.bind cell (row inj))))
-      pending )
+  let index c = c.inj.Server_fault.index in
+  List.iter
+    (fun (c, started) -> c.settle (row c started, None))
+    (List.sort (fun (a, _) (b, _) -> compare (index a) (index b)) (List.concat pending));
+  (stats.System.checksum, stats.System.console)
 
 (* ---------- server checkpoint rows ---------- *)
 
@@ -1171,48 +1216,6 @@ let run_server (cfg : server_config) =
       (fun s -> (s, compile_server_victim ~workers:cfg.sv_workers s))
       schemes
   in
-  (* per scheme, the serving ladder runs the cells about to run; its end
-     is the uninjected baseline *)
-  let prepare ~todo =
-    let ladders =
-      Parallel.map ?jobs:cfg.sv_jobs
-        (fun (s, exe) ->
-          let cells = List.filter_map (fun (inj, s', _) -> if s' = s then Some inj else None) todo in
-          (s, serve_scheme cfg ~stream s exe cells))
-        exes
-    in
-    (* the committed results are a pure function of the payloads, so
-       every scheme's baseline must agree — a divergence means a
-       miscompile, not a chaos finding *)
-    (match ladders with
-    | (_, (first, _)) :: rest ->
-      List.iter
-        (fun (s, (baseline, _)) ->
-          if baseline <> first then
-            raise
-              (Broken_victim
-                 (Printf.sprintf "server baseline checksum diverges under %s"
-                    (Pass.scheme_name s))))
-        rest
-    | [] -> ());
-    let rows = Hashtbl.create 64 in
-    List.iter
-      (fun (s, (_, cells)) ->
-        List.iter (fun (index, r) -> Hashtbl.replace rows (index, Pass.scheme_name s) r) cells)
-      ladders;
-    fun ~attempt ((inj : Server_fault.injection), scheme, exe) ->
-      let index = inj.Server_fault.index in
-      let row =
-        match Hashtbl.find rows (index, Pass.scheme_name scheme) with
-        | Error _ when attempt > 1 ->
-          (* a retry forks again, off a ladder of its own *)
-          List.assoc index (snd (serve_scheme cfg ~stream scheme exe [ inj ]))
-        | r -> r
-      in
-      match row with
-      | Ok r -> ({ r with sv_cell_attempts = attempt }, None)
-      | Error e -> raise e
-  in
   let spec =
     {
       header =
@@ -1228,32 +1231,33 @@ let run_server (cfg : server_config) =
       key_of_row = (fun (r : server_row) -> (r.sv_index, r.sv_scheme));
       columns = server_row_columns;
       blank = blank_server_row;
-      failed_row =
-        (fun (inj : Server_fault.injection) scheme ~error ~attempts ->
-          {
-            sv_index = inj.Server_fault.index;
-            sv_scheme = Pass.scheme_name scheme;
-            sv_cls = Server_fault.class_name inj.Server_fault.kind;
-            sv_label = Server_fault.kind_label inj.Server_fault.kind;
-            sv_worker = inj.Server_fault.worker_slot;
-            sv_trigger = 0;
-            sv_applied = false;
-            sv_cell_attempts = attempts;
-            sv_failed = true;
-            sv_tally = Server_fault.empty_tally;
-            sv_restarts = 0;
-            sv_detail = error;
-          });
+      failed_row = server_failed_row;
       revisit = (fun _ -> false);
-      prepare;
+      (* per scheme, the serving ladder runs the cells; its end is the
+         uninjected baseline *)
+      ladder = serve_scheme cfg ~stream;
     }
   in
-  let rows, (_ : ((int * string) * unit) list) =
+  let rows, (_ : ((int * string) * unit) list), baselines =
     run_cells spec ~checkpoint:cfg.sv_checkpoint ~resume:cfg.sv_resume
       ~attempts:cfg.sv_attempts ~jobs:cfg.sv_jobs ~sabotage:cfg.sv_sabotage ~max_cells:cfg.sv_max_cells
       ~plan:(Plan.build_server ~seed:cfg.sv_seed ~count:cfg.sv_count)
       exes
   in
+  (* the committed results are a pure function of the payloads, so
+     every scheme's baseline must agree — a divergence means a
+     miscompile, not a chaos finding *)
+  (match List.combine schemes baselines with
+  | (_, first) :: rest ->
+    List.iter
+      (fun (s, baseline) ->
+        if baseline <> first then
+          raise
+            (Broken_victim
+               (Printf.sprintf "server baseline checksum diverges under %s"
+                  (Pass.scheme_name s))))
+      rest
+  | [] -> ());
   { sv_rows = rows; sv_report_schemes = schemes; sv_report_requests = cfg.sv_requests }
 
 (* ---------- server reporting & gates ---------- *)

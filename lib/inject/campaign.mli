@@ -15,11 +15,12 @@ type config = {
   count : int;  (** plan length; cells = count x applicable schemes *)
   schemes : Pass.scheme list;
   attempts : int;  (** bounded deterministic retries per cell *)
-  jobs : int option;
+  jobs : int option;  (** schemes run in parallel; each runs its cells in turn *)
   budget_factor : int;  (** watchdog = factor x baseline instructions *)
   checkpoint : string option;
-      (** incremental persistence file: each settled row is appended
-          and flushed the moment its cell settles *)
+      (** incremental persistence file: each row is appended and
+          flushed the moment its cell settles, so a killed campaign
+          keeps every settled row *)
   resume : bool;  (** skip cells already in the checkpoint *)
   sabotage : (index:int -> scheme:Pass.scheme -> attempt:int -> unit) option;
       (** test hook: raise from inside a chosen cell *)
@@ -138,7 +139,7 @@ type server_config = {
   sv_shards : int;  (** request-device shards *)
   sv_schemes : Pass.scheme list;
   sv_attempts : int;
-  sv_jobs : int option;
+  sv_jobs : int option;  (** as {!config.jobs} *)
   sv_time_slice : int option;
   sv_engine : Roload_machine.Machine.engine option;
   sv_max_restarts : int;  (** supervisor restart budget per worker *)

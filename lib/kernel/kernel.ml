@@ -344,10 +344,8 @@ let spawn_root = schedule
 
    A process is rebuilt from its image over a memory: a walker over the
    captured root, an MMU seeded from the captured one.  [fork] rebuilds
-   every task's process over the forked memory.  [restore] rewinds in
-   place each process the kernel still runs under the same pid and
-   page-table root (the root task's, whatever the caller holds), and
-   rebuilds the others over the kernel's own memory. *)
+   every task's process over the forked memory; an image is never put
+   back into a live kernel. *)
 
 type proc_image = {
   pi_state : Process.image;
@@ -372,13 +370,11 @@ type image = {
   ik_restart_count : int;
 }
 
-let root_of p = Page_table.root_ppn (Process.page_table p)
-
 let image_of_process p =
   {
     pi_state = Process.snapshot p;
     pi_mmu = Mmu.snapshot (Process.mmu p);
-    pi_root = root_of p;
+    pi_root = Page_table.root_ppn (Process.page_table p);
     pi_exe = Process.exe p;
   }
 
@@ -411,42 +407,27 @@ let rebuild_process t pi =
   Mmu.restore mmu pi.pi_mmu;
   Process.fork pi.pi_state ~exe:pi.pi_exe ~page_table ~mmu ~phys:mem
 
-(* Install [img] into [t], each task's process given by [proc pid
-   image], and put the scheduled task's address space on the
-   machine. *)
-let install t img ~proc =
+(* A sibling kernel over [machine] in the captured state: every task's
+   process rebuilt over the forked memory, and the scheduled task's
+   address space put on the machine. *)
+let fork img ~machine =
+  let t = create ~machine ~config:img.ik_config in
   t.next_frame <- img.ik_next_frame;
   t.syscall_count <- img.ik_syscall_count;
   t.next_pid <- img.ik_next_pid;
   t.tasks <-
     List.map
-      (fun tk -> { tk with proc = proc tk.pid tk.proc; t_regs = Bytes.copy tk.t_regs })
+      (fun tk -> { tk with proc = rebuild_process t tk.proc; t_regs = Bytes.copy tk.t_regs })
       img.ik_tasks;
   t.scheduled <- List.find_opt (fun tk -> tk.pid = img.ik_scheduled) t.tasks;
   t.cursor <- img.ik_cursor;
   t.position <- img.ik_position;
-  Hashtbl.reset t.frame_refs;
   Hashtbl.iter (Hashtbl.replace t.frame_refs) img.ik_frame_refs;
-  Buffer.clear t.console;
   Buffer.add_string t.console img.ik_console;
   t.dev <- copy_device img.ik_dev;
   t.supervision <- img.ik_supervision;
   t.restart_count <- img.ik_restart_count;
-  Option.iter (fun tk -> Machine.attach_mmu t.machine (Process.mmu tk.proc)) t.scheduled
-
-let restore t img =
-  let live = List.map (fun tk -> (tk.pid, tk.proc)) t.tasks in
-  install t img ~proc:(fun pid pi ->
-      match List.assoc_opt pid live with
-      | Some p when root_of p = pi.pi_root ->
-        Process.restore p pi.pi_state;
-        Mmu.restore (Process.mmu p) pi.pi_mmu;
-        p
-      | _ -> rebuild_process t pi)
-
-let fork img ~machine =
-  let t = create ~machine ~config:img.ik_config in
-  install t img ~proc:(fun _ pi -> rebuild_process t pi);
+  Option.iter (fun tk -> Machine.attach_mmu t.machine (Process.mmu tk.proc)) t.scheduled;
   t
 
 let find_task t pid = List.find_opt (fun tk -> tk.pid = pid) t.tasks

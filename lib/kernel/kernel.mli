@@ -13,7 +13,7 @@ type config = {
   page_key_cycles : int;
   fault_cycles : int;
   context_switch_cycles : int;
-      (** scheduler dispatch: register save/restore + address-space swap *)
+      (** scheduler dispatch: register save and reload + address-space swap *)
   queue_cycles_per_waiter : int;
       (** request-device contention: cycles charged per hand-out for every
           other live worker assigned to the same shard *)
@@ -46,24 +46,17 @@ val snapshot : t -> image
     console and the scheduler's position (the cursor, the end of the
     current slice, and a trapped syscall not yet serviced).  The
     scheduled task's live registers and every page table belong to the
-    machine, which snapshots them at its own layer;
-    {!Roload_core.System.snapshot} composes the two.  Request hooks are
-    not captured. *)
-
-val restore : t -> image -> unit
-(** Put the captured state back into the same kernel: every task
-    record is reinstated, tasks created since are dropped, and each
-    process the kernel still runs under the same pid and page-table
-    root (the root task's always) is rewound in place, state and MMU;
-    the others, such as a worker reincarnated since, are rebuilt over
-    the kernel's memory.  The scheduled task's address space goes back
-    on the machine.  The current request hook is left as it is. *)
+    machine, which snapshots them at its own layer; {!Snapshot.capture}
+    composes the two.  Request hooks are not captured.  An image is
+    resumed only through {!fork}. *)
 
 val fork : image -> machine:Roload_machine.Machine.t -> t
 (** A sibling kernel over a forked machine, in the captured state:
     every process (birth templates need none) is rebuilt over the
     forked memory with an MMU seeded from its image, and the scheduled
-    task's MMU is installed on the machine.  No hook is armed. *)
+    task's MMU is installed on the machine.  No hook is armed.  The
+    image stays valid for any number of forks, whatever the kernel it
+    was taken from does next. *)
 
 val pid_of : t -> Process.t -> int option
 (** The pid of the task this process currently embodies. *)

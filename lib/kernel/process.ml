@@ -81,21 +81,16 @@ let snapshot t =
     i_output = Buffer.contents t.output;
   }
 
-let restore t img =
-  t.brk <- img.i_brk;
+(* A fresh process in the captured state, wired to an already-forked
+   address space (the caller forks phys/page-table/MMU first). *)
+let fork img ~exe ~page_table ~mmu ~phys =
+  let t = create ~exe ~page_table ~mmu ~phys ~brk:img.i_brk in
   t.brk_start <- img.i_brk_start;
   t.mmap_next <- img.i_mmap_next;
   t.mapped_pages <- img.i_mapped_pages;
   t.peak_pages <- img.i_peak_pages;
   t.status <- img.i_status;
-  Buffer.clear t.output;
-  Buffer.add_string t.output img.i_output
-
-(* A fresh process in the captured state, wired to an already-forked
-   address space (the caller forks phys/page-table/MMU first). *)
-let fork img ~exe ~page_table ~mmu ~phys =
-  let t = create ~exe ~page_table ~mmu ~phys ~brk:img.i_brk in
-  restore t img;
+  Buffer.add_string t.output img.i_output;
   t
 
 let status t = t.status

@@ -33,8 +33,6 @@ val snapshot : t -> image
     memory accounting, status, console output).  The address space is
     snapshot separately at the memory layer. *)
 
-val restore : t -> image -> unit
-
 val fork :
   image ->
   exe:Roload_obj.Exe.t ->

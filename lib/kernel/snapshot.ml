@@ -11,7 +11,6 @@
    size). *)
 
 module Machine = Roload_machine.Machine
-module Phys_mem = Roload_mem.Phys_mem
 
 type t = { sn_machine : Machine.image; sn_kernel : Kernel.image; sn_pid : int }
 
@@ -21,16 +20,6 @@ let capture ~machine ~kernel ~process =
   | Some pid ->
     { sn_machine = Machine.snapshot machine; sn_kernel = Kernel.snapshot kernel; sn_pid = pid }
 
-(* Put the {e same} objects back into the captured state.  Identities
-   are preserved (including compiled traces), so resumed execution is
-   byte-identical to the original run. *)
-let restore t ~machine ~kernel ~process =
-  Kernel.restore kernel t.sn_kernel;
-  Machine.restore machine t.sn_machine;
-  match Kernel.task_process kernel t.sn_pid with
-  | Some p when p == process -> ()
-  | _ -> invalid_arg "Snapshot.restore: not the captured process"
-
 (* A fresh, fully independent system in the captured state. *)
 let fork t =
   let machine = Machine.fork t.sn_machine in
@@ -38,8 +27,3 @@ let fork t =
   (machine, kernel, Option.get (Kernel.task_process kernel t.sn_pid))
 
 let mem_image t = Machine.mem_image t.sn_machine
-
-(* The differential-state comparator: page-by-page diff with the first
-   differing byte of each page — the silent-corruption localizer of
-   chaos verdicts. *)
-let diff a b = Phys_mem.diff_images (mem_image a) (mem_image b)

@@ -1,10 +1,11 @@
 (** Whole-system snapshots: machine and kernel images captured at one
     instant.  The kernel image holds the whole task table, so a paused
-    multi-process server snapshots as exactly as a single process.  One
-    snapshot can seed any number of in-place restores and copy-on-write
-    forks; campaign runners boot a workload once, pause at the trigger
-    frontier, capture, and fork thousands of variants from the warm
-    image instead of re-booting from reset. *)
+    multi-process server snapshots as exactly as a single process.  A
+    snapshot is resumed only by forking it: one snapshot seeds any
+    number of copy-on-write forks, and survives a parent that runs on.
+    Campaign ladders boot a workload once, pause at each trigger
+    frontier, capture, fork that frontier's cells and drop the
+    snapshot. *)
 
 type t
 
@@ -15,24 +16,15 @@ val capture : machine:Roload_machine.Machine.t -> kernel:Kernel.t -> process:Pro
     size)).
     @raise Invalid_argument if [process] is not a task of [kernel]. *)
 
-val restore : t -> machine:Roload_machine.Machine.t -> kernel:Kernel.t -> process:Process.t -> unit
-(** Put the {e same} objects back into the captured state, compiled
-    traces and every task's process included; resumed execution is
-    byte-identical to the original run — architectural state, cycles,
-    every statistic, and output.
-    @raise Invalid_argument if [process] is not the captured one. *)
-
 val fork : t -> Roload_machine.Machine.t * Kernel.t * Process.t
 (** A fresh, fully independent system in the captured state, sharing
     physical pages copy-on-write with the image.  Mutating a fork never
-    perturbs the image, the parent, or sibling forks.  The returned
-    process is the captured one's counterpart, a task of the returned
-    kernel; the task that held the CPU holds the forked CPU. *)
+    perturbs the image, the parent, or sibling forks, and a fork's
+    resumed run is byte-identical to the captured system's own —
+    architectural state, cycles, every statistic, and output.  The
+    returned process is the captured one's counterpart, a task of the
+    returned kernel; the task that held the CPU holds the forked CPU. *)
 
 val mem_image : t -> Roload_mem.Phys_mem.image
-(** The captured physical memory. *)
-
-val diff : t -> t -> Roload_mem.Phys_mem.page_diff list
-(** Page-by-page memory comparison of two snapshots, reporting each
-    differing page with its first differing byte — the
-    silent-corruption localizer used in chaos verdicts. *)
+(** The captured physical memory, for
+    {!Roload_mem.Phys_mem.diff_images}. *)

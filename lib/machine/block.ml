@@ -80,7 +80,7 @@ let append t s =
 (* Deep copy for machine snapshots: slots are immutable records, so a
    fresh slot array suffices, and a closed block (which never appends
    again) shares its array; the trace-engine bookkeeping rides along so
-   a restored machine re-reaches hotness on exactly the same entry. *)
+   a forked machine re-reaches hotness on exactly the same entry. *)
 let copy t =
   {
     start_pa = t.start_pa;

@@ -28,7 +28,7 @@ val append : t -> slot -> unit
 
 val copy : t -> t
 (** Deep copy (fresh slot array, bookkeeping included) — used by machine
-    snapshots so a restored block cache can mutate independently. *)
+    snapshots so a forked block cache can mutate independently. *)
 
 (** {2 Trace-engine bookkeeping}
 

@@ -40,11 +40,11 @@
 
    One trace serves every machine and address space that shares its
    statics.  A compiled trace depends only on its plan and on [statics]
-   (costs and the I-cache line size), which a machine's forks and
-   restores share; the running machine arrives at run time as the [env]
-   argument, with the MMU of whichever process it runs now.  So each
-   machine keeps one trace table for all its processes, and forks and
-   restores copy it instead of re-compiling.  This is exact because:
+   (costs and the I-cache line size), which a machine's forks share;
+   the running machine arrives at run time as the [env] argument, with
+   the MMU of whichever process it runs now.  So each machine keeps one
+   trace table for all its processes, and forks copy it instead of
+   re-compiling.  This is exact because:
 
    - every seam re-translates its VA through the running MMU, accounting
      the fetch as the dispatch loop would, and checks the PA the plan
@@ -110,8 +110,8 @@ type texit =
           [Cpu.pc] *)
 
 (* Config-fixed values a trace bakes in at compile time: the cost model
-   and the I-cache line size.  Forks and restores of a machine share
-   them, so they share its traces too. *)
+   and the I-cache line size.  Forks of a machine share them, so they
+   share its traces too. *)
 type statics = {
   line_shift : int;
   c_base : int;

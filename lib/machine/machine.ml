@@ -995,15 +995,15 @@ let run_steps ?stop_at_pc ~fuel t =
    charged — it must be captured for exactness), the code-page bitmap
    and generation, and every metrics-visible counter.
 
-   [restore] puts the same machine object back into the captured state,
-   in place.  [fork] builds a new, fully independent machine from the
-   image, in one pass per layer.  All three cost what the machine holds,
-   not what its tables could hold: pages are shared copy-on-write, the
-   decode and block tables start small, and each cache is three flat
-   arrays.  Both refill the trace table from the image: a compiled trace
-   captures no machine (it runs on the [Lower.env] it is handed), so a
-   fork runs its parent's hot traces and matches a restored parent on
-   every counter, trace-engine counters included. *)
+   [fork] builds a new, fully independent machine from the image, in one
+   pass per layer; an image is never put back into a live machine.
+   Both cost what the machine holds, not what its tables could hold:
+   pages are shared copy-on-write, the decode and block tables start
+   small, and each cache is three flat arrays.  A fork copies the trace
+   table: a compiled trace captures no machine (it runs on the
+   [Lower.env] it is handed), so a fork runs its parent's hot traces
+   and matches the parent run on every counter, trace-engine counters
+   included. *)
 
 let copy_counts (c : exec_counts) =
   {
@@ -1088,20 +1088,11 @@ let snapshot t =
 
 let mem_image img = img.im_mem
 
-(* Refill a live hashtable from an image table without replacing it —
-   the run-time record holds the trace table's identity. *)
-let refill ~copy dst src =
-  Hashtbl.reset dst;
-  Hashtbl.iter (fun k v -> Hashtbl.add dst k (copy v)) src
-
-(* Every counter of the image, into [t]'s own records ([restore] and
-   [fork]). *)
-let restore_counters t img =
+(* Every counter of the image, into a fork's own records. *)
+let load_counters t img =
   t.code_gen <- img.im_code_gen;
   assign_counts ~dst:t.rt.counts img.im_counts;
-  let used = Array.length img.im_key_counts in
-  Array.blit img.im_key_counts 0 t.rt.key_counts 0 used;
-  Array.fill t.rt.key_counts used (Array.length t.rt.key_counts - used) 0;
+  Array.blit img.im_key_counts 0 t.rt.key_counts 0 (Array.length img.im_key_counts);
   t.block_enters <- img.im_block_enters;
   t.block_hits <- img.im_block_hits;
   t.block_decodes <- img.im_block_decodes;
@@ -1109,16 +1100,6 @@ let restore_counters t img =
   t.trace_retires <- img.im_trace_retires;
   t.traces_compiled <- img.im_traces_compiled;
   t.injections <- img.im_injections
-
-let restore t img =
-  Cpu.restore t.rt.cpu img.im_cpu;
-  Phys_mem.restore t.rt.mem img.im_mem;
-  Roload_cache.Hierarchy.restore t.rt.hier img.im_hier;
-  refill ~copy:Fun.id t.decode_cache img.im_decode;
-  refill ~copy:Block.copy t.blocks img.im_blocks;
-  refill ~copy:Fun.id t.rt.traces img.im_traces;
-  Bytes.blit img.im_code_pages 0 t.rt.code_pages 0 (Bytes.length t.rt.code_pages);
-  restore_counters t img
 
 let fork img =
   let config = img.im_config in
@@ -1130,5 +1111,5 @@ let fork img =
       ~code_pages:(Bytes.copy img.im_code_pages) ~traces:(Hashtbl.copy img.im_traces)
   in
   Cpu.restore t.rt.cpu img.im_cpu;
-  restore_counters t img;
+  load_counters t img;
   t

@@ -107,8 +107,8 @@ val flush_code_caches : t -> unit
     pages holding decoded instructions. *)
 
 val attach_mmu : t -> Roload_mem.Mmu.t -> unit
-(** Install an address space: a fork's, a restored root's, or the next
-    task's at a context switch.  The decode/block caches and the one
+(** Install an address space: a fork's, or the next task's at a
+    context switch.  The decode/block caches and the one
     trace table stay — they are keyed by physical address, and a compiled
     trace re-translates through whichever MMU is installed, so they are
     exact for every process of the machine. *)
@@ -192,7 +192,8 @@ val run_steps : ?stop_at_pc:int -> fuel:int -> t -> run_stop
     cache contents and statistics, the decode/block caches, compiled
     traces and every metrics-visible counter.  MMUs (TLBs, fault
     counters) belong to processes: the kernel's image captures each
-    one.  One image can seed any number of restores and forks. *)
+    one.  An image is resumed only by forking it: one image seeds any
+    number of forks, whatever the machine it was taken from does next. *)
 
 type image
 
@@ -200,22 +201,14 @@ val snapshot : t -> image
 (** Capture the machine.  Cheap: page table pointers are shared
     copy-on-write with the live machine, only bookkeeping is copied. *)
 
-val restore : t -> image -> unit
-(** Put this machine back into the captured state, in place, the trace
-    table included (refilled with the image's compiled traces).  Object
-    identities (cpu, memory, hierarchy) are preserved, and the attached
-    MMU is left as it is.  Replay after
-    restore is byte-identical to the original run: architectural state,
-    cycles, and every statistic. *)
-
 val fork : image -> t
 (** A fresh, fully independent machine in the captured state.  Physical
     pages are shared copy-on-write with the image; mutating a fork never
     perturbs the image, the parent, or sibling forks.  The fork has no
     MMU yet ({!attach_mmu}).  It copies the image's trace table, as
     {!snapshot} does: compiled traces capture no machine, so a fork runs
-    the parent's hot traces and matches a restored parent on every
-    counter, trace-engine counters included. *)
+    the parent's hot traces, and its resumed run matches the parent's
+    on every counter, trace-engine counters included. *)
 
 val mem_image : image -> Roload_mem.Phys_mem.image
 (** The captured physical memory, for {!Roload_mem.Phys_mem.diff_images}

@@ -11,7 +11,7 @@
    memory and the image share every chunk and page until the next store
    to each.  Frozen image chunks and pages are never written again,
    which makes an [image] safe to share read-only across domains and
-   makes [snapshot], [restore] and [fork] O(chunk count).
+   makes [snapshot] and [fork] O(chunk count).
 
    DRAM is demand-zero: [create] points every chunk at one shared zero
    chunk whose slots all hold one immutable zero page, so a fresh 64 MiB
@@ -100,11 +100,6 @@ let snapshot t =
   let img = { i_chunks = Array.copy t.chunks; i_size = t.size } in
   Bytes.fill t.c_owned 0 (Bytes.length t.c_owned) '\000';
   img
-
-let restore t img =
-  if img.i_size <> t.size then invalid_arg "Phys_mem.restore: size mismatch";
-  Array.blit img.i_chunks 0 t.chunks 0 (Array.length t.chunks);
-  Bytes.fill t.c_owned 0 (Bytes.length t.c_owned) '\000'
 
 let fork img =
   {

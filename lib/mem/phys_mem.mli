@@ -29,10 +29,6 @@ val snapshot : t -> image
     running; its next store to each frozen page copies that page
     (copy-on-write), so the image stays exact. *)
 
-val restore : t -> image -> unit
-(** Reset [t]'s contents to [image] in O(chunk count), preserving the
-    identity of [t] itself.  The image remains valid and reusable. *)
-
 val fork : image -> t
 (** A fresh memory whose contents equal [image], sharing every page with
     it until written — O(chunk count), no bulk allocation. *)

@@ -1,6 +1,9 @@
 let () =
   Alcotest.run "roload"
     [
+      (* first: it forks the test process, which no spawned domain may
+         precede *)
+      ("chaos-kill", Test_chaos.durability_suite);
       ("bits", Test_bits.suite);
       ("isa", Test_isa.suite);
       ("mem", Test_mem.suite);

@@ -203,21 +203,6 @@ let prop_rehit_many =
       && Cache.snapshot a = Cache.snapshot b
       && !log_a = !log_b)
 
-(* Restoring an image checks the whole geometry, not just the line
-   count: 64 sets x 8 ways and 128 sets x 4 ways both hold 512 lines. *)
-let test_restore_geometry () =
-  let cache ~ways = Cache.create { Cache.size_bytes = Cache.kib 32; ways; line_bytes = 64 } in
-  let mismatch = Invalid_argument "Cache.restore: geometry mismatch" in
-  Alcotest.check_raises "64x8 image into a 128x4 cache" mismatch (fun () ->
-      Cache.restore (cache ~ways:4) (Cache.snapshot (cache ~ways:8)));
-  Alcotest.check_raises "fewer lines" mismatch (fun () ->
-      Cache.restore (mk ()) (Cache.snapshot (cache ~ways:8)));
-  let c = cache ~ways:8 in
-  ignore (Cache.access c ~addr:0 ~write:true);
-  let img = Cache.snapshot c in
-  Cache.restore (cache ~ways:8) img;
-  Alcotest.(check bool) "same geometry restores" true (Cache.snapshot c = img)
-
 (* ---------- Cache = reference LRU model ----------
 
    An independent reference: each set is a list of resident lines,
@@ -305,7 +290,7 @@ let prop_reference_model =
         (1, return `Flush);
         (1, return `Reset_stats);
         (2, return `Snapshot);
-        (2, return `Restore);
+        (2, return `Of_image);
         (1, map (fun a -> `Intercept (Some (a / line * line))) addr);
         (1, return (`Intercept None));
       ]
@@ -319,7 +304,7 @@ let prop_reference_model =
     | `Flush -> "flush"
     | `Reset_stats -> "reset"
     | `Snapshot -> "snap"
-    | `Restore -> "restore"
+    | `Of_image -> "of_image"
     | `Intercept None -> "no-drop"
     | `Intercept (Some a) -> Printf.sprintf "drop %d" a
   in
@@ -334,7 +319,7 @@ let prop_reference_model =
   in
   QCheck.Test.make ~count:500 ~name:"Cache = reference LRU model" arb
     (fun ((size_bytes, ways, line_bytes), ops) ->
-      let c = Cache.create { Cache.size_bytes; ways; line_bytes } in
+      let c = ref (Cache.create { Cache.size_bytes; ways; line_bytes }) in
       let m =
         ref
           {
@@ -349,9 +334,21 @@ let prop_reference_model =
       in
       let log_c = ref [] and log_m = ref [] in
       let victims_c = ref [] and victims_m = ref [] in
-      Cache.set_observer c
-        (Some (fun ~addr ~write ~hit ~writeback -> log_c := (addr, write, hit, writeback) :: !log_c));
       let drop = ref None in
+      (* the observer and the interceptor are per-run wiring: a cache
+         built from an image gets them again *)
+      let wire () =
+        Cache.set_observer !c
+          (Some
+             (fun ~addr ~write ~hit ~writeback -> log_c := (addr, write, hit, writeback) :: !log_c));
+        Cache.set_writeback_interceptor !c
+          (Option.map
+             (fun chosen ~addr ->
+               victims_c := addr :: !victims_c;
+               addr = chosen)
+             !drop)
+      in
+      wire ();
       let h = Cache.handle () and h_addr = ref None in
       let saved = ref None in
       let model_access ~addr ~write =
@@ -365,63 +362,59 @@ let prop_reference_model =
         for _ = 2 to n do
           ignore (model_access ~addr ~write:false)
         done;
-        let ok = if n = 1 then Cache.rehit c h else Cache.rehit_many c h ~n in
+        let ok = if n = 1 then Cache.rehit !c h else Cache.rehit_many !c h ~n in
         ((not ok) || resident)
         && (ok
-           || Cache.access_into c ~addr ~write:false h = first
-              && Cache.rehit_many c h ~n:(n - 1))
+           || Cache.access_into !c ~addr ~write:false h = first
+              && Cache.rehit_many !c h ~n:(n - 1))
       in
       let step = function
-        | `Access (addr, write) -> Cache.access c ~addr ~write = model_access ~addr ~write
+        | `Access (addr, write) -> Cache.access !c ~addr ~write = model_access ~addr ~write
         | `Access_into addr ->
           h_addr := Some addr;
-          Cache.access_into c ~addr ~write:false h = model_access ~addr ~write:false
+          Cache.access_into !c ~addr ~write:false h = model_access ~addr ~write:false
         | `Rehit -> (
           match !h_addr with
-          | None -> not (Cache.rehit c h)
+          | None -> not (Cache.rehit !c h)
           | Some addr -> replay 1 addr)
         | `Rehit_many n -> (
           match !h_addr with
-          | None -> Cache.rehit_many c h ~n = (n <= 0)
-          | Some _ when n <= 0 -> Cache.rehit_many c h ~n
+          | None -> Cache.rehit_many !c h ~n = (n <= 0)
+          | Some _ when n <= 0 -> Cache.rehit_many !c h ~n
           | Some addr -> replay n addr)
         | `Fresh_handle ->
           (* a handle never re-pointed names no line *)
           let fresh = Cache.handle () in
-          (not (Cache.rehit c fresh)) && not (Cache.rehit_many c fresh ~n:3)
+          (not (Cache.rehit !c fresh)) && not (Cache.rehit_many !c fresh ~n:3)
         | `Flush ->
-          Cache.flush c;
+          Cache.flush !c;
           Array.fill !m.m_sets 0 (Array.length !m.m_sets) [];
           true
         | `Reset_stats ->
-          Cache.reset_stats c;
+          Cache.reset_stats !c;
           !m.m_hits <- 0;
           !m.m_misses <- 0;
           !m.m_writebacks <- 0;
           !m.m_dropped <- 0;
           true
         | `Snapshot ->
-          saved := Some (Cache.snapshot c, model_copy !m);
+          saved := Some (Cache.snapshot !c, model_copy !m);
           true
-        | `Restore ->
+        | `Of_image ->
           (match !saved with
           | None -> ()
           | Some (img, mm) ->
-            Cache.restore c img;
+            c := Cache.of_image img;
+            wire ();
             m := model_copy mm);
           true
         | `Intercept target ->
           drop := target;
-          Cache.set_writeback_interceptor c
-            (Option.map
-               (fun chosen ~addr ->
-                 victims_c := addr :: !victims_c;
-                 addr = chosen)
-               target);
+          wire ();
           true
       in
       let stats_agree () =
-        let s = Cache.stats c in
+        let s = Cache.stats !c in
         s.Cache.hits = !m.m_hits && s.Cache.misses = !m.m_misses
         && s.Cache.writebacks = !m.m_writebacks
         && s.Cache.dropped_writebacks = !m.m_dropped
@@ -437,7 +430,6 @@ let suite =
     Alcotest.test_case "write-back on dirty eviction" `Quick test_writeback;
     Alcotest.test_case "stats and flush" `Quick test_stats_and_flush;
     Alcotest.test_case "hierarchy costs" `Quick test_hierarchy_costs;
-    Alcotest.test_case "restore checks the geometry" `Quick test_restore_geometry;
     Seeded.to_alcotest prop_counters_consistent;
     Seeded.to_alcotest prop_repeat_hits;
     Seeded.to_alcotest prop_deterministic;

@@ -442,11 +442,14 @@ let test_server_plan_determinism () =
 
 (* ---------- the cell runner, through both campaigns ---------- *)
 
-(* A campaign as the runner tests see it: run with a retry budget, a
-   sabotage hook and checkpoint settings; observe every row as (plan
-   index, attempts, failed, detail) plus the JSON report. *)
+(* A campaign as the runner tests see it: its schemes, and a run with a
+   retry budget, a sabotage hook, checkpoint settings and a job count;
+   observe every row as (plan index, attempts, failed, detail) plus the
+   JSON report. *)
 type instance = {
+  schemes : Pass.scheme list;
   run :
+    ?jobs:int ->
     ?attempts:int ->
     ?sabotage:(index:int -> scheme:Pass.scheme -> attempt:int -> unit) ->
     ?checkpoint:string ->
@@ -459,8 +462,9 @@ type instance = {
 
 let classic =
   {
+    schemes = small_config.Campaign.schemes;
     run =
-      (fun ?(attempts = 2) ?sabotage ?checkpoint ?(resume = false) ?max_cells
+      (fun ?(jobs = 4) ?(attempts = 2) ?sabotage ?checkpoint ?(resume = false) ?max_cells
            ?(seed = 3L) () ->
         let rp =
           Campaign.run
@@ -468,6 +472,7 @@ let classic =
               small_config with
               Campaign.count = 6;
               seed;
+              jobs = Some jobs;
               attempts;
               sabotage;
               checkpoint;
@@ -487,14 +492,16 @@ let classic =
 
 let server =
   {
+    schemes = server_config.Campaign.sv_schemes;
     run =
-      (fun ?(attempts = 2) ?sabotage ?checkpoint ?(resume = false) ?max_cells
+      (fun ?(jobs = 4) ?(attempts = 2) ?sabotage ?checkpoint ?(resume = false) ?max_cells
            ?(seed = 3L) () ->
         let rp =
           Campaign.run_server
             {
               server_config with
               Campaign.sv_count = 4;
+              sv_jobs = Some jobs;
               sv_requests = 60;
               sv_seed = seed;
               sv_attempts = attempts;
@@ -649,6 +656,64 @@ let test_server_bogus_tag () =
   in
   Alcotest.(check int) "only the malformed row's cell ran again" 1 (Atomic.get ran);
   Alcotest.(check string) "resumed JSON byte-identical" fresh resumed
+
+(* Durability: a killed campaign keeps every row it settled.  The
+   campaign runs at one job in a forked child, so no domain is started
+   there, and the child's sabotage hook SIGKILLs it at the first cell of
+   the last scheme.  Schemes run one after another at one job, so the
+   checkpoint must hold exactly the header and every row of the earlier
+   schemes, in the order an uninterrupted run writes them; resuming it
+   must render the uninterrupted JSON.  [Unix.fork] refuses once any
+   domain has been spawned in the process, so these cases run before
+   every other suite. *)
+let test_killed_run_keeps_rows inst () =
+  let last = List.nth inst.schemes (List.length inst.schemes - 1) in
+  let full = Filename.temp_file "roload-chaos-full" ".tsv" in
+  let ck = Filename.temp_file "roload-chaos-killed" ".tsv" in
+  Sys.remove ck;
+  let _, uninterrupted = inst.run ~jobs:1 ~checkpoint:full () in
+  (match Unix.fork () with
+  | 0 ->
+    (try
+       ignore
+         (inst.run ~jobs:1 ~checkpoint:ck
+            ~sabotage:(fun ~index:_ ~scheme ~attempt:_ ->
+              if scheme = last then Unix.kill (Unix.getpid ()) Sys.sigkill)
+            ())
+     with _ -> ());
+    Unix._exit 0
+  | pid -> (
+    match Unix.waitpid [] pid with
+    | _, Unix.WSIGNALED sg when sg = Sys.sigkill -> ()
+    | _ -> Alcotest.fail "the child was not killed at the last scheme's first cell"));
+  let lines path =
+    if not (Sys.file_exists path) then []
+    else List.filter (( <> ) "") (String.split_on_char '\n' (read_file path))
+  in
+  let scheme_of line =
+    match String.split_on_char '\t' line with _ :: s :: _ -> s | _ -> ""
+  in
+  let earlier =
+    List.filter (fun l -> scheme_of l <> Pass.scheme_name last) (lines full)
+  in
+  let killed = lines ck in
+  Sys.remove full;
+  Alcotest.(check (list string)) "the checkpoint holds every row of the earlier schemes"
+    earlier killed;
+  let _, resumed =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove ck)
+      (fun () -> inst.run ~jobs:1 ~checkpoint:ck ~resume:true ())
+  in
+  Alcotest.(check string) "resumed JSON equals the uninterrupted run's" uninterrupted resumed
+
+let durability_suite =
+  [
+    Alcotest.test_case "classic campaign: a killed run keeps its rows" `Slow
+      (test_killed_run_keeps_rows classic);
+    Alcotest.test_case "server campaign: a killed run keeps its rows" `Slow
+      (test_killed_run_keeps_rows server);
+  ]
 
 let suite =
   [

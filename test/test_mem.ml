@@ -36,7 +36,7 @@ let test_phys_mem () =
 (* Phys_mem against a flat [Bytes] model: random stores of every width
    (aligned and page-straddling, through the accessors and through
    [Phys_mem.page]), strings, whole-page and partial fills, page copies,
-   bit flips, snapshots, restores and forks, on a memory that ends
+   bit flips, snapshots and forks, on a memory that ends
    mid-chunk and mid-page.  Addresses cluster on pages next to chunk
    boundaries so that copies, stores and snapshots collide. *)
 let prop_phys_mem_model =
@@ -79,8 +79,7 @@ let prop_phys_mem_model =
           (3, map2 (fun src dst -> `Copy_page (src, dst)) page_gen page_gen);
           (1, map2 (fun a bit -> `Flip (a, bit)) (addr_gen ~len:8) (int_bound 63));
           (2, return `Snapshot);
-          (1, map (fun i -> `Restore i) nat);
-          (1, map (fun i -> `Fork i) nat) ])
+          (2, map (fun i -> `Fork i) nat) ])
   in
   let print_op = function
     | `Store (w, a, v, via_page) ->
@@ -92,7 +91,6 @@ let prop_phys_mem_model =
     | `Copy_page (s, d) -> Printf.sprintf "cp %d->%d" s d
     | `Flip (a, b) -> Printf.sprintf "flip %#x.%d" a b
     | `Snapshot -> "snap"
-    | `Restore i -> Printf.sprintf "restore %d" i
     | `Fork i -> Printf.sprintf "fork %d" i
   in
   let arb =
@@ -190,13 +188,6 @@ let prop_phys_mem_model =
           true
         | `Snapshot ->
           images := !images @ [ (Phys_mem.snapshot !mem, Bytes.copy !m) ];
-          true
-        | `Restore i ->
-          if !images <> [] then begin
-            let img, mi = nth i in
-            Phys_mem.restore !mem img;
-            m := Bytes.copy mi
-          end;
           true
         | `Fork i ->
           if !images <> [] then begin

@@ -3,21 +3,19 @@
 
    The contract under test, on every scheme and every engine:
 
-   - restore-exactness: run N instructions, snapshot, run to completion,
-     restore, run to completion again — both runs match an uninterrupted
-     one, and the second is byte-identical to the first (status, output,
-     instret, cycles, and the {e full} metrics snapshot, caches/TLBs/
-     trace counters included), also when the program forks after the
-     snapshot;
+   - replay-exactness: run N instructions, snapshot, run the parent to
+     completion, then fork the snapshot and run the fork to completion —
+     both runs match an uninterrupted one, and the fork is
+     byte-identical to the parent (status, output, console, instret,
+     cycles, and the {e full} metrics snapshot, caches/TLBs/trace
+     counters included, so it runs the traces the image holds), also
+     when the program forks after the snapshot.  An image survives a
+     parent that ran on, and any number of uses;
 
    - multi-task exactness: a kernel with several live tasks — a forked
      child, or a supervised server paused at a request hand-out —
-     captures every task, and forks, the parent served on, and restores
-     all end as an uninterrupted run does;
-
-   - fork-exactness: a fork replays the captured run with the full
-     metrics snapshot, trace counters included — it runs the traces the
-     image holds;
+     captures every task, and forks taken before and after the parent
+     served on all end as an uninterrupted run does;
 
    - fork-isolation: forks of one snapshot are fully independent —
      running the parent or a sibling to completion never perturbs a
@@ -69,7 +67,7 @@ let outcome_str (o : Kernel.run_outcome) =
     | Process.Running -> "running")
     o.Kernel.instructions o.Kernel.cycles o.Kernel.output
 
-(* ---------- restore-exactness + fork-isolation property ---------- *)
+(* ---------- replay-exactness + fork-isolation property ---------- *)
 
 let gen_case rs =
   let open QCheck.Gen in
@@ -84,44 +82,37 @@ let arb_case =
       Printf.sprintf "// scheme %s engine %s pause %Ld\n%s" (Pass.scheme_name scheme)
         (Machine.engine_name engine) pause src)
 
-let check_restore_exact ~ctx (src, scheme, engine, pause) =
+(* Pause, capture, and run the parent on to its end: the paused run
+   matches an uninterrupted one.  Returns the parent's end and the
+   snapshot. *)
+let check_pause_exact ~ctx (src, scheme, engine, pause) =
   let exe = compile ~scheme src in
-  let uninterrupted, console =
+  let uninterrupted =
     let _, kernel, process = boot ~engine exe in
-    let o = run_to budget kernel process in
-    (o, Kernel.console kernel)
+    outcome_str (run_to budget kernel process)
   in
   let machine, kernel, process = boot ~engine exe in
   ignore (run_to pause kernel process);
   let snap = Snapshot.capture ~machine ~kernel ~process in
-  let final1 = run_to budget kernel process in
-  let met1 = metrics ~machine ~kernel ~process in
+  let final = run_to budget kernel process in
   Alcotest.(check string)
     (ctx ^ ": paused run matches an uninterrupted one")
-    (outcome_str uninterrupted) (outcome_str final1);
-  Snapshot.restore snap ~machine ~kernel ~process;
-  let final2 = run_to budget kernel process in
-  let met2 = metrics ~machine ~kernel ~process in
-  Alcotest.(check string)
-    (ctx ^ ": replay after restore is identical")
-    (outcome_str final1) (outcome_str final2);
-  Alcotest.(check string)
-    (ctx ^ ": full metrics identical after restore")
-    (Metrics.to_json met1) (Metrics.to_json met2);
-  Alcotest.(check string) (ctx ^ ": console replays after restore") console
-    (Kernel.console kernel);
-  (final1, met1, snap)
+    uninterrupted (outcome_str final);
+  ((final, metrics ~machine ~kernel ~process, Kernel.console kernel), snap)
 
-let check_fork_exact ~ctx snap (final1 : Kernel.run_outcome) (met1 : Metrics.t) =
+(* A fork of [snap] ends byte-identically to [parent_end], the end the
+   parent reached from the same capture. *)
+let check_fork_exact ~ctx snap ((final, met, console) : Kernel.run_outcome * Metrics.t * string) =
   let fm, fk, fp = Snapshot.fork snap in
   let ffinal = run_to budget fk fp in
   let fmet = metrics ~machine:fm ~kernel:fk ~process:fp in
   Alcotest.(check string)
     (ctx ^ ": fork replays the captured run")
-    (outcome_str final1) (outcome_str ffinal);
+    (outcome_str final) (outcome_str ffinal);
   Alcotest.(check string)
     (ctx ^ ": full metrics identical in a fork")
-    (Metrics.to_json met1) (Metrics.to_json fmet)
+    (Metrics.to_json met) (Metrics.to_json fmet);
+  Alcotest.(check string) (ctx ^ ": console replays in a fork") console (Kernel.console fk)
 
 (* The cache tag store and decode/block table sizes of a machine. *)
 let code_state m =
@@ -151,21 +142,22 @@ let check_fork_isolation ~ctx ~fresh snap =
 let check_roundtrip ((_, scheme, engine, _) as case) =
   let ctx = Printf.sprintf "%s/%s" (Pass.scheme_name scheme) (Machine.engine_name engine) in
   Test_engine.with_hot_threshold 1 (fun () ->
-      let final1, met1, snap = check_restore_exact ~ctx case in
+      let parent_end, snap = check_pause_exact ~ctx case in
       let fresh = code_state (let m, _, _ = Snapshot.fork snap in m) in
-      check_fork_exact ~ctx snap final1 met1;
+      check_fork_exact ~ctx snap parent_end;
+      check_fork_exact ~ctx:(ctx ^ ", second use") snap parent_end;
       check_fork_isolation ~ctx ~fresh snap)
 
 let prop_snapshot_roundtrip =
   QCheck.Test.make ~count:12
-    ~name:"snapshot/restore/fork: byte-identical replay on all schemes x engines"
+    ~name:"snapshot/fork: byte-identical replay on all schemes x engines"
     arb_case
     (fun case ->
       check_roundtrip case;
       true)
 
-(* A one-task snapshot taken before the program forks: restore and fork
-   must drop the child created after the capture and replay the
+(* A one-task snapshot taken before the program forks: a fork of it,
+   taken after the parent's child came and went, must replay the
    fork/wait exactly.  After the fork the parent first touches pages it
    never used before, so it must take TLB misses through its own page
    table. *)
@@ -200,12 +192,6 @@ let step_until ~from kernel process cond =
 let child_forked kernel () =
   match Kernel.task_statuses kernel with [ _; (_, Process.Running) ] -> true | _ -> false
 
-(* The child has printed but not exited, so it holds the CPU. *)
-let child_on_cpu kernel () =
-  match Kernel.task_process kernel 2 with
-  | Some p -> Process.output p <> "" && Process.status p = Process.Running
-  | None -> false
-
 let boot_to_fork () =
   let machine, kernel, process = boot (fork_exe ()) in
   let forked_at = step_until ~from:1L kernel process (child_forked kernel) in
@@ -215,27 +201,7 @@ let test_forking_roundtrip () =
   let _, _, _, forked_at = boot_to_fork () in
   (* the last pause at which the root is still the only task *)
   let pause = Int64.pred forked_at in
-  List.iter (fun engine -> check_roundtrip (fork_src, Pass.Icall, engine, pause)) all_engines;
-  (* restoring while the child holds the CPU must reinstall the root's
-     address space *)
-  List.iter
-    (fun engine ->
-      Test_engine.with_hot_threshold 1 (fun () ->
-          let exe = fork_exe () in
-          let m0, k0, p0 = boot ~engine exe in
-          let uninterrupted = outcome_str (run_to budget k0 p0) in
-          let met0 = metrics ~machine:m0 ~kernel:k0 ~process:p0 in
-          let machine, kernel, process = boot ~engine exe in
-          ignore (run_to pause kernel process);
-          let snap = Snapshot.capture ~machine ~kernel ~process in
-          ignore (step_until ~from:pause kernel process (child_on_cpu kernel));
-          Snapshot.restore snap ~machine ~kernel ~process;
-          let ctx = Machine.engine_name engine ^ ": restored mid-child" in
-          Alcotest.(check string) (ctx ^ " replay") uninterrupted
-            (outcome_str (run_to budget kernel process));
-          Alcotest.(check bool) (ctx ^ " metrics architecturally identical") true
-            (Metrics.core_equal met0 (metrics ~machine ~kernel ~process))))
-    all_engines
+  List.iter (fun engine -> check_roundtrip (fork_src, Pass.Icall, engine, pause)) all_engines
 
 let check_core ctx a b =
   match Metrics.core_diff a b with
@@ -243,8 +209,9 @@ let check_core ctx a b =
   | Some (field, x, y) -> Alcotest.failf "%s: %s differs (%s, expected %s)" ctx field y x
 
 (* With the child alive the table holds two live tasks.  A capture
-   there forks, replays on the parent and restores exactly: every task's
-   process and TLBs are in the image. *)
+   there forks and replays on the parent exactly, and forks again after
+   the parent ran on: every task's process and TLBs are in the
+   image. *)
 let test_two_live_tasks_roundtrip () =
   List.iter
     (fun engine ->
@@ -264,8 +231,7 @@ let test_two_live_tasks_roundtrip () =
       in
       check "fork" (Snapshot.fork snap);
       check "parent" (machine, kernel, process);
-      Snapshot.restore snap ~machine ~kernel ~process;
-      check "restored" (machine, kernel, process))
+      check "fork after the parent ran" (Snapshot.fork snap))
     all_engines
 
 (* ---------- the serving ladder ---------- *)
@@ -335,15 +301,13 @@ let pause_server system k =
   Snapshot.capture ~machine ~kernel ~process
 
 (* One serving ladder with rungs at hand-outs 1, 100, 250 and 399: the
-   parent served on from the last rung, a fork of each rung and the
-   parent restored to each rung all end exactly as an uninterrupted
-   run does. *)
+   parent served on from the last rung, and two forks of each rung taken
+   after it, all end exactly as an uninterrupted run does. *)
 let test_server_ladder () =
   List.iter
     (fun engine ->
       let reference = finish (boot_server engine) in
       let parent = boot_server engine in
-      let machine, kernel, process = parent in
       let rungs = List.map (fun k -> (k, pause_server parent k)) [ 1; 100; 250; 399 ] in
       let ctx = Machine.engine_name engine in
       check_served (ctx ^ ": parent served on") reference (finish parent);
@@ -351,8 +315,7 @@ let test_server_ladder () =
         (fun (k, snap) ->
           let ctx = Printf.sprintf "%s: rung %d" ctx k in
           check_served (ctx ^ ", fork") reference (finish (Snapshot.fork snap));
-          Snapshot.restore snap ~machine ~kernel ~process;
-          check_served (ctx ^ ", restored") reference (finish parent))
+          check_served (ctx ^ ", second fork") reference (finish (Snapshot.fork snap)))
         rungs)
     all_engines
 
@@ -365,12 +328,11 @@ let kill_a_worker (_, kernel, _) =
 
 (* A worker killed in one fork is reincarnated there and nowhere else:
    a sibling fork ends exactly as an uninterrupted run does, and so does
-   the parent restored after the same kill put a new incarnation in its
-   table. *)
+   a fork taken after the same kill put a new incarnation in the
+   parent's table. *)
 let test_server_fork_isolation () =
   let reference = finish (boot_server Machine.Traced) in
   let parent = boot_server Machine.Traced in
-  let machine, kernel, process = parent in
   let snap = pause_server parent 100 in
   let struck = Snapshot.fork snap and sibling = Snapshot.fork snap in
   kill_a_worker struck;
@@ -378,8 +340,7 @@ let test_server_fork_isolation () =
   check_served "sibling of a struck fork" reference (finish sibling);
   kill_a_worker parent;
   Alcotest.(check int) "the struck parent restarted its worker" 1 (finish parent).restarts;
-  Snapshot.restore snap ~machine ~kernel ~process;
-  check_served "parent restored after a strike" reference (finish parent)
+  check_served "fork after a strike in the parent" reference (finish (Snapshot.fork snap))
 
 (* ---------- diff localization ---------- *)
 
@@ -419,10 +380,11 @@ let test_diff_localization () =
   Alcotest.(check int) "clean twin still diffs empty vs snapshot" 0
     (List.length (Phys_mem.diff_images (Snapshot.mem_image snap) (im_b ())))
 
-(* ---------- restore composes with the in-place machine ---------- *)
+(* ---------- images outlive their parent ---------- *)
 
-(* Snapshot at two different frontiers of one run and hop between them:
-   restores are repeatable and an image survives any number of uses. *)
+(* Snapshot at two different frontiers of one run, run the parent to its
+   end, then hop between the frontiers by forking: every fork reaches
+   the parent's end, and an image survives any number of uses. *)
 let test_snapshot_ladder () =
   let exe = victim_exe Pass.Icall in
   let machine, kernel, process = boot exe in
@@ -430,17 +392,15 @@ let test_snapshot_ladder () =
   let early = Snapshot.capture ~machine ~kernel ~process in
   ignore (run_to 3_000L kernel process);
   let late = Snapshot.capture ~machine ~kernel ~process in
-  let finish () = outcome_str (run_to budget kernel process) in
-  let from_late = finish () in
-  Snapshot.restore early ~machine ~kernel ~process;
-  let from_early = finish () in
-  Snapshot.restore late ~machine ~kernel ~process;
-  let from_late2 = finish () in
-  Snapshot.restore early ~machine ~kernel ~process;
-  let from_early2 = finish () in
-  Alcotest.(check string) "late image replays" from_late from_late2;
-  Alcotest.(check string) "early image replays" from_early from_early2;
-  Alcotest.(check string) "both frontiers reach the same end" from_late from_early
+  let parent_end = outcome_str (run_to budget kernel process) in
+  let finish snap =
+    let _, fk, fp = Snapshot.fork snap in
+    outcome_str (run_to budget fk fp)
+  in
+  List.iteri
+    (fun i (what, snap) ->
+      Alcotest.(check string) (Printf.sprintf "%s image, use %d" what i) parent_end (finish snap))
+    [ ("early", early); ("late", late); ("early", early); ("late", late) ]
 
 (* ---------- the ladder's chaos victim ---------- *)
 
@@ -464,16 +424,17 @@ let test_victim_fork_isolation () =
 
 (* At hot threshold 1 the paused victim already holds compiled traces.
    A fork copies them with the image, so it compiles no more than the
-   restored parent: every metric ends equal, trace counters included. *)
+   parent that ran on: every metric ends equal, trace counters
+   included. *)
 let test_victim_fork_keeps_traces () =
   Test_engine.with_hot_threshold 1 (fun () ->
       let machine, kernel, process = paused_chaos_victim () in
       Alcotest.(check bool) "traces compiled before the pause" true
         (Machine.traces_compiled machine > 0);
       let snap = Snapshot.capture ~machine ~kernel ~process in
-      Snapshot.restore snap ~machine ~kernel ~process;
       let final = run_to budget kernel process in
-      check_fork_exact ~ctx:"chaos victim" snap final (metrics ~machine ~kernel ~process))
+      check_fork_exact ~ctx:"chaos victim" snap
+        (final, metrics ~machine ~kernel ~process, Kernel.console kernel))
 
 (* Host words allocated so far, minor and direct major alike; each call
    first empties the minor heap, so a difference of two calls is exact. *)
@@ -556,7 +517,7 @@ let suite =
       test_victim_fork_keeps_traces;
     Alcotest.test_case "paused victim: a fork at the default threshold runs warm" `Quick
       test_victim_fork_runs_warm;
-    Alcotest.test_case "serving ladder: forks and restores are exact" `Quick
+    Alcotest.test_case "serving ladder: forks are exact" `Quick
       test_server_ladder;
     Alcotest.test_case "serving ladder: a strike in one fork stays there" `Quick
       test_server_fork_isolation;
