@@ -71,7 +71,7 @@ type ctx = {
 let emit ctx item = ctx.items <- item :: ctx.items
 let inst ctx i = emit ctx (A.Inst i)
 
-let block_label ctx l = Printf.sprintf ".L$%s$%s" ctx.func.Ir.f_name l
+let block_label ctx l = String.concat "" [ ".L$"; ctx.func.Ir.f_name; "$"; l ]
 let epilogue_label ctx = block_label ctx "__epilogue"
 let abort_label ctx = block_label ctx "__abort"
 

@@ -18,11 +18,32 @@ type t = {
   num_positions : int;
 }
 
+(* Dense temp sets for the dataflow: temp [t] is bit [t mod w] of word
+   [t / w].  Every set of one function has the same length, so the
+   dataflow works in place, word by word. *)
+let w = Sys.int_size
+
+let set_words ntemps = (ntemps + w - 1) / w
+let set_create ntemps = Array.make (set_words ntemps) 0
+let set_mem s t = s.(t / w) land (1 lsl (t mod w)) <> 0
+let set_add s t = s.(t / w) <- s.(t / w) lor (1 lsl (t mod w))
+
+(* ascending, as [IntSet.iter] *)
+let set_iter f s =
+  Array.iteri
+    (fun i x ->
+      if x <> 0 then
+        for b = 0 to w - 1 do
+          if x land (1 lsl b) <> 0 then f ((i * w) + b)
+        done)
+    s
+
 (* Linearized positions: blocks in order; each instruction one position;
    the terminator takes one more. *)
 let analyze (f : Ir.func) =
   let blocks = Array.of_list f.Ir.f_blocks in
   let nblocks = Array.length blocks in
+  let ntemps = f.Ir.f_ntemps in
   let label_index = Hashtbl.create 16 in
   Array.iteri (fun i b -> Hashtbl.add label_index b.Ir.b_label i) blocks;
   (* positions — starting at 1 so that parameter definitions (position 0)
@@ -37,115 +58,106 @@ let analyze (f : Ir.func) =
       pos := !pos + List.length b.Ir.b_instrs + 1)
     blocks;
   let num_positions = !pos in
-  (* block-level use/def *)
-  let use = Array.make nblocks IntSet.empty in
-  let def = Array.make nblocks IntSet.empty in
+  (* block-level use/def; each array of sets is filled in place, since
+     [Array.init] would start a long array at a young set, which forces
+     a minor collection *)
+  let sets () =
+    let a = Array.make nblocks [||] in
+    Array.iteri (fun i _ -> a.(i) <- set_create ntemps) a;
+    a
+  in
+  let use = sets () and def = sets () in
   Array.iteri
     (fun i b ->
-      let u = ref IntSet.empty and d = ref IntSet.empty in
+      let u = use.(i) and d = def.(i) in
+      let use_t t = if not (set_mem d t) then set_add u t in
       List.iter
         (fun ins ->
-          List.iter (fun t -> if not (IntSet.mem t !d) then u := IntSet.add t !u)
-            (Ir.instr_uses ins);
-          List.iter (fun t -> d := IntSet.add t !d) (Ir.instr_defs ins))
+          List.iter use_t (Ir.instr_uses ins);
+          List.iter (set_add d) (Ir.instr_defs ins))
         b.Ir.b_instrs;
-      List.iter (fun t -> if not (IntSet.mem t !d) then u := IntSet.add t !u)
-        (Ir.term_uses b.Ir.b_term);
-      use.(i) <- !u;
-      def.(i) <- !d)
+      List.iter use_t (Ir.term_uses b.Ir.b_term))
     blocks;
-  (* fixpoint for live_out *)
-  let live_in = Array.make nblocks IntSet.empty in
-  let live_out = Array.make nblocks IntSet.empty in
+  let succs =
+    Array.map
+      (fun b -> List.filter_map (Hashtbl.find_opt label_index) (Ir.successors b.Ir.b_term))
+      blocks
+  in
+  (* fixpoint for live_out: out = ∪ live_in(succ), in = use ∪ (out − def) *)
+  let live_in = sets () and live_out = sets () in
+  let nwords = set_words ntemps in
+  let rec union k acc = function
+    | [] -> acc
+    | j :: rest -> union k (acc lor live_in.(j).(k)) rest
+  in
   let changed = ref true in
   while !changed do
     changed := false;
     for i = nblocks - 1 downto 0 do
-      let out =
-        List.fold_left
-          (fun acc l ->
-            match Hashtbl.find_opt label_index l with
-            | Some j -> IntSet.union acc live_in.(j)
-            | None -> acc)
-          IntSet.empty
-          (Ir.successors blocks.(i).Ir.b_term)
-      in
-      let inn = IntSet.union use.(i) (IntSet.diff out def.(i)) in
-      if not (IntSet.equal out live_out.(i)) || not (IntSet.equal inn live_in.(i)) then begin
-        live_out.(i) <- out;
-        live_in.(i) <- inn;
-        changed := true
-      end
+      let out = live_out.(i) and inn = live_in.(i) in
+      let u = use.(i) and d = def.(i) in
+      for k = 0 to nwords - 1 do
+        let o = union k 0 succs.(i) in
+        let n = u.(k) lor (o land lnot d.(k)) in
+        if o <> out.(k) || n <> inn.(k) then begin
+          out.(k) <- o;
+          inn.(k) <- n;
+          changed := true
+        end
+      done
     done
   done;
-  (* per-position live ranges: walk each block backward *)
-  let first = Hashtbl.create 64 and last = Hashtbl.create 64 in
-  let call_positions = ref IntSet.empty in
+  (* Intervals.  A temp's interval runs from the first to the last
+     position at which it is live, so it is enough to touch it where a
+     live range can begin or end: at its defs and uses, at a block's
+     start when it is live-in and at a block's terminator when it is
+     live-out.  The touches come in the order of a backward walk of each
+     block, so [order] (a table of the temps in first-touch order) folds
+     in the same order as a walk that touches every live temp at every
+     position; the allocator's stable sort inherits that order for
+     intervals that share a start.  The bucket count decides the fold
+     order, so [order] starts at 64 buckets, as that walk's table did. *)
+  let first = Array.make ntemps max_int and last = Array.make ntemps (-1) in
+  let order = Hashtbl.create 64 in
   let touch t p =
-    (match Hashtbl.find_opt first t with
-    | Some q when q <= p -> ()
-    | Some _ | None -> Hashtbl.replace first t p);
-    match Hashtbl.find_opt last t with
-    | Some q when q >= p -> ()
-    | Some _ | None -> Hashtbl.replace last t p
+    if last.(t) < 0 then Hashtbl.add order t ();
+    if p < first.(t) then first.(t) <- p;
+    if p > last.(t) then last.(t) <- p
   in
+  let call_positions = ref IntSet.empty in
   Array.iteri
     (fun i b ->
-      let instrs = Array.of_list b.Ir.b_instrs in
-      let n = Array.length instrs in
-      let term_pos = block_start.(i) + n in
-      (* live set just after each position *)
-      let live = ref live_out.(i) in
-      (* terminator *)
-      IntSet.iter (fun t -> touch t term_pos) !live;
-      List.iter
-        (fun t ->
-          live := IntSet.add t !live;
-          touch t term_pos)
-        (Ir.term_uses b.Ir.b_term);
-      for k = n - 1 downto 0 do
-        let p = block_start.(i) + k in
-        let ins = instrs.(k) in
-        if Ir.is_call ins then call_positions := IntSet.add p !call_positions;
-        (* defs end liveness (looking backward) but the def position itself
-           is part of the interval *)
-        List.iter
-          (fun t ->
-            touch t p;
-            live := IntSet.remove t !live)
-          (Ir.instr_defs ins);
-        List.iter
-          (fun t ->
-            live := IntSet.add t !live;
-            touch t p)
-          (Ir.instr_uses ins);
-        IntSet.iter (fun t -> touch t p) !live
-      done;
-      (* anything live-in is live at the block start *)
-      IntSet.iter (fun t -> touch t block_start.(i)) live_in.(i))
+      let term_pos = block_start.(i) + List.length b.Ir.b_instrs in
+      set_iter (fun t -> touch t term_pos) live_out.(i);
+      List.iter (fun t -> touch t term_pos) (Ir.term_uses b.Ir.b_term);
+      List.iteri
+        (fun k ins ->
+          let p = term_pos - 1 - k in
+          if Ir.is_call ins then call_positions := IntSet.add p !call_positions;
+          List.iter (fun t -> touch t p) (Ir.instr_defs ins);
+          List.iter (fun t -> touch t p) (Ir.instr_uses ins))
+        (List.rev b.Ir.b_instrs);
+      set_iter (fun t -> touch t block_start.(i)) live_in.(i))
     blocks;
   (* parameters are defined at position 0 *)
   List.iter (fun t -> touch t 0) f.Ir.f_params;
-  let intervals =
-    Hashtbl.fold
-      (fun t s acc ->
-        let e = Hashtbl.find last t in
-        acc
-        @ [ { temp = t; start_pos = s; end_pos = e; crosses_call = false } ])
-      first []
-  in
-  (* mark call crossings: interval strictly containing a call position
-     (a call's own def/uses do not need to survive it) *)
-  let calls = !call_positions in
   (* A temp crosses a call iff a call position lies strictly inside its
      interval: a call's own arguments die at the call, and its result is
-     defined after it returns. *)
+     defined after it returns.  [next_call.(p)] is the first call after
+     position [p]. *)
+  let calls = !call_positions in
+  let next_call = Array.make (num_positions + 1) max_int in
+  IntSet.iter (fun c -> next_call.(c - 1) <- c) calls;
+  for p = num_positions - 1 downto 0 do
+    if next_call.(p) = max_int then next_call.(p) <- next_call.(p + 1)
+  done;
+  let temps = Hashtbl.fold (fun t () acc -> t :: acc) order [] in
   let intervals =
-    List.map
-      (fun iv ->
-        let crosses = IntSet.exists (fun c -> iv.start_pos < c && c < iv.end_pos) calls in
-        { iv with crosses_call = crosses })
-      intervals
+    List.rev_map
+      (fun t ->
+        let s = first.(t) and e = last.(t) in
+        { temp = t; start_pos = s; end_pos = e; crosses_call = next_call.(s) < e })
+      temps
   in
-  let intervals = List.sort (fun a b -> compare a.start_pos b.start_pos) intervals in
+  let intervals = List.stable_sort (fun a b -> compare a.start_pos b.start_pos) intervals in
   { intervals; call_positions = calls; num_positions }

@@ -3,7 +3,13 @@
    Pipeline (mirroring the paper's Clang/LLVM + binutils flow):
      parse → lower to IR → hardening pass (ROLoad-md annotation & friends)
      → code generation → assemble (with RVC compression) → link with the
-     runtime (with separate-code layout). *)
+     runtime (with separate-code layout).
+
+   It is split in two halves.  The front half (lower, optimize) does not
+   depend on the scheme; the back half (pass, elide, codegen, assemble,
+   link) runs once per scheme and mutates the module it is given.  A
+   driver that compiles one program under several schemes runs the front
+   half once and gives each back half an [Ir.copy_module] of it. *)
 
 module Ir = Roload_ir.Ir
 module Pass = Roload_passes.Pass
@@ -85,7 +91,7 @@ let calls_ext_runtime (m : Ir.modul) =
         f.Ir.f_blocks)
     m.Ir.m_funcs
 
-let compile_ast ?(options = default_options) ?after_pass ~name ast =
+let front_half ?(options = default_options) ~name ast =
   wrap_errors (fun () ->
       let m = Roload_front.Lower.lower ast ~module_name:name in
       Roload_ir.Verify.check_module_exn m;
@@ -94,6 +100,10 @@ let compile_ast ?(options = default_options) ?after_pass ~name ast =
         ignore (Roload_passes.Dce.run m);
         Roload_ir.Verify.check_module_exn m
       end;
+      m)
+
+let back_half ?(options = default_options) ?after_pass m =
+  wrap_errors (fun () ->
       let pass_report = Pass.apply options.scheme m in
       Roload_ir.Verify.check_module_exn m;
       (* Proof-guided check elision: only under a clean whole-program
@@ -134,8 +144,11 @@ let compile_ast ?(options = default_options) ?after_pass ~name ast =
       in
       { ir_module = m; pass_report; asm_items; program_object; exe; elide_stats })
 
-let compile ?options ~name source =
-  compile_ast ?options ~name (wrap_errors (fun () -> Roload_front.Parser.parse source))
+let compile_ast ?options ?after_pass ~name ast =
+  back_half ?options ?after_pass (front_half ?options ~name ast)
+
+let parse source = wrap_errors (fun () -> Roload_front.Parser.parse source)
+let compile ?options ~name source = compile_ast ?options ~name (parse source)
 
 let compile_exe ?options ~name source = (compile ?options ~name source).exe
 

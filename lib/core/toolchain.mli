@@ -1,6 +1,8 @@
 (** The toolchain driver: MiniC source → hardened executable image
     (parse → lower → hardening pass → codegen → assemble → link with the
-    runtime), mirroring the paper's Clang/LLVM + binutils flow. *)
+    runtime), mirroring the paper's Clang/LLVM + binutils flow.  The
+    pipeline has a scheme-independent {!front_half} and a per-scheme
+    {!back_half}; {!compile_ast} is their composition. *)
 
 type options = {
   scheme : Roload_passes.Pass.scheme;
@@ -41,18 +43,40 @@ val wrap_errors : (unit -> 'a) -> 'a
 (** Run a pipeline fragment, converting front-end / assembler / linker
     failures into {!Compile_error}. *)
 
+val front_half :
+  ?options:options -> name:string -> Roload_front.Ast.program -> Roload_ir.Ir.modul
+(** The scheme-independent front half: lower → verify → (when
+    [options.optimize]) constant folding and dead-code elimination →
+    verify.  Only [options.optimize] is read.  The AST is not mutated.
+    Raises {!Compile_error} like {!compile}. *)
+
+val back_half :
+  ?options:options ->
+  ?after_pass:(Roload_passes.Pass.scheme -> Roload_ir.Ir.modul -> unit) ->
+  Roload_ir.Ir.modul ->
+  artifacts
+(** The per-scheme back half: hardening pass → verify → elision →
+    [after_pass] → codegen → assemble → link.  It mutates the module it
+    is given, which becomes the artifacts' [ir_module]; to compile one
+    front half under several schemes, give each call its own
+    [Roload_ir.Ir.copy_module].  [after_pass] sees the module after
+    hardening and elision, immediately before codegen — the exact IR
+    codegen gets — and may mutate it (roload-fuzz plants its miscompile
+    there).  Raises {!Compile_error} like {!compile}. *)
+
 val compile_ast :
   ?options:options ->
   ?after_pass:(Roload_passes.Pass.scheme -> Roload_ir.Ir.modul -> unit) ->
   name:string ->
   Roload_front.Ast.program ->
   artifacts
-(** The pipeline from a parsed program: lower → optimize → hardening pass
-    → elision → codegen → assemble → link.  The AST is not mutated, so
-    one parse can feed any number of compiles.  [after_pass] sees the
-    module after hardening and elision, immediately before codegen — the
-    exact IR codegen gets — and may mutate it (roload-fuzz plants its
-    miscompile there).  Raises {!Compile_error} like {!compile}. *)
+(** [back_half (front_half ast)]: the whole pipeline from a parsed
+    program.  The AST is not mutated, so one parse can feed any number
+    of compiles. *)
+
+val parse : string -> Roload_front.Ast.program
+(** The front end's parse, raising {!Compile_error} with a located
+    message. *)
 
 val compile : ?options:options -> name:string -> string -> artifacts
 (** Parse, then {!compile_ast}.  Raises {!Compile_error} with a located

@@ -1,9 +1,11 @@
 (* The differential runner.
 
-   The source is parsed once.  The oracle interprets one unhardened
-   lowering of it; for each scheme, [Toolchain.compile_ast] lowers it
-   afresh and runs the one compile pipeline (lower → optimize → pass →
-   elide → codegen → assemble → link), and the executable runs on both
+   The source is parsed once.  The oracle interprets one unhardened,
+   unoptimised lowering of it, so it also checks constant folding and
+   dead-code elimination.  The toolchain's front half (lower → optimize)
+   runs once per case; each scheme compiles its own [Ir.copy_module] of
+   that optimised lowering through the back half (pass → elide → codegen
+   → assemble → link), and the executable runs on both
    execution engines (single-step reference, trace-compiled) under the
    full ROLoad system variant.  All observations must agree on the stop
    class (exit code / ROLoad fault / check abort / plain segfault) and on
@@ -47,9 +49,11 @@ let schemes_under_test = Pass.all_schemes
 
 let engines_under_test = [ Machine.Single_step; Machine.Traced ]
 
-let oracle_behaviors ?(schemes = schemes_under_test) source =
-  let m = Roload_front.Lower.lower (Roload_front.Parser.parse source) ~module_name:"oracle" in
-  List.map (fun scheme -> (scheme, Ir_eval.run ~scheme m)) schemes
+let oracle_of_ast ?fuel ?(schemes = schemes_under_test) ast =
+  let m = Roload_front.Lower.lower ast ~module_name:"oracle" in
+  List.map (fun scheme -> (scheme, Ir_eval.run ?fuel ~scheme m)) schemes
+
+let oracle_behaviors ?schemes source = oracle_of_ast ?schemes (Roload_front.Parser.parse source)
 
 (* Disable the GFPT redirect on the first protected indirect call: the
    ICall pass rewrites every function-pointer value to a GFPT slot
@@ -89,11 +93,11 @@ let run_source ?(schemes = schemes_under_test) ?(engines = engines_under_test)
   let engines = if engines = [] then engines_under_test else engines in
   let after_pass = Option.map (fun hook scheme m -> ignore (hook scheme m)) sabotage in
   (* one parse: the oracle interprets one unhardened lowering of the AST,
-     and each scheme compiles its own fresh lowering of it *)
+     and each scheme compiles a copy of one optimised lowering of it *)
   match
     let ast = Roload_front.Parser.parse source in
-    let m = Roload_front.Lower.lower ast ~module_name:name in
-    (ast, List.map (fun scheme -> (scheme, Ir_eval.run ~fuel ~scheme m)) schemes)
+    let oracle = oracle_of_ast ~fuel ~schemes ast in
+    (Toolchain.front_half ~name ast, oracle)
   with
   | exception Ir_eval.Unsupported r -> Skipped ("oracle: " ^ r)
   | exception Toolchain.Compile_error e -> Skipped ("compile: " ^ e)
@@ -101,7 +105,7 @@ let run_source ?(schemes = schemes_under_test) ?(engines = engines_under_test)
     Skipped (Printf.sprintf "parse (line %d): %s" line message)
   | exception Roload_front.Lower.Sema_error { line; message } ->
     Skipped (Printf.sprintf "sema (line %d): %s" line message)
-  | ast, oracle -> (
+  | front, oracle -> (
     let divergence = ref None in
     let check scheme stage ~expected ~actual =
       if !divergence = None && expected <> actual then
@@ -125,9 +129,9 @@ let run_source ?(schemes = schemes_under_test) ?(engines = engines_under_test)
                    the runner's peak heap by about a quarter. *)
                 Gc.minor ();
                 let exe =
-                  (Toolchain.compile_ast
+                  (Toolchain.back_half
                      ~options:{ Toolchain.default_options with scheme; elide }
-                     ?after_pass ~name ast)
+                     ?after_pass (Ir.copy_module front))
                     .Toolchain.exe
                 in
                 let run engine =

@@ -32,13 +32,21 @@ val engines_under_test : Roload_machine.Machine.engine list
 (** The default machine-engine matrix: single-step reference,
     trace-compiled. *)
 
+val oracle_of_ast :
+  ?fuel:int ->
+  ?schemes:Pass.scheme list ->
+  Roload_front.Ast.program ->
+  (Pass.scheme * Ir_eval.behavior) list
+(** Oracle predictions per scheme (default {!schemes_under_test}) for a
+    parsed program: {!Ir_eval.run} over one unhardened, unoptimised
+    lowering.  Raises {!Ir_eval.Unsupported} or
+    [Roload_front.Lower.Sema_error] like the oracle itself. *)
+
 val oracle_behaviors :
   ?schemes:Pass.scheme list ->
   string ->
   (Pass.scheme * Ir_eval.behavior) list
-(** Oracle predictions per scheme for a MiniC source (raises
-    {!Ir_eval.Unsupported} / [Toolchain.Compile_error] like the oracle
-    itself). *)
+(** Parse, then {!oracle_of_ast}. *)
 
 val run_source :
   ?schemes:Pass.scheme list ->
@@ -66,7 +74,9 @@ val run_source :
     with proof-guided ld.ro check elision; the oracle still interprets
     the unhardened IR, so elision is invisible to it and any behavioral
     effect of the rewrite surfaces as a divergence.  The source is
-    parsed once for the oracle and every scheme. *)
+    parsed once for the oracle and every scheme, and lowered and
+    optimised once for every scheme ({!Core.Toolchain.front_half}); each
+    scheme's back half compiles its own copy. *)
 
 val sabotage_drop_gfpt : Pass.scheme -> Ir.modul -> bool
 (** The canonical planted miscompile: under ICall, revert the GFPT

@@ -41,6 +41,7 @@ module Machine = Roload_machine.Machine
 module System = Core.System
 module Parallel = Core.Parallel
 module Toolchain = Core.Toolchain
+module Ir = Roload_ir.Ir
 module Trapclass = Roload_security.Trapclass
 module Table = Roload_util.Table
 module Json = Roload_util.Json
@@ -196,11 +197,20 @@ let classify ~(baseline : Kernel.run_outcome) (final : Kernel.run_outcome) =
 
 (* ---------- compile & baseline ---------- *)
 
-let compile_victim ?(elide = false) scheme =
-  Toolchain.compile_exe
-    ~options:{ Toolchain.default_options with Toolchain.scheme; Toolchain.elide }
-    ~name:("chaos-" ^ Pass.scheme_name scheme)
-    Chaos_victim.source
+(* A campaign parses and lowers its victim once.  Each scheme compiles
+   its own copy of that front half inside its own [Parallel] cell; the
+   front half itself is only ever read, so the cells may copy it at
+   once. *)
+let compile_scheme ?(elide = false) front scheme =
+  (Toolchain.back_half
+     ~options:{ Toolchain.default_options with Toolchain.scheme; Toolchain.elide }
+     (Ir.copy_module front))
+    .Toolchain.exe
+
+let victim_front ast = Toolchain.front_half ~name:"chaos" ast
+
+let compile_victim ?elide scheme =
+  compile_scheme ?elide (victim_front (Toolchain.parse Chaos_victim.source)) scheme
 
 (* The baseline keeps its final memory image: silent-corruption verdicts
    are localized by diffing the injected run's final memory against it. *)
@@ -609,10 +619,12 @@ let classic_ladder (cfg : config) ~baseline ~baseline_mem scheme exe cells =
 
 let run (cfg : config) =
   let schemes = cfg.schemes in
+  let ast = Toolchain.parse Chaos_victim.source in
+  let front = victim_front ast in
   let compiled =
     Parallel.map ?jobs:cfg.jobs
       (fun s ->
-        let exe = compile_victim ~elide:cfg.elide s in
+        let exe = compile_scheme ~elide:cfg.elide front s in
         ((s, exe), (s, baseline_run_full exe)))
       schemes
   in
@@ -631,7 +643,7 @@ let run (cfg : config) =
   (* cross-check the baselines against the reference IR oracle — the
      differential machinery roload-fuzz already trusts *)
   let oracle_checked, oracle_agreed =
-    match Diff.oracle_behaviors ~schemes Chaos_victim.source with
+    match Diff.oracle_of_ast ~schemes ast with
     | preds ->
       let ok =
         List.for_all2
@@ -953,12 +965,6 @@ type server_report = {
   sv_report_requests : int;
 }
 
-let compile_server_victim ~workers scheme =
-  Toolchain.compile_exe
-    ~options:{ Toolchain.default_options with Toolchain.scheme }
-    ~name:("server-chaos-" ^ Pass.scheme_name scheme)
-    (Roload_workloads.Server_like.source_workers ~workers ~scale:1)
-
 let server_trigger_of ~requests (inj : Server_fault.injection) =
   max 1 (inj.Server_fault.trigger_permille * requests / 1000)
 
@@ -1211,11 +1217,12 @@ let run_server (cfg : server_config) =
   let stream =
     Roload_workloads.Server_like.requests ~seed:cfg.sv_seed ~count:cfg.sv_requests
   in
-  let exes =
-    Parallel.map ?jobs:cfg.sv_jobs
-      (fun s -> (s, compile_server_victim ~workers:cfg.sv_workers s))
-      schemes
+  let front =
+    Toolchain.front_half ~name:"server-chaos"
+      (Toolchain.parse
+         (Roload_workloads.Server_like.source_workers ~workers:cfg.sv_workers ~scale:1))
   in
+  let exes = Parallel.map ?jobs:cfg.sv_jobs (fun s -> (s, compile_scheme front s)) schemes in
   let spec =
     {
       header =

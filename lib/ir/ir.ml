@@ -170,6 +170,33 @@ type modul = {
          and epilogues return through ld.ro with this key *)
 }
 
+(* ---------- copies ---------- *)
+
+(* A module every compile can take apart: fresh module, function and
+   block records and fresh metadata records, so passes that mutate the
+   copy leave the original as it was.  Everything else in the IR is
+   immutable and is shared. *)
+let copy_instr = function
+  | Load ({ md; _ } as l) ->
+    Load { l with md = { roload_key = md.roload_key; ro_elided = md.ro_elided } }
+  | Call_indirect ({ md; _ } as c) ->
+    Call_indirect
+      { c with
+        md =
+          { ic_roload_key = md.ic_roload_key; ic_elided = md.ic_elided;
+            ic_cfi_label = md.ic_cfi_label } }
+  | Vcall ({ md; _ } as v) ->
+    Vcall
+      { v with
+        md =
+          { vc_roload_key = md.vc_roload_key; vc_vtint = md.vc_vtint;
+            vc_cfi_label = md.vc_cfi_label } }
+  | (Bin _ | Store _ | Lea_frame _ | Call _) as i -> i
+
+let copy_block b = { b with b_instrs = List.map copy_instr b.b_instrs }
+let copy_func f = { f with f_blocks = List.map copy_block f.f_blocks }
+let copy_module m = { m with m_funcs = List.map copy_func m.m_funcs }
+
 (* ---------- construction helpers ---------- *)
 
 let new_temp f =

@@ -140,6 +140,13 @@ type modul = {
           ra, and epilogues return through ld.ro with this key *)
 }
 
+val copy_module : modul -> modul
+(** A copy that shares no mutable record with the original: fresh
+    module, function and block records and fresh [load_md], [icall_md]
+    and [vcall_md] records.  Passes and code generation may mutate the
+    copy freely; compiling every scheme from its own copy of one
+    optimised lowering gives the same executables as lowering afresh. *)
+
 val new_temp : func -> temp
 val new_frame_slot : func -> size:int -> int
 val find_block : func -> string -> block option

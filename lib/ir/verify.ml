@@ -2,21 +2,28 @@
    tests: every branch target exists, temps are within bounds, frame slots
    are declared, vtable symbols exist. *)
 
+(* Each name's occurrence count, and every occurrence of each name that
+   occurs more than once, in order: a duplicate check in one pass. *)
+let repeated names =
+  let count = Hashtbl.create (List.length names) in
+  List.iter
+    (fun n -> Hashtbl.replace count n (1 + Option.value ~default:0 (Hashtbl.find_opt count n)))
+    names;
+  (List.filter (fun n -> Hashtbl.find count n > 1) names, count)
+
 let check_func (f : Ir.func) =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
   if f.Ir.f_blocks = [] then err "%s: no blocks" f.Ir.f_name;
-  let labels = List.map (fun b -> b.Ir.b_label) f.Ir.f_blocks in
-  let dup =
-    List.filter (fun l -> List.length (List.filter (( = ) l) labels) > 1) labels
-  in
+  let dup, labels = repeated (List.map (fun b -> b.Ir.b_label) f.Ir.f_blocks) in
   if dup <> [] then err "%s: duplicate labels %s" f.Ir.f_name (String.concat "," dup);
   let check_temp t =
     if t < 0 || t >= f.Ir.f_ntemps then err "%s: temp %%t%d out of range" f.Ir.f_name t
   in
+  let slots = Hashtbl.create (List.length f.Ir.f_frame_slots) in
+  List.iter (fun fs -> Hashtbl.replace slots fs.Ir.slot_id ()) f.Ir.f_frame_slots;
   let check_slot s =
-    if not (List.exists (fun fs -> fs.Ir.slot_id = s) f.Ir.f_frame_slots) then
-      err "%s: unknown frame slot %d" f.Ir.f_name s
+    if not (Hashtbl.mem slots s) then err "%s: unknown frame slot %d" f.Ir.f_name s
   in
   List.iter check_temp f.Ir.f_params;
   List.iter
@@ -34,7 +41,7 @@ let check_func (f : Ir.func) =
       List.iter check_temp (Ir.term_uses b.Ir.b_term);
       List.iter
         (fun l ->
-          if not (List.mem l labels) then
+          if not (Hashtbl.mem labels l) then
             err "%s: branch to unknown label %s" f.Ir.f_name l)
         (Ir.successors b.Ir.b_term))
     f.Ir.f_blocks;
@@ -43,34 +50,30 @@ let check_func (f : Ir.func) =
 let check_module (m : Ir.modul) =
   let errors = ref (List.concat_map check_func m.Ir.m_funcs) in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  let fnames = List.map (fun f -> f.Ir.f_name) m.Ir.m_funcs in
-  let gnames = List.map (fun g -> g.Ir.g_name) m.Ir.m_globals in
-  let dups names =
-    List.sort_uniq compare
-      (List.filter (fun n -> List.length (List.filter (( = ) n) names) > 1) names)
-  in
-  List.iter (fun n -> err "duplicate function name %s" n) (dups fnames);
-  List.iter (fun n -> err "duplicate global name %s" n) (dups gnames);
+  let fdups, fnames = repeated (List.map (fun f -> f.Ir.f_name) m.Ir.m_funcs) in
+  let gdups, gnames = repeated (List.map (fun g -> g.Ir.g_name) m.Ir.m_globals) in
+  List.iter (fun n -> err "duplicate function name %s" n) (List.sort_uniq compare fdups);
+  List.iter (fun n -> err "duplicate global name %s" n) (List.sort_uniq compare gdups);
   List.iter
     (fun (g : Ir.global) ->
       List.iter
         (function
           | Ir.G_func f ->
-            if not (List.mem f fnames) then
+            if not (Hashtbl.mem fnames f) then
               err "global %s references unknown function %s" g.Ir.g_name f
           | Ir.G_global gg ->
-            if not (List.mem gg gnames) then
+            if not (Hashtbl.mem gnames gg) then
               err "global %s references unknown global %s" g.Ir.g_name gg
           | Ir.G_int _ -> ())
         g.Ir.g_init)
     m.Ir.m_globals;
   List.iter
     (fun (vt : Ir.vtable_info) ->
-      if not (List.mem vt.Ir.vt_symbol gnames) then
+      if not (Hashtbl.mem gnames vt.Ir.vt_symbol) then
         err "vtable %s: missing global %s" vt.Ir.vt_class vt.Ir.vt_symbol;
       List.iter
         (fun mth ->
-          if not (List.mem mth fnames) then
+          if not (Hashtbl.mem fnames mth) then
             err "vtable %s: missing method %s" vt.Ir.vt_class mth)
         vt.Ir.vt_methods)
     m.Ir.m_vtables;

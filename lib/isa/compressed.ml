@@ -369,9 +369,3 @@ let try_compress inst =
   | Inst.Load _ | Inst.Load_ro _ | Inst.Op_imm _ | Inst.Op_imm_w _ | Inst.Op _
   | Inst.Op_w _ | Inst.Mulop _ | Inst.Mulop_w _ | Inst.Ecall | Inst.Fence ->
     None
-
-let encode_bytes hw =
-  let b = Bytes.create 2 in
-  Bytes.set_uint8 b 0 (hw land 0xFF);
-  Bytes.set_uint8 b 1 ((hw lsr 8) land 0xFF);
-  Bytes.to_string b

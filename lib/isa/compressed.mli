@@ -14,6 +14,3 @@ val try_compress : Inst.t -> int option
     supported subset, and [None] otherwise.  Guarantee:
     [decode (try_compress i) = Ok i'] where [i'] has identical semantics
     (it may normalize, e.g. [c.mv] expands to [addi]). *)
-
-val encode_bytes : int -> string
-(** Little-endian 2-byte rendering. *)

@@ -145,6 +145,232 @@ let test_liveness_call_crossing () =
   Alcotest.(check bool) "result does not cross" false (interval t1).Liveness.crosses_call;
   Alcotest.(check bool) "sum does not cross" false (interval t2).Liveness.crosses_call
 
+(* The reference liveness: the per-position algorithm [Liveness.analyze]
+   replaced.  It walks each block backward and touches every live temp at
+   every position, so its intervals are right by construction.  The
+   interval list is the fold order of the [first] table, stably sorted by
+   start position; the allocator inherits that order for intervals that
+   share a start (every parameter starts at 0), so the analysis under
+   test must reproduce it exactly, not only the interval bounds. *)
+module IntSet = Liveness.IntSet
+
+let reference_analyze (f : Ir.func) =
+  let blocks = Array.of_list f.Ir.f_blocks in
+  let nblocks = Array.length blocks in
+  let label_index = Hashtbl.create 16 in
+  Array.iteri (fun i b -> Hashtbl.add label_index b.Ir.b_label i) blocks;
+  (* positions — starting at 1 so that parameter definitions (position 0)
+     precede the first instruction; otherwise a call that happens to be
+     the first instruction would share position 0 with the parameter defs
+     and parameters live across it would not count as call-crossing *)
+  let block_start = Array.make nblocks 0 in
+  let pos = ref 1 in
+  Array.iteri
+    (fun i b ->
+      block_start.(i) <- !pos;
+      pos := !pos + List.length b.Ir.b_instrs + 1)
+    blocks;
+  let num_positions = !pos in
+  (* block-level use/def *)
+  let use = Array.make nblocks IntSet.empty in
+  let def = Array.make nblocks IntSet.empty in
+  Array.iteri
+    (fun i b ->
+      let u = ref IntSet.empty and d = ref IntSet.empty in
+      List.iter
+        (fun ins ->
+          List.iter (fun t -> if not (IntSet.mem t !d) then u := IntSet.add t !u)
+            (Ir.instr_uses ins);
+          List.iter (fun t -> d := IntSet.add t !d) (Ir.instr_defs ins))
+        b.Ir.b_instrs;
+      List.iter (fun t -> if not (IntSet.mem t !d) then u := IntSet.add t !u)
+        (Ir.term_uses b.Ir.b_term);
+      use.(i) <- !u;
+      def.(i) <- !d)
+    blocks;
+  (* fixpoint for live_out *)
+  let live_in = Array.make nblocks IntSet.empty in
+  let live_out = Array.make nblocks IntSet.empty in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for i = nblocks - 1 downto 0 do
+      let out =
+        List.fold_left
+          (fun acc l ->
+            match Hashtbl.find_opt label_index l with
+            | Some j -> IntSet.union acc live_in.(j)
+            | None -> acc)
+          IntSet.empty
+          (Ir.successors blocks.(i).Ir.b_term)
+      in
+      let inn = IntSet.union use.(i) (IntSet.diff out def.(i)) in
+      if not (IntSet.equal out live_out.(i)) || not (IntSet.equal inn live_in.(i)) then begin
+        live_out.(i) <- out;
+        live_in.(i) <- inn;
+        changed := true
+      end
+    done
+  done;
+  (* per-position live ranges: walk each block backward *)
+  let first = Hashtbl.create 64 and last = Hashtbl.create 64 in
+  let call_positions = ref IntSet.empty in
+  let touch t p =
+    (match Hashtbl.find_opt first t with
+    | Some q when q <= p -> ()
+    | Some _ | None -> Hashtbl.replace first t p);
+    match Hashtbl.find_opt last t with
+    | Some q when q >= p -> ()
+    | Some _ | None -> Hashtbl.replace last t p
+  in
+  Array.iteri
+    (fun i b ->
+      let instrs = Array.of_list b.Ir.b_instrs in
+      let n = Array.length instrs in
+      let term_pos = block_start.(i) + n in
+      (* live set just after each position *)
+      let live = ref live_out.(i) in
+      (* terminator *)
+      IntSet.iter (fun t -> touch t term_pos) !live;
+      List.iter
+        (fun t ->
+          live := IntSet.add t !live;
+          touch t term_pos)
+        (Ir.term_uses b.Ir.b_term);
+      for k = n - 1 downto 0 do
+        let p = block_start.(i) + k in
+        let ins = instrs.(k) in
+        if Ir.is_call ins then call_positions := IntSet.add p !call_positions;
+        (* defs end liveness (looking backward) but the def position itself
+           is part of the interval *)
+        List.iter
+          (fun t ->
+            touch t p;
+            live := IntSet.remove t !live)
+          (Ir.instr_defs ins);
+        List.iter
+          (fun t ->
+            live := IntSet.add t !live;
+            touch t p)
+          (Ir.instr_uses ins);
+        IntSet.iter (fun t -> touch t p) !live
+      done;
+      (* anything live-in is live at the block start *)
+      IntSet.iter (fun t -> touch t block_start.(i)) live_in.(i))
+    blocks;
+  (* parameters are defined at position 0 *)
+  List.iter (fun t -> touch t 0) f.Ir.f_params;
+  let intervals =
+    Hashtbl.fold
+      (fun t s acc ->
+        let e = Hashtbl.find last t in
+        acc
+        @ [ { Liveness.temp = t; start_pos = s; end_pos = e; crosses_call = false } ])
+      first []
+  in
+  (* mark call crossings: interval strictly containing a call position
+     (a call's own def/uses do not need to survive it) *)
+  let calls = !call_positions in
+  (* A temp crosses a call iff a call position lies strictly inside its
+     interval: a call's own arguments die at the call, and its result is
+     defined after it returns. *)
+  let intervals =
+    List.map
+      (fun (iv : Liveness.interval) ->
+        let crosses = IntSet.exists (fun c -> iv.start_pos < c && c < iv.end_pos) calls in
+        { iv with crosses_call = crosses })
+      intervals
+  in
+  let intervals =
+    List.sort
+      (fun (a : Liveness.interval) b -> compare a.start_pos b.start_pos)
+      intervals
+  in
+  { Liveness.intervals; call_positions = calls; num_positions }
+
+(* Both algorithms give equal intervals, in equal order, on every
+   function of generated programs: after the optimised front half and
+   after each scheme's pass, on the exact IR codegen gets. *)
+let prop_liveness_matches_reference =
+  let schemes = Roload_passes.Pass.Retcall :: Roload_passes.Pass.all_schemes in
+  QCheck.Test.make ~count:40 ~name:"liveness = per-position reference"
+    QCheck.(pair (map Int64.of_int small_int) (int_range 1 6))
+    (fun (seed, size) ->
+      let module T = Core.Toolchain in
+      let src = Roload_fuzz.Gen.to_source (Roload_fuzz.Gen.generate ~seed ~size) in
+      let same (m : Ir.modul) =
+        List.for_all
+          (fun f -> Liveness.analyze f = reference_analyze f)
+          m.Ir.m_funcs
+      in
+      match T.front_half ~name:"live" (Roload_front.Parser.parse src) with
+      | exception T.Compile_error _ -> true
+      | front ->
+        same front
+        && List.for_all
+             (fun scheme ->
+               let ok = ref true in
+               (try
+                  ignore
+                    (T.back_half
+                       ~options:{ T.default_options with scheme }
+                       ~after_pass:(fun _ m -> ok := same m)
+                       (Ir.copy_module front))
+                with T.Compile_error _ -> ());
+               !ok)
+             schemes)
+
+(* Random CFGs: blocks in random layout order, with defs, uses, calls
+   and branches over a few temps.  Live ranges enter blocks along back
+   edges and through blocks laid out before every def that reaches them,
+   shapes the lowering of structured code rarely makes; there only the
+   live-in touch at a block's start gives an interval its first
+   position. *)
+let gen_cfg =
+  QCheck.Gen.(
+    let* nblocks = int_range 1 8 in
+    let* ntemps = int_range 1 10 in
+    let* nparams = int_bound (min 3 ntemps) in
+    let temp = int_bound (ntemps - 1) in
+    let label = map (Printf.sprintf "b%d") (int_bound (nblocks - 1)) in
+    let instr =
+      frequency
+        [
+          (4, map3 (fun d a b -> Ir.Bin (Ir.Add, d, Ir.Temp a, Ir.Temp b)) temp temp temp);
+          ( 1,
+            map2
+              (fun d a -> Ir.Call { dst = Some d; callee = "g"; args = [ Ir.Temp a ] })
+              temp temp );
+          ( 1,
+            map2
+              (fun a b ->
+                Ir.Store { src = Ir.Temp a; addr = Ir.Temp b; offset = 0; width = Ir.W64 })
+              temp temp );
+        ]
+    in
+    let term =
+      frequency
+        [
+          (2, map (fun l -> Ir.Br l) label);
+          (3, map3 (fun c l1 l2 -> Ir.Cbr (Ir.Temp c, l1, l2)) temp label label);
+          (1, map (fun t -> Ir.Ret (Some (Ir.Temp t))) temp);
+        ]
+    in
+    let+ bodies = list_repeat nblocks (pair (list_size (int_bound 5) instr) term) in
+    { Ir.f_name = "f"; f_sig = { Ir.params = List.init nparams (fun _ -> Ir.I64); ret = Ir.I64 };
+      f_params = List.init nparams Fun.id;
+      f_blocks =
+        List.mapi
+          (fun i (b_instrs, b_term) ->
+            { Ir.b_label = Printf.sprintf "b%d" i; b_instrs; b_term })
+          bodies;
+      f_ntemps = ntemps; f_frame_slots = []; f_cfi_id = None })
+
+let prop_liveness_matches_reference_cfg =
+  QCheck.Test.make ~count:500 ~name:"liveness = per-position reference (random CFGs)"
+    (QCheck.make ~print:Ir.func_to_string gen_cfg)
+    (fun f -> Liveness.analyze f = reference_analyze f)
+
 let test_regalloc_callee_saved_for_crossing () =
   let f, p, _, _ = build_func () in
   let live = Liveness.analyze f in
@@ -218,6 +444,8 @@ let suite =
     Alcotest.test_case "large frame offsets" `Quick test_large_frame;
     Alcotest.test_case "mutual recursion" `Quick test_mutual_recursion;
     Alcotest.test_case "liveness call crossing" `Quick test_liveness_call_crossing;
+    Seeded.to_alcotest prop_liveness_matches_reference;
+    Seeded.to_alcotest prop_liveness_matches_reference_cfg;
     Alcotest.test_case "regalloc callee-saved rule" `Quick test_regalloc_callee_saved_for_crossing;
     Alcotest.test_case "spills with indirect calls" `Quick test_spill_with_icalls;
   ]

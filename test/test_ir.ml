@@ -113,6 +113,47 @@ let test_verify_rejects_duplicate_globals () =
   Alcotest.(check bool) "unique global not flagged" false
     (has_error_mentioning "other" errors)
 
+(* The verifier's whole message list for a module with every kind of
+   name fault, pinned exactly, order included: duplicate names are
+   reported sorted and once each, after the per-function messages. *)
+let test_verify_messages_pinned () =
+  let m = empty_module () in
+  let fn name labels =
+    let f = empty_func name in
+    f.Ir.f_blocks <- List.map (fun label -> ret_block ~label (Ir.Const 0L)) labels;
+    f.Ir.f_blocks <-
+      f.Ir.f_blocks @ [ { (ret_block ~label:"tail" (Ir.Const 0L)) with b_term = Ir.Br "gone" } ];
+    f
+  in
+  let g name init =
+    { Ir.g_name = name; g_section = ".data"; g_init = init; g_bytes = None; g_zero = 0 }
+  in
+  m.Ir.m_funcs <-
+    [ fn "zf" [ "entry"; "x"; "entry"; "x" ]; fn "af" [ "entry" ]; fn "zf" [ "entry" ];
+      fn "af" [ "entry" ] ];
+  m.Ir.m_globals <-
+    [ g "zg" [ Ir.G_func "nofun" ]; g "ag" [ Ir.G_global "noglob"; Ir.G_func "af" ];
+      g "zg" []; g "ag" [] ];
+  m.Ir.m_vtables <-
+    [ { Ir.vt_class = "C"; vt_symbol = "novt"; vt_root = "C"; vt_methods = [ "af"; "nom" ] } ];
+  Alcotest.(check (list string)) "messages"
+    [
+      "af: branch to unknown label gone";
+      "zf: branch to unknown label gone";
+      "af: branch to unknown label gone";
+      "zf: duplicate labels entry,x,entry,x";
+      "zf: branch to unknown label gone";
+      "duplicate function name af";
+      "duplicate function name zf";
+      "duplicate global name ag";
+      "duplicate global name zg";
+      "global zg references unknown function nofun";
+      "global ag references unknown global noglob";
+      "vtable C: missing global novt";
+      "vtable C: missing method nom";
+    ]
+    (Verify.check_module m)
+
 let test_printing () =
   let i =
     Ir.Load { dst = 0; addr = Ir.Global "tbl"; offset = 8; width = Ir.W64;
@@ -144,6 +185,7 @@ let suite =
     Alcotest.test_case "verify rejects duplicate labels" `Quick test_verify_rejects_duplicate_labels;
     Alcotest.test_case "verify rejects duplicate functions" `Quick test_verify_rejects_duplicate_functions;
     Alcotest.test_case "verify rejects duplicate globals" `Quick test_verify_rejects_duplicate_globals;
+    Alcotest.test_case "verify messages pinned" `Quick test_verify_messages_pinned;
     Alcotest.test_case "printing" `Quick test_printing;
     Alcotest.test_case "uses/defs" `Quick test_uses_defs;
   ]

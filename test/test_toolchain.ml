@@ -384,6 +384,111 @@ let prop_parallel_compile_identical =
       let rounds xs = List.concat [ xs; xs; xs; xs ] in
       rounds (List.map compile jobs) = Core.Parallel.map ~jobs:4 compile (rounds jobs))
 
+(* ---------- the toolchain's bytes ----------
+
+   One MD5 over the executable bytes of every program this repository
+   compiles — examples/*.mc, the SPEC-like suite at test scale, both
+   victims and 24 seeded generated programs — under all six schemes,
+   with RVC compression on and off.  The cycle gate reads cycles only,
+   so this is the one pin on executable bytes: a change to any compiler
+   layer that moves a byte fails it.  To regenerate after a change that
+   is meant to move bytes, run `dune test` (the suite reads
+   ../examples, so run a built main.exe only from _build/default/test),
+   take the actual value from the failure and paste it into
+   [pinned_digest]; record the regeneration in CHANGES.md as a change to
+   gate data. *)
+
+let pinned_digest = "da658b632a48b64ea2068f075dea3299"
+
+let all_schemes = Pass.Retcall :: Pass.all_schemes
+
+let example_programs () =
+  let dir = "../examples" in
+  let files =
+    List.sort compare
+      (List.filter
+         (fun f -> Filename.check_suffix f ".mc")
+         (Array.to_list (Sys.readdir dir)))
+  in
+  if files = [] then Alcotest.fail "no examples/*.mc found";
+  List.map
+    (fun f ->
+      (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+    files
+
+let generated_programs n =
+  List.init n (fun i ->
+      let seed = Int64.of_int (i + 1) in
+      ( Printf.sprintf "gen-%Ld" seed,
+        Roload_fuzz.Gen.to_source (Roload_fuzz.Gen.generate ~seed ~size:(1 + (i mod 6))) ))
+
+let victim_programs =
+  [
+    ("victim", Roload_security.Victim.source);
+    ("chaos-victim", Roload_inject.Chaos_victim.source);
+  ]
+
+let pinned_programs () =
+  example_programs ()
+  @ List.map
+      (fun (b : Roload_workloads.Spec_suite.benchmark) ->
+        (b.name, b.source ~scale:Roload_workloads.Spec_suite.test_scale))
+      Roload_workloads.Spec_suite.all
+  @ victim_programs @ generated_programs 24
+
+let exe_bytes f =
+  match f () with
+  | (a : Core.Toolchain.artifacts) -> Roload_obj.Exe.to_bytes a.Core.Toolchain.exe
+  | exception Core.Toolchain.Compile_error e -> "error: " ^ e
+
+let exe_digest f = Digest.to_hex (Digest.string (exe_bytes f))
+
+let test_toolchain_bytes_pinned () =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun scheme ->
+          List.iter
+            (fun compress ->
+              let options = { Core.Toolchain.default_options with scheme; compress } in
+              Buffer.add_string b
+                (Digest.string
+                   (exe_bytes (fun () -> Core.Toolchain.compile ~options ~name src))))
+            [ true; false ])
+        all_schemes)
+    (pinned_programs ());
+  Alcotest.(check string) "MD5 of every executable" pinned_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* One front half feeds every scheme: each back half compiles its own
+   [Ir.copy_module], gets the bytes a whole [compile_ast] gets, and
+   leaves the front half as it was. *)
+let test_front_half_copies_isolated () =
+  let module T = Core.Toolchain in
+  List.iter
+    (fun (name, src) ->
+      let ast = Roload_front.Parser.parse src in
+      match T.front_half ~name ast with
+      | exception T.Compile_error _ -> ()
+      | front ->
+        let before = Roload_ir.Ir.modul_to_string front in
+        List.iter
+          (fun scheme ->
+            List.iter
+              (fun elide ->
+                let options = { T.default_options with scheme; elide } in
+                Alcotest.(check string)
+                  (Printf.sprintf "%s under %s%s: copy = compile_ast" name
+                     (Pass.scheme_name scheme) (if elide then " (elide)" else ""))
+                  (exe_digest (fun () -> T.compile_ast ~options ~name ast))
+                  (exe_digest (fun () -> T.back_half ~options (Roload_ir.Ir.copy_module front))))
+              [ false; true ])
+          all_schemes;
+        Alcotest.(check string) (name ^ ": front half unchanged") before
+          (Roload_ir.Ir.modul_to_string front))
+    (victim_programs @ generated_programs 8)
+
 let suite =
   [
     Alcotest.test_case "fib" `Quick test_fib;
@@ -403,4 +508,6 @@ let suite =
     Alcotest.test_case "hook path = compile (ext runtime linked)" `Quick
       test_hook_path_matches_compile;
     Seeded.to_alcotest prop_parallel_compile_identical;
+    Alcotest.test_case "toolchain bytes pinned" `Quick test_toolchain_bytes_pinned;
+    Alcotest.test_case "front-half copies isolated" `Quick test_front_half_copies_isolated;
   ]
