@@ -3,14 +3,39 @@
    Usage: roload_run prog.rxe [--system baseline|processor|full]
                               [--engine single|traced]
                               [--trace out.json] [--trace-text out.txt]
-                              [--profile] [--metrics] [--disasm N] *)
+                              [--profile] [--metrics] [--disasm N]
+
+   --disasm N is listed from a run bounded at N retired instructions. *)
 
 open Cmdliner
+module Exe = Roload_obj.Exe
+module Tracer = Roload_obs.Tracer
 
 let write_file path contents =
   let oc = open_out path in
   output_string oc contents;
   close_out oc
+
+(* Print the first [n] retired instructions, decoded from the image at
+   each [Retired] pc, from a run of their own: the main run's ring keeps
+   only its latest events.  This ring doubles until it drops none. *)
+let list_retired ?engine ~variant exe n =
+  let rec record capacity =
+    let tracer = Tracer.create ~capacity () in
+    ignore (Core.System.run ~max_instructions:(Int64.of_int n) ~tracer ?engine ~variant exe);
+    if Tracer.dropped tracer = 0 then tracer else record (2 * capacity)
+  in
+  let text pc =
+    match Exe.segment_containing exe pc with
+    | None -> "<outside the image>"
+    | Some s -> (
+      match Roload_isa.Disasm.decode_at s.Exe.data (pc - s.Exe.vaddr) with
+      | Ok (inst, _) -> Roload_isa.Inst.to_string inst
+      | Error e -> "<invalid: " ^ e ^ ">")
+  in
+  Tracer.iter (record (8 * min n (1 lsl 20))) (fun ~ts:_ -> function
+    | Roload_obs.Event.Retired { pc; _ } -> Printf.eprintf "%8x:  %s\n" pc (text pc)
+    | _ -> ())
 
 let run path system_name engine_name verbose disasm_count trace_path trace_text_path
     profile metrics =
@@ -42,36 +67,30 @@ let run path system_name engine_name verbose disasm_count trace_path trace_text_
       Printf.eprintf "unknown system %s (expected baseline|processor|full)\n" other;
       exit 2
   in
-  let exe = Roload_obj.Exe.load path in
-  let trace =
-    if disasm_count <= 0 then None
-    else begin
-      let remaining = ref disasm_count in
-      Some
-        (fun ~pc inst ->
-          if !remaining > 0 then begin
-            decr remaining;
-            Printf.eprintf "%8x:  %s\n" pc (Roload_isa.Inst.to_string inst)
-          end)
-    end
+  let exe =
+    try Exe.load path
+    with Exe.Bad_image reason ->
+      Printf.eprintf "roload_run: bad image: %s\n" reason;
+      exit 2
   in
+  if disasm_count > 0 then list_retired ?engine ~variant exe disasm_count;
   let tracer =
     match (trace_path, trace_text_path) with
     | None, None -> None
-    | Some _, _ | _, Some _ -> Some (Roload_obs.Tracer.create ())
+    | Some _, _ | _, Some _ -> Some (Tracer.create ())
   in
-  let m = Core.System.run ?trace ?tracer ?engine ~profile ~variant exe in
+  let m = Core.System.run ?tracer ?engine ~profile ~variant exe in
   print_string m.Core.System.console;
   (match (tracer, trace_path) with
   | Some tr, Some p ->
-    write_file p (Roload_obs.Tracer.to_chrome_json tr);
-    Printf.eprintf "trace: %d events (%d dropped) -> %s\n" (Roload_obs.Tracer.length tr)
-      (Roload_obs.Tracer.dropped tr) p
+    write_file p (Tracer.to_chrome_json tr);
+    Printf.eprintf "trace: %d events (%d dropped) -> %s\n" (Tracer.length tr)
+      (Tracer.dropped tr) p
   | _ -> ());
   (match (tracer, trace_text_path) with
   | Some tr, Some p ->
-    write_file p (Roload_obs.Tracer.to_text tr);
-    Printf.eprintf "trace text: %d events -> %s\n" (Roload_obs.Tracer.length tr) p
+    write_file p (Tracer.to_text tr);
+    Printf.eprintf "trace text: %d events -> %s\n" (Tracer.length tr) p
   | _ -> ());
   if profile then begin
     prerr_string (Roload_obs.Profile.render m.Core.System.profile);
@@ -127,7 +146,10 @@ let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print run st
 
 let disasm_arg =
   Arg.(value & opt int 0
-       & info [ "disasm" ] ~docv:"N" ~doc:"Disassemble the first N retired instructions to stderr.")
+       & info [ "disasm" ] ~docv:"N"
+           ~doc:
+             "Disassemble the first N retired instructions to stderr, listed from a run \
+              bounded at N retired instructions.")
 
 let trace_arg =
   Arg.(value & opt (some string) None

@@ -159,7 +159,7 @@ let measure ~machine ~kernel ~process exe (outcome : Kernel.run_outcome) =
     profile = Machine.profile_blocks machine;
   }
 
-let run ?(max_instructions = 500_000_000L) ?trace ?tracer ?(profile = false) ?engine
+let run ?(max_instructions = 500_000_000L) ?tracer ?(profile = false) ?engine
     ?template ~variant exe =
   (* [template] is a boot image to fork instead of creating the machine:
      forking a pristine one is bit-identical to [Machine.create] (the
@@ -171,7 +171,6 @@ let run ?(max_instructions = 500_000_000L) ?trace ?tracer ?(profile = false) ?en
     | Some img -> Machine.fork img
     | None -> Machine.create ?engine (machine_config variant)
   in
-  Machine.set_trace machine trace;
   Machine.set_tracer machine tracer;
   Machine.set_profiling machine profile;
   let kernel = Kernel.create ~machine ~config:(kernel_config variant) in

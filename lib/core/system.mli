@@ -39,7 +39,6 @@ type measurement = {
 
 val run :
   ?max_instructions:int64 ->
-  ?trace:(pc:int -> Roload_isa.Inst.t -> unit) ->
   ?tracer:Roload_obs.Tracer.t ->
   ?profile:bool ->
   ?engine:Roload_machine.Machine.engine ->

@@ -513,6 +513,8 @@ let copy_frame t ppn =
    the writes would leak into the sibling address spaces.  Returns true
    when it installed a private copy (with the final perms/key). *)
 
+let shared_frame_refs t ppn = Hashtbl.find_opt t.frame_refs ppn
+
 let split_shared_frame t process ~va ~pte ~perms ~key =
   let ppn = Roload_mem.Pte.ppn pte in
   match Hashtbl.find_opt t.frame_refs ppn with
@@ -1117,8 +1119,8 @@ let handle_syscall t tk =
    engines, so the preemption points — and therefore the whole
    interleaving — are identical under single/block/traced execution.
 
-   A run that stops inside a slice (the instruction limit, [stop_at_pc],
-   or [pause_at_handout]) records its position, and the next run
+   A run that stops inside a slice (the instruction limit or
+   [pause_at_handout]) records its position, and the next run
    continues that slice instead of entering the scheduler, so a paused
    run retires exactly what an uninterrupted one does.  The exception is
    a scheduled task whose process was killed or exited from outside
@@ -1126,7 +1128,7 @@ let handle_syscall t tk =
    [pause_at_handout = k] stops at the ecall of the first read_request
    issued once [k] requests have been handed out, before the kernel
    services it: where a request hook armed at [k] would fire. *)
-let run_tasks ~limit ?stop_at_pc ?pause_at_handout ~quantum t =
+let run_tasks ~limit ?pause_at_handout ~quantum t =
   let cpu = Machine.cpu t.machine in
   let instret () = Int64.of_int (Cpu.instret cpu) in
   (* next ready task after the cursor pid, wrapping: t.tasks is
@@ -1160,9 +1162,8 @@ let run_tasks ~limit ?stop_at_pc ?pause_at_handout ~quantum t =
           if Int64.compare fuel64 (Int64.of_int max_int) >= 0 then max_int
           else Int64.to_int fuel64
         in
-        match Machine.run_steps ?stop_at_pc ~fuel t.machine with
+        match Machine.run_steps ~fuel t.machine with
         | Machine.Exhausted -> loop tk quantum_end (* budgets re-checked above *)
-        | Machine.Stop_pc -> t.position <- In_slice quantum_end
         | Machine.Trap Trap.Ecall ->
           if pause_due () then t.position <- In_syscall quantum_end
           else syscall tk quantum_end
@@ -1206,12 +1207,12 @@ let run_tasks ~limit ?stop_at_pc ?pause_at_handout ~quantum t =
   | _ -> next ()
 
 (* Run until the scheduled process (and anything it forked) exits, is
-   killed, or hits the instruction limit or [stop_at_pc] (used by the
-   attack tooling to pause at a chosen pc). *)
-let run ?(limit = no_limit) ?stop_at_pc t process =
+   killed, or hits the instruction limit (which is how the attack tooling
+   and every campaign ladder pause at a chosen retire). *)
+let run ?(limit = no_limit) t process =
   if pid_of t process = None then
     invalid_arg "Kernel.run: process is not scheduled on this kernel";
-  run_tasks ~limit ?stop_at_pc ~quantum:None t;
+  run_tasks ~limit ~quantum:None t;
   outcome_of t process
 
 let run_all ?(limit = no_limit) ?(time_slice = 20_000) ?pause_at_handout t =

@@ -83,11 +83,13 @@ type run_outcome = {
   output : string;
 }
 
-val run : ?limit:run_limit -> ?stop_at_pc:int -> t -> Process.t -> run_outcome
+val run : ?limit:run_limit -> t -> Process.t -> run_outcome
 (** Run the scheduler with an unbounded quantum — the scheduled task
     keeps the CPU until it blocks, exits or dies — until every task is
-    done, the instruction limit, or [stop_at_pc] (used by attack tooling
-    to pause and corrupt memory).  A later call continues the paused
+    done or the instruction limit is reached.  The limit counts the
+    machine's retired instructions ({!Roload_machine.Cpu.instret}), so a
+    caller pauses on an exact retire (attack tooling pauses there to
+    corrupt memory).  A later call continues the paused
     slice of the task that was scheduled (see {!run_all}).  The outcome
     carries [process]'s status and output.
     @raise Invalid_argument if [process] is not a task of this kernel. *)
@@ -106,6 +108,10 @@ val exec : ?limit:run_limit -> t -> Roload_obj.Exe.t -> Process.t * run_outcome
     a later mprotect-to-writable splits them); [wait] blocks until a
     child exits; [read_request] pulls the next payload from the
     simulated request-source device. *)
+
+val shared_frame_refs : t -> int -> int option
+(** How many address spaces share frame [ppn] read-only since a fork;
+    [None] once one owns it alone. *)
 
 val set_requests : ?shards:int -> t -> int array -> unit
 (** Load the request-source device with a payload stream, dealt into

@@ -59,8 +59,8 @@
      [compile] returns (decoded operands, fetch plans, other closures),
      so machines in any number of domains may run it at once.
 
-   Traces only run when no instruction-trace hook and no obs tracer are
-   attached (the dispatch loop guarantees this), so the lowered slots
+   Traces only run when no obs tracer is attached (the dispatch loop
+   guarantees this), so the lowered slots
    omit the per-retire tracer checks the reference engine performs.
 
    The lowered code allocates nothing on its hot path.  Registers live in

@@ -5,8 +5,8 @@
     reference engine: cycles, instret, cache/TLB statistics, fault
     counts and memory state all match.
 
-    Traces must only run with no instruction-trace hook and no obs
-    tracer attached; the dispatch loop enforces this. *)
+    Traces must only run with no obs tracer attached; the dispatch loop
+    enforces this. *)
 
 (** Dynamic instruction-mix counters, shared with the machine (the
     machine re-exports this type). *)

@@ -129,7 +129,6 @@ type t = {
   blocks : (int, Block.t) Hashtbl.t; (* keyed by block start PA *)
   mutable code_gen : int; (* bumped on every decode/block flush *)
   line_shift : int; (* log2 of the I-cache line size *)
-  mutable trace : (pc:int -> Inst.t -> unit) option;
   mutable tracer : Tracer.t option;
       (* the obs side channel; [None] costs one option check per retire *)
   mutable block_enters : int;
@@ -188,7 +187,6 @@ let make ~costs ~engine ~hot_threshold (config : Config.t) ~mem ~hier ~decode_ca
     blocks;
     code_gen = 0;
     line_shift = Roload_util.Bits.log2_exact config.Config.icache.Roload_cache.Cache.line_bytes;
-    trace = None;
     tracer = None;
     block_enters = 0;
     block_hits = 0;
@@ -281,8 +279,6 @@ let attach_mmu t mmu =
 let set_mmu t mmu =
   attach_mmu t mmu;
   flush_code_caches t
-
-let set_trace t f = t.trace <- f
 
 let set_tracer t tracer =
   t.tracer <- tracer;
@@ -476,7 +472,6 @@ let classify (inst : Inst.t) : Event.inst_class =
    engine's per-slot tier. *)
 let execute_inst t ~pc inst ~size =
   let cpu = t.rt.cpu and counts = t.rt.counts in
-  (match t.trace with Some f -> f ~pc inst | None -> ());
   let next = pc + size in
   let result =
   (
@@ -624,14 +619,12 @@ let step t =
 
 type run_stop =
   | Exhausted (* fuel ran out; the caller re-checks its limits *)
-  | Stop_pc (* the pc reached [stop_at_pc] (checked before executing) *)
   | Trap of Trap.t
 
 let page_mask = Page_table.page_size - 1
 
-(* Execute starting at the current pc until a trap, the fuel runs out, or
-   the pc hits [stop_at_pc].  Cycle accounting is identical to running
-   [step] in a loop:
+(* Execute starting at the current pc until a trap or the fuel runs out.
+   Cycle accounting is identical to running [step] in a loop:
 
    - the block-entry [Mmu.translate] accounts the first slot's I-TLB
      access; every further slot replays a guaranteed I-TLB hit on the
@@ -670,7 +663,7 @@ let prof_charge tbl ~pa ~cycles ~insts =
    (block over: fall through or jump elsewhere), [Some r] to finish the
    run.  This is the traced engine's per-slot tier: it runs cold blocks,
    blocks no trace covers, and every dispatch a trace cannot take. *)
-let exec_block t ~stop_at_pc ~(fuel : int ref) ~pc0 ~pa ~vpn ~tlb_handle ~block =
+let exec_block t ~(fuel : int ref) ~pc0 ~pa ~vpn ~tlb_handle ~block =
   let cpu = t.rt.cpu in
   let mmu = mmu_exn t in
   let itlb = Mmu.itlb mmu in
@@ -684,14 +677,9 @@ let exec_block t ~stop_at_pc ~(fuel : int ref) ~pc0 ~pa ~vpn ~tlb_handle ~block 
                [None] to hand control back to the outer loop (block over,
                fall through or jump elsewhere), [Some r] to finish. *)
             let rec run i ~pc =
-              (* stop/fuel checks happen before any accounting; slot 0's
-                 were done by the outer loop *)
-              let stop_here =
-                i > 0
-                && (match stop_at_pc with Some s -> s = pc | None -> false)
-              in
-              if stop_here then Some Stop_pc
-              else if i > 0 && !fuel <= 0 then Some Exhausted
+              (* the fuel check happens before any accounting; slot 0's
+                 was done by the outer loop *)
+              if i > 0 && !fuel <= 0 then Some Exhausted
               else if
                 (* I-TLB accounting for this slot's fetch (slot 0: done by
                    the entry translate).  On rehit failure nothing was
@@ -861,18 +849,18 @@ let attempt_compile t ~entry_va ~entry_pa ~block =
    ([Lower.compile]), and later dispatches that land on the trace entry
    run the compiled closure instead of interpreting slots.
 
-   Traces only run on "plain" dispatches: no instruction-trace hook, no
-   obs tracer, no [stop_at_pc], and enough fuel for a full pass — any of
-   those falls back to [exec_block], whose per-slot path emits the events
-   and honors the stop.  A hot threshold no block reaches (ROLOAD_TRACE_HOT
-   set huge) runs every dispatch on that tier, compiling nothing.  Correctness never depends on when or
-   whether a trace runs. *)
-let run_traced t ~stop_at_pc ~fuel =
+   Traces only run on "plain" dispatches: no obs tracer and enough fuel
+   for a full pass — otherwise the dispatch falls back to [exec_block],
+   whose per-slot path emits the events and stops on the exact retire.
+   A hot threshold no block reaches (ROLOAD_TRACE_HOT set huge) runs
+   every dispatch on that tier, compiling nothing.  Correctness never
+   depends on when or whether a trace runs. *)
+let run_traced t ~fuel =
   let cpu = t.rt.cpu in
   let mmu = mmu_exn t in
   let fuel = ref fuel in
   let finished = ref None in
-  let usable = t.trace = None && t.tracer = None && stop_at_pc = None in
+  let usable = t.tracer = None in
   (* the block that just finished, for successor-edge recording *)
   let prev_block = ref None in
   (* a seam translation that already accounted its I-TLB access but
@@ -882,108 +870,96 @@ let run_traced t ~stop_at_pc ~fuel =
     if !fuel <= 0 then finished := Some Exhausted
     else begin
       let pc0 = Cpu.pc cpu in
-      match stop_at_pc with
-      | Some s when s = pc0 -> finished := Some Stop_pc
-      | _ ->
-        if pc0 land 1 <> 0 then
-          finished :=
-            Some (Trap (Trap.Misaligned_access { pc = pc0; va = pc0; access = Perm.Fetch }))
-        else begin
-          let pa =
-            if !pending_pc = pc0 then !pending_pa
-            else begin
-              let pa = Mmu.translate_pa mmu ~access:Perm.Fetch pc0 in
-              if pa >= 0 then charge_walk t (Mmu.walk_steps mmu);
-              pa
-            end
-          in
-          pending_pc := -1;
-          if pa < 0 then finished := Some (Trap (Trap.of_mmu_fault ~pc:pc0 (Mmu.last_fault mmu)))
+      if pc0 land 1 <> 0 then
+        finished :=
+          Some (Trap (Trap.Misaligned_access { pc = pc0; va = pc0; access = Perm.Fetch }))
+      else begin
+        let pa =
+          if !pending_pc = pc0 then !pending_pa
           else begin
-            let vpn = pc0 lsr Page_table.page_shift in
-            let tlb_handle = Mmu.fetch_handle mmu pc0 in
-            (match !prev_block with
-            | Some pb ->
-              Block.note_successor pb pc0;
-              prev_block := None
-            | None -> ());
-            let ran_trace =
-              usable
-              &&
-              match Hashtbl.find_opt t.rt.traces pa with
-              | Some c when c.Lower.c_entry_va = pc0 && !fuel >= c.Lower.c_max_retire ->
-                t.trace_enters <- t.trace_enters + 1;
-                let cyc0 = Cpu.cycles cpu and ins0 = Cpu.instret cpu in
-                let r = c.Lower.c_run t.rt ~fuel:!fuel tlb_handle in
-                let dins = Cpu.instret cpu - ins0 in
-                fuel := !fuel - dins;
-                t.trace_retires <- t.trace_retires + dins;
-                (match t.profile with
-                | None -> ()
-                | Some tbl -> prof_charge tbl ~pa ~cycles:(Cpu.cycles cpu - cyc0) ~insts:dins);
-                (match r with
-                | Lower.T_redispatch -> ()
-                | Lower.T_code_written -> flush_code_caches t
-                | Lower.T_trap tr -> finished := Some (Trap tr)
-                | Lower.T_enter_block { eb_pc; eb_pa } ->
-                  pending_pc := eb_pc;
-                  pending_pa := eb_pa);
-                true
-              | _ -> false
-            in
-            if not ran_trace then begin
-              let block, cached =
-                match Hashtbl.find_opt t.blocks pa with
-                | Some b -> (b, true)
-                | None ->
-                  let b = Block.create ~start_pa:pa in
-                  Hashtbl.add t.blocks pa b;
-                  (b, false)
-              in
-              t.block_enters <- t.block_enters + 1;
-              if cached then t.block_hits <- t.block_hits + 1;
-              (match t.tracer with
+            let pa = Mmu.translate_pa mmu ~access:Perm.Fetch pc0 in
+            if pa >= 0 then charge_walk t (Mmu.walk_steps mmu);
+            pa
+          end
+        in
+        pending_pc := -1;
+        if pa < 0 then finished := Some (Trap (Trap.of_mmu_fault ~pc:pc0 (Mmu.last_fault mmu)))
+        else begin
+          let vpn = pc0 lsr Page_table.page_shift in
+          let tlb_handle = Mmu.fetch_handle mmu pc0 in
+          (match !prev_block with
+          | Some pb ->
+            Block.note_successor pb pc0;
+            prev_block := None
+          | None -> ());
+          let ran_trace =
+            usable
+            &&
+            match Hashtbl.find_opt t.rt.traces pa with
+            | Some c when c.Lower.c_entry_va = pc0 && !fuel >= c.Lower.c_max_retire ->
+              t.trace_enters <- t.trace_enters + 1;
+              let cyc0 = Cpu.cycles cpu and ins0 = Cpu.instret cpu in
+              let r = c.Lower.c_run t.rt ~fuel:!fuel tlb_handle in
+              let dins = Cpu.instret cpu - ins0 in
+              fuel := !fuel - dins;
+              t.trace_retires <- t.trace_retires + dins;
+              (match t.profile with
               | None -> ()
-              | Some tr -> Tracer.emit tr (Event.Block_enter { pa; cached }));
-              Block.note_enter block;
-              if
-                usable && cached && Block.closed block
-                && (not (Block.no_trace block))
-                && Block.hot block >= t.hot_threshold
-                && not (Hashtbl.mem t.rt.traces pa)
-              then attempt_compile t ~entry_va:pc0 ~entry_pa:pa ~block;
-              match exec_block t ~stop_at_pc ~fuel ~pc0 ~pa ~vpn ~tlb_handle ~block with
-              | Some r -> finished := Some r
-              | None -> prev_block := Some block
-            end
+              | Some tbl -> prof_charge tbl ~pa ~cycles:(Cpu.cycles cpu - cyc0) ~insts:dins);
+              (match r with
+              | Lower.T_redispatch -> ()
+              | Lower.T_code_written -> flush_code_caches t
+              | Lower.T_trap tr -> finished := Some (Trap tr)
+              | Lower.T_enter_block { eb_pc; eb_pa } ->
+                pending_pc := eb_pc;
+                pending_pa := eb_pa);
+              true
+            | _ -> false
+          in
+          if not ran_trace then begin
+            let block, cached =
+              match Hashtbl.find_opt t.blocks pa with
+              | Some b -> (b, true)
+              | None ->
+                let b = Block.create ~start_pa:pa in
+                Hashtbl.add t.blocks pa b;
+                (b, false)
+            in
+            t.block_enters <- t.block_enters + 1;
+            if cached then t.block_hits <- t.block_hits + 1;
+            (match t.tracer with
+            | None -> ()
+            | Some tr -> Tracer.emit tr (Event.Block_enter { pa; cached }));
+            Block.note_enter block;
+            if
+              usable && cached && Block.closed block
+              && (not (Block.no_trace block))
+              && Block.hot block >= t.hot_threshold
+              && not (Hashtbl.mem t.rt.traces pa)
+            then attempt_compile t ~entry_va:pc0 ~entry_pa:pa ~block;
+            match exec_block t ~fuel ~pc0 ~pa ~vpn ~tlb_handle ~block with
+            | Some r -> finished := Some r
+            | None -> prev_block := Some block
           end
         end
+      end
     end
   done;
   match !finished with Some r -> r | None -> assert false
 
-let run_single t ~stop_at_pc ~fuel =
-  let cpu = t.rt.cpu in
-  let rec go fuel =
-    if fuel <= 0 then Exhausted
-    else
-      let pc = Cpu.pc cpu in
-      match stop_at_pc with
-      | Some s when s = pc -> Stop_pc
-      | _ -> (
-        match step t with
-        | Trapped tr -> Trap tr
-        | Continue -> go (fuel - 1))
-  in
-  go fuel
+let rec run_single t ~fuel =
+  if fuel <= 0 then Exhausted
+  else
+    match step t with
+    | Trapped tr -> Trap tr
+    | Continue -> run_single t ~fuel:(fuel - 1)
 
-(* The kernel-facing run loop entry point.  [stop_at_pc] pauses {i before}
-   executing the instruction at that pc; [fuel] bounds the number of
+(* The kernel-facing run loop entry point: [fuel] bounds the number of
    retired instructions. *)
-let run_steps ?stop_at_pc ~fuel t =
+let run_steps ~fuel t =
   match t.engine with
-  | Single_step -> run_single t ~stop_at_pc ~fuel
-  | Traced -> run_traced t ~stop_at_pc ~fuel
+  | Single_step -> run_single t ~fuel
+  | Traced -> run_traced t ~fuel
 
 (* ---- snapshots ----
 

@@ -30,9 +30,9 @@ type engine =
   | Traced
       (** the fast engine (default): a dispatch loop over pre-decoded
           basic blocks, whose hot superblocks are compiled to closures.
-          Cold blocks, blocks no trace covers, and every run with a
-          tracer, an instruction hook or a [stop_at_pc] execute slot by
-          slot.  With the hot threshold at [max_int] nothing compiles —
+          Cold blocks, blocks no trace covers, every dispatch with less
+          fuel than its trace could retire, and every run with a tracer
+          execute slot by slot.  With the hot threshold at [max_int] nothing compiles —
           the "no trace compilation" ablation. *)
 
 val engine_name : engine -> string
@@ -117,9 +117,6 @@ val set_mmu : t -> Roload_mem.Mmu.t -> unit
 (** {!attach_mmu} for a freshly loaded process, then {!flush_code_caches}:
     the loader wrote its code past the stores that flush stale decodes. *)
 
-val set_trace : t -> (pc:int -> Roload_isa.Inst.t -> unit) option -> unit
-(** Install an instruction-retirement hook (debugging/tracing). *)
-
 val set_tracer : t -> Roload_obs.Tracer.t option -> unit
 (** Attach the structured event tracer: wires its clock to the cycle
     counter and points the cache/TLB observers at it.  Tracing never
@@ -177,13 +174,13 @@ val step : t -> step_result
 
 type run_stop =
   | Exhausted  (** the fuel ran out; the caller re-checks its limits *)
-  | Stop_pc  (** the pc reached [stop_at_pc], checked before executing *)
   | Trap of Trap.t
 
-val run_steps : ?stop_at_pc:int -> fuel:int -> t -> run_stop
-(** Run on the configured engine until a trap, until [fuel] instructions
-    have retired, or until the pc is about to execute [stop_at_pc].
-    Cycle accounting is identical across engines. *)
+val run_steps : fuel:int -> t -> run_stop
+(** Run on the configured engine until a trap or until [fuel]
+    instructions have retired.  A caller pauses at a chosen point by
+    bounding [fuel]: the run stops on that exact retire under either
+    engine, and cycle accounting is identical across engines. *)
 
 (** {2 Snapshots}
 

@@ -138,7 +138,7 @@ let of_bytes s =
         let addr = get_u32 () in
         (name, addr))
   in
-  make ~entry ~segments ~symbols
+  try make ~entry ~segments ~symbols with Invalid_argument msg -> raise (Bad_image msg)
 
 let save t path =
   let oc = open_out_bin path in

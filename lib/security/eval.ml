@@ -9,9 +9,9 @@
    strongest available strategy per scheme). *)
 
 module Machine = Roload_machine.Machine
+module Cpu = Roload_machine.Cpu
 module Kernel = Roload_kernel.Kernel
 module Process = Roload_kernel.Process
-module Signal = Roload_kernel.Signal
 module Exe = Roload_obj.Exe
 
 type run_config = {
@@ -24,19 +24,12 @@ let default_run_config =
     kernel_config = Kernel.default_config }
 
 let gfpt_symbol_for exe func =
-  let suffix = "$" ^ func in
-  let is_gfpt (name, _) =
-    String.length name > 7
-    && String.sub name 0 7 = "__gfpt$"
-    && String.length name > String.length suffix
-    && String.sub name
-         (String.length name - String.length suffix)
-         (String.length suffix)
-       = suffix
-  in
-  match List.find_opt is_gfpt exe.Exe.symbols with
-  | Some (name, _) -> Some name
-  | None -> None
+  List.find_map
+    (fun (name, _) ->
+      if String.starts_with ~prefix:"__gfpt$" name && String.ends_with ~suffix:("$" ^ func) name
+      then Some name
+      else None)
+    exe.Exe.symbols
 
 (* The address an attacker writes into a function-pointer slot to make
    it "point at" [func]: the raw code address normally, or the GFPT slot
@@ -98,28 +91,40 @@ let classify (outcome : Kernel.run_outcome) =
     | k -> Attack.Blocked_other (Trapclass.kind_name k))
   | Process.Running -> Attack.Blocked_other "instruction limit"
 
-let run ?(config = default_run_config) ~exe kind =
+let limit = { Kernel.max_instructions = 10_000_000L }
+
+(* Boot the victim and advance it one retire at a time, through the
+   kernel's instruction limit (the pause every campaign ladder uses),
+   until it is about to execute [attack_point]. *)
+let boot_paused ?(config = default_run_config) exe =
   let machine = Machine.create config.machine_config in
   let kernel = Kernel.create ~machine ~config:config.kernel_config in
   let process = Kernel.load kernel exe in
   Kernel.schedule kernel process;
-  let stop = Exe.find_symbol_exn exe "attack_point" in
-  let paused =
-    Kernel.run ~stop_at_pc:stop
-      ~limit:{ Kernel.max_instructions = 10_000_000L }
-      kernel process
+  let attack_point = Exe.find_symbol_exn exe "attack_point" in
+  let cpu = Machine.cpu machine in
+  let rec advance () =
+    let next = Int64.of_int (Cpu.instret cpu + 1) in
+    if next > limit.max_instructions then
+      failwith "attack runner: victim never reached the attack point";
+    match (Kernel.run ~limit:{ Kernel.max_instructions = next } kernel process).status with
+    | Process.Running -> if Cpu.pc cpu <> attack_point then advance ()
+    | Process.Exited _ | Process.Killed _ ->
+      failwith "attack runner: victim ended before the attack point"
   in
-  (match paused.Kernel.status with
-  | Process.Running -> ()
-  | Process.Exited _ | Process.Killed _ ->
-    failwith "attack runner: victim ended before the attack point");
+  advance ();
+  (machine, kernel, process)
+
+(* One attack on a paused victim: corrupt, resume, classify. *)
+let attack exe kernel process kind =
   (try corrupt exe process kind
    with Process.Attack_blocked reason ->
      failwith ("attack runner: primitive unexpectedly blocked: " ^ reason));
-  let final =
-    Kernel.run ~limit:{ Kernel.max_instructions = 10_000_000L } kernel process
-  in
-  classify final
+  classify (Kernel.run ~limit kernel process)
+
+let run ?config ~exe kind =
+  let _, kernel, process = boot_paused ?config exe in
+  attack exe kernel process kind
 
 (* Snapshot-seeded corpus: boot the victim once, pause at the attack
    point, capture a copy-on-write snapshot, and fork one variant per
@@ -127,34 +132,14 @@ let run ?(config = default_run_config) ~exe kind =
    prefix is deterministic, so verdicts are identical either way;
    [~from_reset:true] keeps the boot-per-attack path alive for the
    equivalence regression. *)
-let run_corpus ?(config = default_run_config) ?(from_reset = false) ~exe () =
-  if from_reset then
-    List.map (fun kind -> (kind, run ~config ~exe kind)) Attack.all_kinds
+let run_corpus ?config ?(from_reset = false) ~exe () =
+  if from_reset then List.map (fun kind -> (kind, run ?config ~exe kind)) Attack.all_kinds
   else begin
-    let machine = Machine.create config.machine_config in
-    let kernel = Kernel.create ~machine ~config:config.kernel_config in
-    let process = Kernel.load kernel exe in
-    Kernel.schedule kernel process;
-    let stop = Exe.find_symbol_exn exe "attack_point" in
-    let paused =
-      Kernel.run ~stop_at_pc:stop
-        ~limit:{ Kernel.max_instructions = 10_000_000L }
-        kernel process
-    in
-    (match paused.Kernel.status with
-    | Process.Running -> ()
-    | Process.Exited _ | Process.Killed _ ->
-      failwith "attack runner: victim ended before the attack point");
+    let machine, kernel, process = boot_paused ?config exe in
     let snap = Roload_kernel.Snapshot.capture ~machine ~kernel ~process in
     List.map
       (fun kind ->
-        let _fm, fk, fp = Roload_kernel.Snapshot.fork snap in
-        (try corrupt exe fp kind
-         with Process.Attack_blocked reason ->
-           failwith ("attack runner: primitive unexpectedly blocked: " ^ reason));
-        let final =
-          Kernel.run ~limit:{ Kernel.max_instructions = 10_000_000L } fk fp
-        in
-        (kind, classify final))
+        let _, kernel, process = Roload_kernel.Snapshot.fork snap in
+        (kind, attack exe kernel process kind))
       Attack.all_kinds
   end

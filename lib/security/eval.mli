@@ -16,6 +16,14 @@ val fptr_value_for : Roload_obj.Exe.t -> string -> int
     at a function: its GFPT slot address under ICall, else its code
     address. *)
 
+val boot_paused :
+  ?config:run_config ->
+  Roload_obj.Exe.t ->
+  Roload_machine.Machine.t * Roload_kernel.Kernel.t * Roload_kernel.Process.t
+(** The victim on a fresh machine, paused by retire count just before it
+    executes [attack_point]: where every attack starts.  Raises
+    [Failure] if it ends or runs 10 M instructions first. *)
+
 val run : ?config:run_config -> exe:Roload_obj.Exe.t -> Attack.kind -> Attack.outcome
 (** Raises [Failure] if the victim never reaches the attack point or the
     corruption primitive is unexpectedly blocked. *)

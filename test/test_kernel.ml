@@ -311,6 +311,71 @@ rw_data:
   | exception Process.Attack_blocked _ -> ()
   | () -> Alcotest.fail "write to unmapped memory must be blocked"
 
+(* A read-only page shared by three address spaces (the parent forks
+   twice), then made writable by each sharer in turn: the first two
+   split off private copies, so the last one — the parent — keeps the
+   original frame, with no refcount left on it, and reads back its own
+   contents, not a child's store. *)
+let shared_ro_prog = {|
+.text
+_start:
+  la s1, ro_data
+  li t0, -4096
+  and s0, s1, t0
+  li a7, 220
+  ecall
+  beqz a0, sharer
+  li a7, 220
+  ecall
+  beqz a0, sharer
+  li a0, 0
+  li a7, 260
+  ecall
+  li a0, 0
+  li a7, 260
+  ecall
+  call make_writable
+  ld a0, 0(s1)
+  li a7, 93
+  ecall
+sharer:
+  call make_writable
+  li t1, 99
+  sd t1, 0(s1)
+  li a0, 0
+  li a7, 93
+  ecall
+make_writable:
+  mv a0, s0
+  li a1, 4096
+  li a2, 3
+  li a3, 0
+  li a7, 226
+  ecall
+  ret
+.section .rodata
+ro_data:
+  .quad 7
+|}
+
+let test_last_sharer_keeps_frame () =
+  let _m, kernel = fresh_kernel () in
+  let exe = build shared_ro_prog in
+  let process = Kernel.load kernel exe in
+  let va = Exe.find_symbol_exn exe "ro_data" in
+  let frame () =
+    match Roload_mem.Page_table.walk (Process.page_table process) va with
+    | Ok { Roload_mem.Page_table.pte; _ } -> Roload_mem.Pte.ppn pte
+    | Error _ -> Alcotest.fail "ro_data unmapped"
+  in
+  let original = frame () in
+  Kernel.schedule kernel process;
+  let o = Kernel.run kernel process in
+  Alcotest.(check bool) "the parent reads its own contents" true (status_is_exit 7 o);
+  Alcotest.(check int) "the last sharer keeps the original frame" original (frame ());
+  Alcotest.(check (option int)) "no refcount left on the frame" None
+    (Kernel.shared_frame_refs kernel original)
+
 let test_memory_accounting () =
   let o = run brk_prog in
   Alcotest.(check bool) "peak includes stack" true
@@ -330,4 +395,6 @@ let suite =
     Alcotest.test_case "loader applies section keys" `Quick test_loader_applies_keys;
     Alcotest.test_case "attacker primitive bounds" `Quick test_attacker_primitive_bounds;
     Alcotest.test_case "memory accounting" `Quick test_memory_accounting;
+    Alcotest.test_case "last of three sharers keeps the frame" `Quick
+      test_last_sharer_keeps_frame;
   ]

@@ -115,9 +115,18 @@ let test_exe_codec_roundtrip () =
   Alcotest.(check int) "symbols" (List.length exe.Exe.symbols) (List.length exe2.Exe.symbols)
 
 let test_exe_codec_rejects_garbage () =
-  match Exe.of_bytes "NOPE....." with
+  (match Exe.of_bytes "NOPE....." with
   | exception Exe.Bad_image _ -> ()
-  | _ -> Alcotest.fail "bad magic must be rejected"
+  | _ -> Alcotest.fail "bad magic must be rejected");
+  (* well-formed bytes whose segment [Exe.make] refuses *)
+  let misaligned =
+    { Exe.entry = 4096; symbols = [];
+      segments =
+        [ { Exe.name = "s"; vaddr = 4097; data = ""; mem_size = 0; perms = Perm.rw; key = 0 } ] }
+  in
+  match Exe.of_bytes (Exe.to_bytes misaligned) with
+  | exception Exe.Bad_image _ -> ()
+  | _ -> Alcotest.fail "a misaligned segment must be rejected as a bad image"
 
 let prop_codec_roundtrip =
   QCheck.Test.make ~count:50 ~name:"exe codec round-trips arbitrary segments"

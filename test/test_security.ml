@@ -4,6 +4,8 @@
 module Pass = Roload_passes.Pass
 module Attack = Roload_security.Attack
 module Eval = Roload_security.Eval
+module Machine = Roload_machine.Machine
+module Cpu = Roload_machine.Cpu
 
 let exe_cache : (Pass.scheme, Roload_obj.Exe.t) Hashtbl.t = Hashtbl.create 8
 
@@ -174,6 +176,37 @@ let test_corpus_seeding_equivalence () =
         seeded reset)
     Pass.all_schemes
 
+(* The pause every attack starts from is exact: on both engines and
+   under every scheme, the victim stops after 76 retires, about to
+   execute [attack_point], at the cycle count each scheme's prologue
+   costs. *)
+let test_pause_is_exact () =
+  let cycles =
+    [ ("none", 2423); ("VCall", 2477); ("ICall", 2504); ("VTint", 2423); ("CFI", 2423) ]
+  in
+  let prev = Machine.effective_engine () in
+  Fun.protect
+    ~finally:(fun () -> Machine.set_default_engine prev)
+    (fun () ->
+      List.iter
+        (fun engine ->
+          Machine.set_default_engine engine;
+          List.iter
+            (fun scheme ->
+              let exe = victim scheme in
+              let machine, _, _ = Eval.boot_paused exe in
+              let cpu = Machine.cpu machine in
+              let name = Pass.scheme_name scheme ^ "/" ^ Machine.engine_name engine in
+              Alcotest.(check int) (name ^ " pc")
+                (Roload_obj.Exe.find_symbol_exn exe "attack_point")
+                (Cpu.pc cpu);
+              Alcotest.(check int) (name ^ " instret") 76 (Cpu.instret cpu);
+              Alcotest.(check int) (name ^ " cycles")
+                (List.assoc (Pass.scheme_name scheme) cycles)
+                (Cpu.cycles cpu))
+            Pass.all_schemes)
+        [ Machine.Single_step; Machine.Traced ])
+
 let test_matrix_driver () =
   let r = Core.Experiments.security () in
   Alcotest.(check int) "5 schemes" (List.length Pass.all_schemes)
@@ -196,5 +229,6 @@ let suite =
     Alcotest.test_case "full attack × scheme matrix" `Quick test_full_outcome_matrix;
     Alcotest.test_case "snapshot-seeded corpus equals from-reset" `Quick
       test_corpus_seeding_equivalence;
+    Alcotest.test_case "pause at the attack point is exact" `Quick test_pause_is_exact;
     Alcotest.test_case "matrix driver" `Quick test_matrix_driver;
   ]
